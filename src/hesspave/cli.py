@@ -27,6 +27,8 @@ from .operators import (
     SemisimpleClassical,
     TypeAGeneral,
     TypeANilpotent,
+    canonical_form,
+    levi_roots,
 )
 from .paving import (
     OracleDisagreement,
@@ -39,6 +41,7 @@ from .paving import (
 from .rootsys import (
     Root,
     RootSystemId,
+    negative_roots,
     positive_roots,
     row_of,
     row_partition,
@@ -100,9 +103,9 @@ def _operator(args, system: RootSystemId):
                 for block in args.semisimple.split(";")
             ))
         # surface shape errors (wrong family, wrong total, bad blocks) now
-        from .operators import canonical_form
-
         canonical_form(spec, system)
+        if isinstance(spec, SemisimpleClassical):
+            levi_roots(spec, system)
         return spec
     except (ValueError, ConfigError) as e:
         raise ConfigError(str(e)) from None
@@ -128,8 +131,12 @@ def _hess(text: str, system: RootSystemId) -> HessenbergSpace:
         if text.startswith("neg="):
             roots = set(positive_roots(system))
             if text != "neg=":
+                negative = set(negative_roots(system))
                 for part in text[4:].split(";"):
-                    roots.add(Root(tuple(int(t) for t in part.split(","))))
+                    r = Root(tuple(int(t) for t in part.split(",")))
+                    if r not in negative:
+                        raise ConfigError(f"{part} is not a negative root of {system}")
+                    roots.add(r)
             return HessenbergSpace(system, frozenset(roots))
     except (ValueError, ConfigError) as e:
         raise ConfigError(str(e)) from None
@@ -225,6 +232,8 @@ def cmd_pave(args) -> int:
     if not args.hess:
         raise ConfigError("pave needs --hess")
     H = _hess(args.hess, system)
+    if args.method == "tableau" and not _tableau_applies(spec, system):
+        raise ConfigError(f"no tableau path for {spec_label(spec)} in {system}")
     try:
         result = pave(spec, system, H, method=args.method,
                       seed=args.seed, trials=args.trials, jobs=args.jobs)
@@ -232,8 +241,6 @@ def cmd_pave(args) -> int:
         print(f"oracle could not certify a dimension at pi=[{_window_str(e.pi)}]",
               file=sys.stderr)
         return EXIT_VERIFY
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
     if args.format == "json":
         print(result_to_json(spec, H, result))
         return EXIT_OK
@@ -318,17 +325,20 @@ def _add_operator(p):
                         "index blocks like 1;2,3")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_paving(p):
     p.add_argument("--hess", metavar="H",
                    help="Hessenberg space: h=2,3,3 (type A), peterson, "
                         "borel, full, or neg=-1,0;0,-1 listing the negative "
                         "part by coefficient vectors")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=5,
+    p.add_argument("--trials", type=_positive_int, default=5,
                    help="solver trials per cell (oracle path)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers; output order is always the "
-                        "deterministic Weyl enumeration order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,6 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_paving(p)
     p.add_argument("--method", choices=("formula", "tableau", "oracle"),
                    default="formula")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="parallel workers; output order is always the "
+                        "deterministic Weyl enumeration order")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_pave)
 

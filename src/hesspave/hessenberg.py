@@ -19,6 +19,7 @@ from .rootsys import (
     positive_root_set,
     positive_roots,
     simple_roots,
+    type_a_root,
 )
 from .weyl import WeylElement
 
@@ -64,17 +65,8 @@ class HessenbergSpace:
     def __contains__(self, alpha: Root) -> bool:
         return alpha in self.roots
 
-    def __le__(self, other: "HessenbergSpace") -> bool:
-        return self.roots <= other.roots
-
     def negative_part(self) -> frozenset[Root]:
         return frozenset(a for a in self.roots if a.is_negative)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "system": str(self.system),
-            "roots": sorted(list(a.coeffs) for a in self.roots),
-        }
 
     def __str__(self):
         neg = sorted((-a for a in self.negative_part()), key=lambda r: (r.height, r.coeffs))
@@ -157,15 +149,6 @@ def enumerate_spaces(system: RootSystemId) -> tuple[HessenbergSpace, ...]:
     return tuple(out)
 
 
-def _type_a_root(n1: int, i: int, j: int) -> Root:
-    """The root e_i - e_j in A_{n1-1} simple-root coordinates (i != j)."""
-    coeffs = [0] * (n1 - 1)
-    lo, hi, sign = (i, j, 1) if i < j else (j, i, -1)
-    for k in range(lo, hi):
-        coeffs[k - 1] = sign
-    return Root(tuple(coeffs))
-
-
 def from_h(h: HessFunction) -> HessenbergSpace:
     """Type A space with e_i - e_j present (i > j) exactly when i <= h(j)."""
     n = h.n
@@ -173,7 +156,7 @@ def from_h(h: HessFunction) -> HessenbergSpace:
     roots = set(positive_roots(system))
     for j in range(1, n + 1):
         for i in range(j + 1, h(j) + 1):
-            roots.add(_type_a_root(n, i, j))
+            roots.add(type_a_root(n - 1, i, j))
     return HessenbergSpace(system, frozenset(roots))
 
 
@@ -185,7 +168,7 @@ def to_h(H: HessenbergSpace) -> HessFunction:
     for j in range(1, n + 1):
         v = j
         for i in range(j + 1, n + 1):
-            if _type_a_root(n, i, j) in H.roots:
+            if type_a_root(n - 1, i, j) in H.roots:
                 v = i
         vals.append(v)
     return HessFunction(tuple(vals))

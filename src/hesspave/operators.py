@@ -10,19 +10,17 @@ the canonical Jordan form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .rootsys import (
     Root,
     RootSystemId,
     ambient_dim,
     euclidean,
-    positive_root_set,
     positive_roots,
     root_gt,
     simple_roots,
+    type_a_root,
 )
 from .tableaux import Diagram, MultiDiagram, vertical_pairs
 
@@ -73,9 +71,6 @@ class SemisimpleClassical:
     levi_blocks: tuple[tuple[int, ...], ...] = ()
 
 
-OperatorSpec = (RegularNilpotent, TypeANilpotent, TypeAGeneral, SemisimpleClassical)
-
-
 @dataclass(frozen=True)
 class CanonicalNilpotent:
     """Ordered non-overlapping support of the canonical nilpotent."""
@@ -88,11 +83,6 @@ class CanonicalNilpotent:
             for b in self.support:
                 if root_gt(a, b):
                     raise ValueError(f"overlapping support: {a} > {b}")
-
-
-def _string_root(rank: int, lo: int, hi: int) -> Root:
-    """e_lo - e_hi in type A coefficients (lo < hi)."""
-    return Root(tuple(1 if lo <= k < hi else 0 for k in range(1, rank + 1)))
 
 
 def _check_family_a(spec, system: RootSystemId, total: int):
@@ -139,7 +129,7 @@ def multidiagram_of(spec, system: RootSystemId | None = None) -> MultiDiagram:
 def _diagram_support(system: RootSystemId, mu: tuple[int, ...], offset: int):
     d = Diagram(mu)
     return [
-        _string_root(system.rank, offset + j, offset + k)
+        type_a_root(system.rank, offset + j, offset + k)
         for j, k in vertical_pairs(d)
     ]
 
@@ -231,58 +221,18 @@ def levi_roots(spec, system: RootSystemId) -> frozenset[Root]:
 
 def semisimple_functional(spec, system: RootSystemId) -> tuple[int, ...]:
     """Integer vector s with alpha(s) = sum_k v_k s_k (v = Euclidean form of
-    alpha) vanishing exactly on the Levi roots.  Deterministic."""
-    m = ambient_dim(system)
-    if isinstance(spec, TypeAGeneral):
-        s = [0] * m
-        for val, (lo, hi) in enumerate(block_ranges(spec)):
-            for k in range(lo, hi):
-                s[k - 1] = val
-        return tuple(s)
-    constrained = sorted(_levi_simple_indices(spec, system))
-    rows = [euclidean(system, simple_roots(system)[i - 1]) for i in constrained]
-    basis = _nullspace(rows, m)
-    zero = levi_roots(spec, system)
-    pos = positive_root_set(system)
-    for scale in range(1, 50):
-        s = [0] * m
-        for k, vec in enumerate(basis):
-            w = (scale + k + 1) ** (k + 1)
-            for j in range(m):
-                s[j] += w * vec[j]
-        if all(
-            (sum(v * x for v, x in zip(euclidean(system, a), s)) == 0)
-            == (a in zero)
-            for a in pos
-        ):
-            return tuple(s)
-    raise RuntimeError("could not find a generic semisimple functional")
+    alpha) vanishing exactly on the Levi roots: the sum of the Euclidean
+    vectors of the positive roots outside Phi_l.
 
-
-def _nullspace(rows: list[tuple[int, ...]], m: int) -> list[list[int]]:
-    """Integer basis of the common kernel of the given functionals."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        mat[r] = [x / mat[r][c] for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [Fraction(0)] * m
-        v[c] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -mat[rr][c]
-        den = math.lcm(*(x.denominator for x in v))
-        basis.append([int(x * den) for x in v])
-    return basis
+    The Levi's simple reflections permute those roots, so s pairs to zero
+    with each Levi simple root; it pairs positively with every other simple
+    root (2 rho minus 2 rho_l), so a positive root pairs to zero exactly when
+    it lies in Phi_l.  In type A, s is constant on each eigenvalue block and
+    strictly decreasing across blocks."""
+    levi = levi_roots(spec, system)
+    s = [0] * ambient_dim(system)
+    for a in positive_roots(system):
+        if a not in levi:
+            for k, v in enumerate(euclidean(system, a)):
+                s[k] += v
+    return tuple(s)

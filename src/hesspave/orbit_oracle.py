@@ -1,8 +1,9 @@
 """Matrix realizations of the classical Lie algebras plus two engines:
 
-* exact symbolic conjugation u^{-1}.M for a generic unipotent u in U_pi,
-  which yields the orbit root set Phi_{U_pi . M} by zero-testing polynomial
-  coefficients, and
+* conjugation u^{-1}.M down the rows of U_pi, one walk over any scalar
+  domain (Poly variables, Fractions, residues mod PRIME), which yields the
+  orbit root set Phi_{U_pi . M} by zero-testing polynomial coefficients or
+  by random evaluation, and
 * a probabilistic row-by-row affine solver over a large prime field that
   certifies cell dimensions independently of any closed formula.
 
@@ -22,10 +23,8 @@ from functools import lru_cache
 
 from .hessenberg import HessenbergSpace, complement_roots
 from .operators import (
-    RegularNilpotent,
     SemisimpleClassical,
     TypeAGeneral,
-    TypeANilpotent,
     canonical_form,
     semisimple_functional,
 )
@@ -120,12 +119,18 @@ def s_value(system: RootSystemId, svec, alpha: Root):
     return sum(v * s for v, s in zip(euclidean(system, alpha), svec))
 
 
-def operator_matrix(spec, system: RootSystemId) -> dict:
-    """Integer matrix of the canonical M = S + N."""
+def _support_matrix(system: RootSystemId, support) -> dict:
+    """Sum of E_beta over the support."""
     out: dict = {}
-    for beta in canonical_form(spec, system).support:
+    for beta in support:
         for rc, x in root_entries(system, beta):
             out[rc] = out.get(rc, 0) + x
+    return out
+
+
+def operator_matrix(spec, system: RootSystemId) -> dict:
+    """Integer matrix of the canonical M = S + N."""
+    out = _support_matrix(system, canonical_form(spec, system).support)
     if isinstance(spec, (SemisimpleClassical, TypeAGeneral)):
         for rc, x in cartan_matrix(
             system, semisimple_functional(spec, system)
@@ -181,34 +186,26 @@ def _exp(X: dict, N: int, mod=None) -> dict:
             raise RuntimeError("exp argument is not nilpotent")
 
 
-def _conjugate(system: RootSystemId, M: dict, X: dict, mod=None) -> dict:
-    """exp(X) M exp(-X), the adjoint action of u^{-1} = exp(X)."""
+def _row_element(system: RootSystemId, assignment: dict) -> dict:
+    """Sum of x_beta E_beta over an assignment {Root: value}."""
+    X: dict = {}
+    for beta, x in assignment.items():
+        for rc, c in root_entries(system, beta):
+            X[rc] = X.get(rc, 0) + x * c
+    return {rc: v for rc, v in X.items() if not _is_zero(v)}
+
+
+def _conjugate(system: RootSystemId, M: dict, assignment: dict, mod=None) -> dict:
+    """exp(X) M exp(-X) for X = sum of x_beta E_beta over the assignment
+    {Root: scalar}: the adjoint action of u^{-1} = exp(X)."""
+    X = _row_element(system, assignment)
     N = matrix_dim(system)
     E = _exp(X, N, mod)
     Einv = _exp({rc: -v for rc, v in X.items()}, N, mod)
     return _mat_mul(_mat_mul(E, M, mod), Einv, mod)
 
 
-def _row_element(system: RootSystemId, assignment: dict) -> dict:
-    """Sum of x_beta E_beta over an assignment {Root: value}."""
-    X: dict = {}
-    for beta, x in assignment.items():
-        if _is_zero(x):
-            continue
-        for rc, c in root_entries(system, beta):
-            s = X.get(rc, 0) + x * c
-            if _is_zero(s):
-                X.pop(rc, None)
-            else:
-                X[rc] = s
-    return X
-
-
-# --- generic symbolic conjugation --------------------------------------------
-
-
-def _var(alpha: Root) -> str:
-    return f"x[{alpha}]"
+# --- conjugation down the rows -------------------------------------------------
 
 
 def _rows_desc(system: RootSystemId, roots: frozenset[Root]):
@@ -220,40 +217,51 @@ def _rows_desc(system: RootSystemId, roots: frozenset[Root]):
             yield i, row
 
 
-def generic_conjugate(spec, system: RootSystemId, pi: WeylElement) -> dict:
-    """Exact coefficient polynomials of u^{-1}.M for generic u in U_pi.
+def _conjugate_rows(system: RootSystemId, M: dict, roots, draw, mod=None) -> dict:
+    """u^{-1}.M for u = u_n ... u_1, u_i the row-i element of the given roots
+    with the scalar draw(root) on each root: a Poly variable (generic), a
+    Fraction, or a residue mod PRIME.  Each row acts affinely in its own
+    variables, by the row lemma (ad X)^3 = 0."""
+    for _, row in _rows_desc(system, roots):
+        M = _conjugate(system, M, {a: draw(a) for a in row}, mod)
+    return M
 
-    Returns {alpha: Poly for alpha in Phi+} plus key "cartan" holding the
-    diagonal entries.
-    """
+
+def _symbolic_rows(system: RootSystemId, M0: dict, roots) -> dict:
+    """Exact generic conjugate over Poly, within SYMBOLIC_RANK_CAP."""
     if system.rank > SYMBOLIC_RANK_CAP:
         raise ValueError(f"symbolic conjugation capped at rank {SYMBOLIC_RANK_CAP}")
-    M = {rc: Poly.const(v) for rc, v in operator_matrix(spec, system).items()}
-    for _, row in _rows_desc(system, inversion_set(pi)):
-        X = _row_element(system, {a: Poly.var(_var(a)) for a in row})
-        M = _conjugate(system, M, X)
-    out = {alpha: coeff_at(system, M, alpha) for alpha in positive_roots(system)}
-    out = {a: v if isinstance(v, Poly) else Poly.const(v) for a, v in out.items()}
-    out["cartan"] = tuple(
-        M.get((k, k), Poly()) for k in range(1, matrix_dim(system) + 1)
-    )
-    return out
+    return _conjugate_rows(system, M0, roots, lambda a: Poly.var(f"x[{a}]"))
 
 
-def _numeric_support(spec, system, pi, seed, samples=2) -> frozenset[Root]:
-    M0 = {rc: v % PRIME for rc, v in operator_matrix(spec, system).items()}
-    found: set[Root] = set()
+def _orbit_support(system: RootSystemId, M0: dict, var_roots, mode: str,
+                   key: str) -> frozenset[Root]:
+    """Positive roots whose coefficient in u^{-1}.M0 is not identically zero,
+    u generic in the group of var_roots: exact over Poly ("symbolic"), or the
+    union over two random points mod PRIME seeded by key ("randomized").
+    "auto" is symbolic up to AUTO_SYMBOLIC_RANK."""
+    if mode == "auto":
+        mode = "symbolic" if system.rank <= AUTO_SYMBOLIC_RANK else "randomized"
     pos = positive_roots(system)
-    for t in range(samples):
-        rng = random.Random(f"orbit:{seed}:{t}:{pi.window}")
-        M = M0
-        for _, row in _rows_desc(system, inversion_set(pi)):
-            X = _row_element(
-                system, {a: rng.randrange(1, PRIME) for a in row}
-            )
-            M = _conjugate(system, M, X, PRIME)
+    if mode == "symbolic":
+        M = _symbolic_rows(system, M0, var_roots)
+        return frozenset(a for a in pos if not _is_zero(coeff_at(system, M, a)))
+    if mode != "randomized":
+        raise ValueError(f"unknown orbit mode {mode!r}")
+    found: set[Root] = set()
+    for t in range(2):
+        rng = random.Random(f"{key}:{t}")
+        M = _conjugate_rows(system, {rc: v % PRIME for rc, v in M0.items()},
+                            var_roots, lambda a: rng.randrange(1, PRIME), PRIME)
         found.update(a for a in pos if coeff_at(system, M, a))
     return frozenset(found)
+
+
+def generic_conjugate(spec, system: RootSystemId, pi: WeylElement) -> dict:
+    """Exact coefficient polynomials {alpha: Poly for alpha in Phi+} of
+    u^{-1}.M for generic u in U_pi."""
+    M = _symbolic_rows(system, operator_matrix(spec, system), inversion_set(pi))
+    return {a: Poly() + coeff_at(system, M, a) for a in positive_roots(system)}
 
 
 def orbit_roots(
@@ -265,16 +273,8 @@ def orbit_roots(
 ) -> frozenset[Root]:
     """Phi_{U_pi . M}: positive roots with a not-identically-zero coefficient
     in the generic conjugate."""
-    if mode == "auto":
-        mode = "symbolic" if system.rank <= AUTO_SYMBOLIC_RANK else "randomized"
-    if mode == "symbolic":
-        gc = generic_conjugate(spec, system, pi)
-        return frozenset(
-            a for a in positive_roots(system) if not gc[a].is_zero()
-        )
-    if mode == "randomized":
-        return _numeric_support(spec, system, pi, seed)
-    raise ValueError(f"unknown orbit mode {mode!r}")
+    return _orbit_support(system, operator_matrix(spec, system),
+                          inversion_set(pi), mode, f"orbit:{seed}:{pi.window}")
 
 
 def restricted_orbit_roots(
@@ -286,28 +286,9 @@ def restricted_orbit_roots(
 ) -> frozenset[Root]:
     """Orbit roots of N = sum of E_beta over the support, for u ranging over
     the subgroup generated by var_roots."""
-    if mode == "auto":
-        mode = "symbolic" if system.rank <= AUTO_SYMBOLIC_RANK else "randomized"
-    M0: dict = {}
-    for beta in support:
-        for rc, x in root_entries(system, beta):
-            M0[rc] = M0.get(rc, 0) + x
-    pos = positive_roots(system)
-    if mode == "symbolic":
-        M = {rc: Poly.const(v) for rc, v in M0.items()}
-        for _, row in _rows_desc(system, var_roots):
-            X = _row_element(system, {a: Poly.var(_var(a)) for a in row})
-            M = _conjugate(system, M, X)
-        return frozenset(a for a in pos if not _is_zero(coeff_at(system, M, a)))
-    found: set[Root] = set()
-    for t in range(2):
-        rng = random.Random(f"orbitR:{seed}:{t}:{sorted(a.coeffs for a in var_roots)}")
-        M = {rc: v % PRIME for rc, v in M0.items()}
-        for _, row in _rows_desc(system, var_roots):
-            X = _row_element(system, {a: rng.randrange(1, PRIME) for a in row})
-            M = _conjugate(system, M, X, PRIME)
-        found.update(a for a in pos if coeff_at(system, M, a))
-    return frozenset(found)
+    key = f"orbitR:{seed}:{sorted(a.coeffs for a in var_roots)}"
+    return _orbit_support(system, _support_matrix(system, support), var_roots,
+                          mode, key)
 
 
 # --- probabilistic dimension solver -------------------------------------------
@@ -317,10 +298,6 @@ def restricted_orbit_roots(
 class OracleVerdict:
     kind: str  # "empty" | "dim" | "inconsistent"
     dim: int | None = None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
 
     def __str__(self):
         return {"empty": "Empty", "dim": f"Dim({self.dim})",
@@ -444,7 +421,7 @@ def _stage_system(system, M, vrs, funcs):
     b = [_feval(system, M, fd) for fd in funcs]
     cols = []
     for v_root in vrs:
-        Mv = _conjugate(system, M, _row_element(system, {v_root: 1}), PRIME)
+        Mv = _conjugate(system, M, {v_root: 1}, PRIME)
         cols.append([(_feval(system, Mv, fd) - bb) % PRIME
                      for fd, bb in zip(funcs, b)])
     return b, cols
@@ -458,8 +435,8 @@ def _run_tower(system, M0, plan, var_set, cond_set, extra, rng):
         funcs = _stage_funcs(stage_conds, cond_set, extra, t)
         if not funcs:
             if vrs:
-                X = _row_element(system, {a: rng.randrange(PRIME) for a in vrs})
-                M = _conjugate(system, M, X, PRIME)
+                M = _conjugate(system, M, {a: rng.randrange(PRIME) for a in vrs},
+                               PRIME)
             continue
         b, cols = _stage_system(system, M, vrs, funcs)
         if not vrs:
@@ -471,7 +448,7 @@ def _run_tower(system, M0, plan, var_set, cond_set, extra, rng):
             continue
         # affineness probe at a random point
         xp = [rng.randrange(PRIME) for _ in vrs]
-        Mp = _conjugate(system, M, _row_element(system, dict(zip(vrs, xp))), PRIME)
+        Mp = _conjugate(system, M, dict(zip(vrs, xp)), PRIME)
         for idx, fd in enumerate(funcs):
             pred = (b[idx] + sum(cols[j][idx] * xp[j] for j in range(len(vrs)))) % PRIME
             if _feval(system, Mp, fd) != pred:
@@ -481,7 +458,7 @@ def _run_tower(system, M0, plan, var_set, cond_set, extra, rng):
             return "infeasible", (t, funcs, sol[1])
         _, rank, xstar = sol
         total_rank += rank
-        M = _conjugate(system, M, _row_element(system, dict(zip(vrs, xstar))), PRIME)
+        M = _conjugate(system, M, dict(zip(vrs, xstar)), PRIME)
     if any(coeff_at(system, M, a) for a in cond_set):
         return "nonaffine", None
     return "dim", len(var_set) - total_rank
@@ -515,8 +492,7 @@ def _stability_stage(system, M0, plan, var_set, cond_set, extra, fdict, rng):
                         broken = True
             if assign is None:
                 assign = [rng.randrange(1, PRIME) for _ in vrs]
-            M = _conjugate(system, M, _row_element(system, dict(zip(vrs, assign))),
-                           PRIME)
+            M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
             vals.append(_feval(system, M, fdict))
         s = len(plan)
         while s > 0 and vals[s - 1] == vals[-1]:
@@ -669,12 +645,8 @@ def nonoverlap_check(spec, system: RootSystemId, pi: WeylElement,
     base = {b: coeff_at(system, M0, b) for b in support}
     rng = random.Random(f"nonoverlap:{seed}:{system}:{pi.window}")
     for _ in range(samples):
-        M = {rc: Fraction(v) for rc, v in M0.items()}
-        for _, row in _rows_desc(system, inversion_set(pi)):
-            X = _row_element(
-                system, {a: Fraction(rng.randint(-9, 9)) for a in row}
-            )
-            M = _conjugate(system, M, X)
+        M = _conjugate_rows(system, M0, inversion_set(pi),
+                            lambda a: Fraction(rng.randint(-9, 9)))
         for b in support:
             if coeff_at(system, M, b) != base[b]:
                 return False

@@ -38,7 +38,7 @@ from .orbit_oracle import (
     orbit_roots,
     restricted_orbit_roots,
 )
-from .rootsys import Root, RootSystemId, positive_roots
+from .rootsys import RootSystemId, positive_roots
 from .tableaux import Filling, multidiagram_dimension, multidiagram_nonempty
 from .weyl import WeylElement, enumerate_weyl, inversion_set
 
@@ -134,11 +134,11 @@ def _support_in_H(support, H: HessenbergSpace, pi: WeylElement) -> bool:
     return all(inv.act(beta) in H.roots for beta in support)
 
 
-def _nilpotent_cell(spec, system, H, pi, mode, seed, tag) -> CellReport:
+def _nilpotent_cell(spec, system, H, pi, seed, tag) -> CellReport:
     support = canonical_form(spec, system).support
     if not _support_in_H(support, H, pi):
         return CellReport(pi, False, None, tag)
-    orbit = orbit_roots(spec, system, pi, mode=mode, seed=seed)
+    orbit = orbit_roots(spec, system, pi, seed=seed)
     c = complement_roots(H, pi)
     dim = len(inversion_set(pi)) - len(c & orbit)
     return CellReport(pi, True, dim, tag)
@@ -148,11 +148,10 @@ def cell_regular_nilpotent(
     system: RootSystemId,
     H: HessenbergSpace,
     pi: WeylElement,
-    mode: str = "auto",
     seed: int = 0,
 ) -> CellReport:
     return _nilpotent_cell(
-        RegularNilpotent(), system, H, pi, mode, seed, "regular-nilpotent"
+        RegularNilpotent(), system, H, pi, seed, "regular-nilpotent"
     )
 
 
@@ -177,11 +176,10 @@ def cell_typeA(
     system: RootSystemId,
     H: HessenbergSpace,
     pi: WeylElement,
-    mode: str = "auto",
     seed: int = 0,
 ) -> CellReport:
     if isinstance(spec, TypeANilpotent):
-        return _nilpotent_cell(spec, system, H, pi, mode, seed, "typeA-nilpotent")
+        return _nilpotent_cell(spec, system, H, pi, seed, "typeA-nilpotent")
     if not isinstance(spec, TypeAGeneral):
         raise ValueError("cell_typeA requires a type-A operator spec")
     support = canonical_form(spec, system).support
@@ -205,7 +203,7 @@ def cell_typeA(
         )
         vars_j = inv_set & block_roots
         support_j = tuple(b for b in support if b in block_roots)
-        orbit_j = restricted_orbit_roots(system, support_j, vars_j, mode, seed)
+        orbit_j = restricted_orbit_roots(system, support_j, vars_j, seed=seed)
         total += len(vars_j) - len(c & orbit_j)
     return CellReport(pi, True, total, "typeA-general")
 
@@ -253,16 +251,15 @@ def cell_report(
     H: HessenbergSpace,
     pi: WeylElement,
     method: str = "formula",
-    mode: str = "auto",
     seed: int = 0,
     trials: int = 5,
 ) -> CellReport:
     if method == "formula":
         if isinstance(spec, RegularNilpotent):
-            return cell_regular_nilpotent(system, H, pi, mode, seed)
+            return cell_regular_nilpotent(system, H, pi, seed)
         if isinstance(spec, SemisimpleClassical):
             return cell_semisimple(system, spec, H, pi)
-        return cell_typeA(spec, system, H, pi, mode, seed)
+        return cell_typeA(spec, system, H, pi, seed)
     if method == "tableau":
         return cell_tableau(spec, system, H, pi)
     if method == "oracle":
@@ -278,8 +275,8 @@ class PavingResult:
 
 
 def _cell_worker(args):
-    spec, system, H, pi, method, mode, seed, trials = args
-    return cell_report(spec, system, H, pi, method, mode, seed, trials)
+    spec, system, H, pi, method, seed, trials = args
+    return cell_report(spec, system, H, pi, method, seed, trials)
 
 
 def pave(
@@ -287,7 +284,6 @@ def pave(
     system: RootSystemId,
     H: HessenbergSpace,
     method: str = "formula",
-    mode: str = "auto",
     seed: int = 0,
     trials: int = 5,
     jobs: int = 1,
@@ -295,12 +291,12 @@ def pave(
     """Compute every cell over W, in enumeration order, and aggregate."""
     W = enumerate_weyl(system)
     if jobs > 1:
-        args = [(spec, system, H, pi, method, mode, seed, trials) for pi in W]
+        args = [(spec, system, H, pi, method, seed, trials) for pi in W]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             reports = tuple(ex.map(_cell_worker, args, chunksize=64))
     else:
         reports = tuple(
-            cell_report(spec, system, H, pi, method, mode, seed, trials)
+            cell_report(spec, system, H, pi, method, seed, trials)
             for pi in W
         )
     return PavingResult(system, reports, poincare(reports, system))

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Monomials are frozen sorted tuples of (variable, exponent); coefficients are
-Fractions.  Only what symbolic matrix conjugation needs: ring arithmetic,
-zero testing and evaluation.  Variables are arbitrary hashable, sortable
+Fractions.  Only what symbolic matrix conjugation needs: ring arithmetic
+and zero testing.  Variables are arbitrary hashable, sortable
 labels (we use root/variable name pairs).
 """
 
@@ -37,9 +37,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def constant_part(self) -> Fraction:
-        return self.terms.get((), _ZERO)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -95,20 +92,6 @@ class Poly:
         return p
 
     __rmul__ = __mul__
-
-    def evaluate(self, point: dict):
-        """Exact value at point (missing variables default to 0)."""
-        total = _ZERO
-        for m, c in self.terms.items():
-            v = c
-            for name, e in m:
-                x = point.get(name, 0)
-                if not x:
-                    v = 0
-                    break
-                v *= x**e
-            total = total + v
-        return total
 
     def __str__(self):
         if not self.terms:

@@ -28,6 +28,7 @@ __all__ = [
     "verticality_check",
     "root_geq",
     "root_gt",
+    "type_a_root",
     "euclidean",
     "from_euclidean",
     "weyl_order",
@@ -127,6 +128,13 @@ def _string(n: int, lo: int, hi: int, bump: dict[int, int] | None = None) -> Roo
     return Root(tuple(coeffs))
 
 
+def type_a_root(rank: int, i: int, j: int) -> Root:
+    """The root e_i - e_j of A_rank in simple-root coordinates (i != j)."""
+    if i > j:
+        return -type_a_root(rank, j, i)
+    return _string(rank, i, j - 1)
+
+
 @lru_cache(maxsize=None)
 def positive_roots(system: RootSystemId) -> tuple[Root, ...]:
     """All positive roots, ordered by (height, coefficients)."""
@@ -167,11 +175,6 @@ def all_roots(system: RootSystemId) -> tuple[Root, ...]:
 @lru_cache(maxsize=None)
 def positive_root_set(system: RootSystemId) -> frozenset[Root]:
     return frozenset(positive_roots(system))
-
-
-def is_root(system: RootSystemId, r: Root) -> bool:
-    pos = positive_root_set(system)
-    return r in pos or -r in pos
 
 
 def row_of(alpha: Root) -> int:

@@ -68,10 +68,6 @@ class Diagram:
                 out[(r, c)] = i
         return out
 
-    @cached_property
-    def column_of(self) -> dict[int, int]:
-        return {i: rc[1] for rc, i in self.box_index.items()}
-
     def render(self) -> str:
         """ASCII grid, top row first, box indices in the cells."""
         width = len(str(self.n))

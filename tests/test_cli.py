@@ -186,3 +186,74 @@ def test_verify_names_first_disagreement(capsys, monkeypatch):
                        "--regular-nilpotent", "--hess", "full", "--trials", "3")
     assert code == 3
     assert "FAIL" in out and "pi=[3 2 1]" in out
+
+
+
+def _space_count(capsys, family, rank):
+    _, out, _ = run(capsys, "spaces", "--family", family, "--rank", str(rank),
+                    "--format", "json")
+    return json.loads(out)["count"]
+
+
+@pytest.mark.parametrize("family,rank,flags", [
+    ("A", 3, ("--general", "x:2|y:1,1")),
+    ("A", 3, ("--semisimple", "1")),
+    ("B", 2, ("--semisimple", "1")),
+    ("C", 3, ("--semisimple", "2")),
+    ("D", 3, ("--semisimple", "2;3")),
+], ids=str)
+def test_verify_all_hess_levi_and_general(capsys, family, rank, flags):
+    # only the oracle sees S, through semisimple_functional
+    code, out, _ = run(capsys, "verify", "--family", family, "--rank", str(rank),
+                       *flags, "--all-hess", "--trials", "3")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == _space_count(capsys, family, rank)
+    assert all(ln.startswith("pass hess=") for ln in lines)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--family", "A", "--rank", "2", "--semisimple", "9",
+      "--hess", "full"), "simple root index 9 out of range"),
+    (("pave", "--family", "A", "--rank", "2", "--semisimple", "9",
+      "--hess", "full"), "simple root index 9 out of range"),
+    (("verify", "--family", "A", "--rank", "3", "--semisimple", "1,3",
+      "--hess", "full"), "not connected"),
+    (("pave", "--family", "B", "--rank", "2", "--regular-nilpotent",
+      "--hess", "peterson", "--method", "tableau"), "no tableau path"),
+    (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
+      "--hess", "neg=1,0"), "1,0 is not a negative root of A2"),
+    (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
+      "--hess", "neg=-1,0;-1,-1,0"), "-1,-1,0 is not a negative root"),
+])
+def test_config_errors_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "--trials", "0"), "argument --trials: expected a positive integer"),
+    (("pave", "--trials", "-1"), "argument --trials: expected a positive integer"),
+    (("pave", "--jobs", "0"), "argument --jobs: expected a positive integer"),
+    (("pave", "--jobs", "-3"), "argument --jobs: expected a positive integer"),
+    (("pave", "--jobs", "two"), "argument --jobs: expected a positive integer"),
+    (("verify", "--jobs", "2"), "unrecognized arguments: --jobs 2"),
+])
+def test_bad_counts_are_usage_errors(capsys, argv, message):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--family", "A", "--rank", "2", "--regular-nilpotent",
+                  "--hess", "full", *rest])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_internal_fault_is_not_a_config_error(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal invariant")
+
+    monkeypatch.setattr(cli, "pave", broken)
+    with pytest.raises(ValueError, match="internal invariant"):
+        cli.main(["pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
+                  "--hess", "full"])

@@ -133,6 +133,8 @@ def test_levi_roots_examples():
     (RootSystemId("B", 3), ((2,),)),
     (RootSystemId("C", 3), ((1,), (3,))),
     (RootSystemId("D", 4), ((2, 4),)),
+    (RootSystemId("D", 3), ((2,), (3,))),
+    (RootSystemId("B", 2), ((1, 2),)),
 ], ids=lambda x: str(x))
 def test_functional_vanishes_exactly_on_levi(system, blocks):
     spec = SemisimpleClassical(blocks)
@@ -151,3 +153,18 @@ def test_general_functional_constant_on_blocks():
     assert len({s[k - 1] for k in range(lo1, hi1)}) == 1
     assert len({s[k - 1] for k in range(lo2, hi2)}) == 1
     assert s[lo1 - 1] != s[lo2 - 1]
+
+
+def test_general_functional_decreasing_across_blocks():
+    spec = TypeAGeneral((("x", (1,)), ("y", (2, 1)), ("z", (2,))))
+    system = RootSystemId("A", 5)
+    s = semisimple_functional(spec, system)
+    values = []
+    for lo, hi in block_ranges(spec):
+        assert len({s[k - 1] for k in range(lo, hi)}) == 1
+        values.append(s[lo - 1])
+    assert values == sorted(values, reverse=True) and len(set(values)) == 3
+    zero = levi_roots(spec, system)
+    for a in positive_roots(system):
+        val = sum(v * x for v, x in zip(euclidean(system, a), s))
+        assert (val == 0) == (a in zero)
