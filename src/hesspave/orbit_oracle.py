@@ -218,10 +218,11 @@ def _rows_desc(system: RootSystemId, roots: frozenset[Root]):
 
 
 def _conjugate_rows(system: RootSystemId, M: dict, roots, draw, mod=None) -> dict:
-    """u^{-1}.M for u = u_n ... u_1, u_i the row-i element of the given roots
-    with the scalar draw(root) on each root: a Poly variable (generic), a
-    Fraction, or a residue mod PRIME.  Each row acts affinely in its own
-    variables, by the row lemma (ad X)^3 = 0."""
+    """Conjugate M by one row element per row of the given roots, rows in
+    decreasing order, with the scalar draw(root) on each root: a Poly
+    variable (generic), a Fraction, or a residue mod PRIME.  By the row lemma
+    (ad X)^3 = 0 on the Borel, each step has degree at most two in its row's
+    variables."""
     for _, row in _rows_desc(system, roots):
         M = _conjugate(system, M, {a: draw(a) for a in row}, mod)
     return M

@@ -1,11 +1,11 @@
 """Golden outputs: `pave --format json` must stay byte-identical.
 
-Each case runs the CLI in-process and compares the SHA-256 of its stdout with
-a digest recorded from the reference implementation.  The matrix covers every
-operator kind in type A on four spaces, the other families on the Peterson
-(and, for B3, Borel) space, all applicable paths, and cases above
-AUTO_SYMBOLIC_RANK where the formula path uses randomized orbit roots.  A
-digest changes only when an output does; refresh one only for a deliberate
+Each case runs the CLI in-process and compares the SHA-256 of its stdout
+with a digest recorded from a known-good version of the package.  The matrix
+covers every operator kind in type A on four spaces, the other families on
+the Peterson (and, for B3, Borel) space, all applicable paths, and cases
+above AUTO_SYMBOLIC_RANK where the formula path uses randomized orbit roots.
+A digest changes only when an output does; refresh one only for a deliberate
 change of output.
 """
 

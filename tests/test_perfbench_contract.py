@@ -28,9 +28,11 @@ def test_tracer_install_pave_uninstall(monkeypatch, capsys):
             ["--rank", "4", "--nilpotent", "2,2,1", "--hess", "h=2,3,4,5,5"],
         ):
             assert cli.main(["pave", "--family", "A", *argv]) == 0
-        # a positional mode is read at index 3
+        # the tracer reads a positional mode at index 3
+        randomized = tracer.calls["orbit_oracle.orbit_roots.randomized"]
         a2 = RootSystemId("A", 2)
         orbit_oracle.orbit_roots(RegularNilpotent(), a2, identity(a2), "randomized")
+        assert tracer.calls["orbit_oracle.orbit_roots.randomized"] == randomized + 1
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -39,6 +41,5 @@ def test_tracer_install_pave_uninstall(monkeypatch, capsys):
     assert metrics["paving.cell_report.calls"] == 6 + 6 + 6 + 120
     assert metrics["orbit_oracle.cell_dim_oracle.calls"] == 6
     assert tracer.calls["orbit_oracle.orbit_roots.symbolic"] > 0
-    # A4 cells with the support in H, plus the direct call on A2
     assert tracer.calls["orbit_oracle.orbit_roots.randomized"] > 1
     assert tracer.calls["orbit_oracle.restricted_orbit_roots"] > 0
