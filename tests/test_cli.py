@@ -188,7 +188,6 @@ def test_verify_names_first_disagreement(capsys, monkeypatch):
     assert "FAIL" in out and "pi=[3 2 1]" in out
 
 
-
 def _space_count(capsys, family, rank):
     _, out, _ = run(capsys, "spaces", "--family", family, "--rank", str(rank),
                     "--format", "json")
