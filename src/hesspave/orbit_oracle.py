@@ -282,14 +282,13 @@ def restricted_orbit_roots(
     system: RootSystemId,
     support: tuple[Root, ...],
     var_roots: frozenset[Root],
-    mode: str = "auto",
     seed: int = 0,
 ) -> frozenset[Root]:
     """Orbit roots of N = sum of E_beta over the support, for u ranging over
     the subgroup generated by var_roots."""
     key = f"orbitR:{seed}:{sorted(a.coeffs for a in var_roots)}"
     return _orbit_support(system, _support_matrix(system, support), var_roots,
-                          mode, key)
+                          "auto", key)
 
 
 # --- probabilistic dimension solver -------------------------------------------

@@ -196,6 +196,7 @@ def _space_count(capsys, family, rank):
 
 @pytest.mark.parametrize("family,rank,flags", [
     ("A", 3, ("--general", "x:2|y:1,1")),
+    ("A", 3, ("--general", "x:2|y:1|z:1")),
     ("A", 3, ("--semisimple", "1")),
     ("B", 2, ("--semisimple", "1")),
     ("C", 3, ("--semisimple", "2")),
