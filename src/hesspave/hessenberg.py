@@ -62,9 +62,6 @@ class HessenbergSpace:
                         f"{a} + {g} = {s} missing"
                     )
 
-    def __contains__(self, alpha: Root) -> bool:
-        return alpha in self.roots
-
     def negative_part(self) -> frozenset[Root]:
         return frozenset(a for a in self.roots if a.is_negative)
 

@@ -50,6 +50,9 @@ class TypeANilpotent:
 
     mu: tuple[int, ...]
 
+    def __post_init__(self):  # tuples, so that specs hash as cache keys
+        object.__setattr__(self, "mu", tuple(self.mu))
+
 
 @dataclass(frozen=True)
 class TypeAGeneral:
@@ -58,6 +61,8 @@ class TypeAGeneral:
     blocks: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks",
+                           tuple((lab, tuple(mu)) for lab, mu in self.blocks))
         labels = [lab for lab, _ in self.blocks]
         if len(set(labels)) != len(labels):
             raise ValueError("eigenvalue labels must be distinct")
@@ -69,6 +74,9 @@ class SemisimpleClassical:
     pairwise disjoint, Dynkin-connected simple-root index subsets."""
 
     levi_blocks: tuple[tuple[int, ...], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "levi_blocks", tuple(map(tuple, self.levi_blocks)))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Matrix realizations of the classical Lie algebras plus two engines:
 
 * conjugation u^{-1}.M down the rows of U_pi, one walk over any scalar
-  domain (Poly variables, Fractions, residues mod PRIME), which yields the
-  orbit root set Phi_{U_pi . M} by zero-testing polynomial coefficients or
-  by random evaluation, and
+  domain (Poly variables, Fractions, residues mod PRIME) whose every row step
+  is the exact two-bracket form M + [X, M] + 1/2 [X, [X, M]] (the row lemma
+  (ad X)^3 = 0 on the Borel), which yields the orbit root set
+  Phi_{U_pi . M} by zero-testing polynomial coefficients or by random
+  evaluation, and
 * a probabilistic row-by-row affine solver over a large prime field that
   certifies cell dimensions independently of any closed formula.
 
@@ -94,13 +96,8 @@ def root_entries(system: RootSystemId, alpha: Root) -> tuple:
     return (((i, bar(j)), 1), ((j, bar(i)), -1))  # e_i + e_j in B/D
 
 
-@lru_cache(maxsize=None)
-def _pivot(system: RootSystemId, alpha: Root):
-    return root_entries(system, alpha)[0][0]
-
-
 def coeff_at(system: RootSystemId, M: dict, alpha: Root):
-    return M.get(_pivot(system, alpha), 0)
+    return M.get(root_entries(system, alpha)[0][0], 0)
 
 
 def cartan_matrix(system: RootSystemId, svec) -> dict:
@@ -146,44 +143,40 @@ def _is_zero(v) -> bool:
     return v.is_zero() if isinstance(v, Poly) else not v
 
 
-def _mat_mul(A: dict, B: dict, mod=None) -> dict:
+def _pruned(D: dict, mod=None) -> dict:
+    """D without its zero entries, reduced mod `mod` when given."""
+    if mod:
+        return {rc: v % mod for rc, v in D.items() if v % mod}
+    return {rc: v for rc, v in D.items() if not _is_zero(v)}
+
+
+def _mat_mul(A: dict, B: dict) -> dict:
     brows: dict = {}
     for (r, c), v in B.items():
         brows.setdefault(r, []).append((c, v))
     out: dict = {}
     for (r, k), a in A.items():
         for c, b in brows.get(k, ()):
-            rc = (r, c)
-            s = out.get(rc, 0) + a * b
-            out[rc] = s % mod if mod else s
-    return {rc: v for rc, v in out.items() if not _is_zero(v)}
+            out[r, c] = out.get((r, c), 0) + a * b
+    return _pruned(out)
 
 
-def _exp(X: dict, N: int, mod=None) -> dict:
-    """exp of a nilpotent matrix; terminates when the power vanishes."""
-    out = {(k, k): 1 for k in range(1, N + 1)}
-    term = dict(out)
-    k = 0
-    while True:
-        k += 1
-        term = _mat_mul(term, X, mod)
-        if not term:
-            return out
-        if mod:
-            inv = pow(k, -1, mod)
-            term = {rc: (v * inv) % mod for rc, v in term.items()}
-        else:
-            term = {rc: v * Fraction(1, k) for rc, v in term.items()}
-        for rc, v in term.items():
-            s = out.get(rc, 0) + v
-            if mod:
-                s %= mod
-            if _is_zero(s):
-                out.pop(rc, None)
-            else:
-                out[rc] = s
-        if k > N:
-            raise RuntimeError("exp argument is not nilpotent")
+def _bracket(A: dict, B: dict, mod=None) -> dict:
+    """[A, B] = AB - BA of sparse matrices, reduced mod `mod` when given.
+    One pass over B against row and column indices of A, so A should be the
+    smaller one (a row element)."""
+    arows: dict = {}
+    acols: dict = {}
+    for (r, c), v in A.items():
+        arows.setdefault(r, []).append((c, v))
+        acols.setdefault(c, []).append((r, v))
+    out: dict = {}
+    for (k, c), b in B.items():
+        for r, a in acols.get(k, ()):
+            out[r, c] = out.get((r, c), 0) + a * b
+        for j, a in arows.get(c, ()):
+            out[k, j] = out.get((k, j), 0) - b * a
+    return _pruned(out, mod)
 
 
 def _row_element(system: RootSystemId, assignment: dict) -> dict:
@@ -192,39 +185,49 @@ def _row_element(system: RootSystemId, assignment: dict) -> dict:
     for beta, x in assignment.items():
         for rc, c in root_entries(system, beta):
             X[rc] = X.get(rc, 0) + x * c
-    return {rc: v for rc, v in X.items() if not _is_zero(v)}
+    return _pruned(X)
+
+
+@lru_cache(maxsize=None)
+def _row_sets(system: RootSystemId) -> tuple[frozenset[Root], ...]:
+    return tuple(frozenset(row) for row in row_partition(system).rows)
 
 
 def _conjugate(system: RootSystemId, M: dict, assignment: dict, mod=None) -> dict:
     """exp(X) M exp(-X) for X = sum of x_beta E_beta over the assignment
-    {Root: scalar}: the adjoint action of u^{-1} = exp(X)."""
+    {Root: scalar}: the adjoint action of u^{-1} = exp(X).
+
+    The assignment's roots must lie in one row and M in the Borel; then
+    (ad X)^3 M = 0 (the row lemma, checked by verify_adform), so the action
+    is exactly M + [X, M] + 1/2 [X, [X, M]]."""
+    if not any(row.issuperset(assignment) for row in _row_sets(system)):
+        raise RuntimeError("conjugation by roots outside a single row")
+    if any(r > c for r, c in M):
+        raise RuntimeError("conjugated matrix is not in the Borel")
     X = _row_element(system, assignment)
-    N = matrix_dim(system)
-    E = _exp(X, N, mod)
-    Einv = _exp({rc: -v for rc, v in X.items()}, N, mod)
-    return _mat_mul(_mat_mul(E, M, mod), Einv, mod)
+    XM = _bracket(X, M, mod)
+    half = pow(2, -1, mod) if mod else Fraction(1, 2)
+    out = dict(M)
+    for rc, v in XM.items():
+        out[rc] = out.get(rc, 0) + v
+    for rc, v in _bracket(X, XM, mod).items():
+        out[rc] = out.get(rc, 0) + half * v
+    return _pruned(out, mod)
 
 
 # --- conjugation down the rows -------------------------------------------------
 
 
-def _rows_desc(system: RootSystemId, roots: frozenset[Root]):
-    """Roots grouped by row, rows in decreasing order, each sorted by height."""
-    rp = row_partition(system)
-    for i in range(system.rank, 0, -1):
-        row = [a for a in rp.rows[i - 1] if a in roots]
-        if row:
-            yield i, row
-
-
 def _conjugate_rows(system: RootSystemId, M: dict, roots, draw, mod=None) -> dict:
     """Conjugate M by one row element per row of the given roots, rows in
     decreasing order, with the scalar draw(root) on each root: a Poly
-    variable (generic), a Fraction, or a residue mod PRIME.  By the row lemma
-    (ad X)^3 = 0 on the Borel, each step has degree at most two in its row's
-    variables."""
-    for _, row in _rows_desc(system, roots):
-        M = _conjugate(system, M, {a: draw(a) for a in row}, mod)
+    variable (generic), a Fraction, or a residue mod PRIME.  Each step is
+    the two-bracket form of _conjugate, so it has degree at most two in its
+    row's variables."""
+    for row in reversed(row_partition(system).rows):
+        chosen = [a for a in row if a in roots]
+        if chosen:
+            M = _conjugate(system, M, {a: draw(a) for a in chosen}, mod)
     return M
 
 
@@ -299,17 +302,17 @@ class OracleVerdict:
     kind: str  # "empty" | "dim" | "inconsistent"
     dim: int | None = None
 
-    def __str__(self):
-        return {"empty": "Empty", "dim": f"Dim({self.dim})",
-                "inconsistent": "Inconsistent"}[self.kind]
-
 
 EMPTY = OracleVerdict("empty")
 INCONSISTENT = OracleVerdict("inconsistent")
 
 
-def _stage_plan(spec, system: RootSystemId):
-    """(row, variable roots, condition roots) triples in solving order.
+@lru_cache(maxsize=None)
+def _oracle_data(spec, system: RootSystemId):
+    """Per-spec solver input, built once per (spec, system) and immutable:
+    the operator matrix mod PRIME as ((row, col), residue) pairs, and the
+    stage plan, (variable roots, condition roots) pairs in solving order,
+    each sorted by height.
 
     Type C rows below the last get the two-stage refinement: the long root
     gamma_i (and gamma_i - alpha_i when the nilpotent part contains alpha_i
@@ -325,18 +328,20 @@ def _stage_plan(spec, system: RootSystemId):
         svec = (0,) * len(euclidean(system, simple_roots(system)[0]))
     plan = []
     for i in range(n, 0, -1):
-        row = frozenset(rp.rows[i - 1])
+        row = tuple(sorted(rp.rows[i - 1], key=lambda a: (a.height, a.coeffs)))
         if system.family == "C" and i < n:
             gamma = rp.long_root[i - 1]
             alpha_i = simple_roots(system)[i - 1]
             defer = {gamma}
             if alpha_i in support and s_value(system, svec, gamma - alpha_i) == 0:
                 defer.add(gamma - alpha_i)
-            plan.append((i, row - frozenset(defer), row - {gamma}))
-            plan.append((i, frozenset(defer), frozenset({gamma})))
+            plan.append((tuple(a for a in row if a not in defer),
+                         tuple(a for a in row if a != gamma)))
+            plan.append((tuple(a for a in row if a in defer), (gamma,)))
         else:
-            plan.append((i, row, row))
-    return plan
+            plan.append((row, row))
+    M0 = tuple((rc, v % PRIME) for rc, v in operator_matrix(spec, system).items())
+    return M0, tuple(plan)
 
 
 def _solve_affine(cols, b, rng):
@@ -408,30 +413,34 @@ def _combine(funcs, combo):
 
 
 def _stage_funcs(stage_conds, cond_set, extra, t):
-    funcs = [
-        {a: 1}
-        for a in sorted(stage_conds & cond_set, key=lambda a: (a.height, a.coeffs))
-    ]
+    funcs = [{a: 1} for a in stage_conds if a in cond_set]
     funcs.extend(fd for s, fd in extra if s == t)
     return funcs
 
 
 def _stage_system(system, M, vrs, funcs):
-    """Baseline values and per-variable columns of the stage's affine system."""
+    """Baseline values and per-variable columns of the stage's affine system.
+
+    Column v is f(conj(M, {v: 1})) - f(M) = f([E_v, M]) + 1/2 f([E_v, [E_v, M]]).
+    The quadratic term stays: _stability_stage solves stage systems without
+    the affineness probe, so dropping it would change its answers."""
     b = [_feval(system, M, fd) for fd in funcs]
+    half = pow(2, -1, PRIME)
     cols = []
     for v_root in vrs:
-        Mv = _conjugate(system, M, {v_root: 1}, PRIME)
-        cols.append([(_feval(system, Mv, fd) - bb) % PRIME
-                     for fd, bb in zip(funcs, b)])
+        Ev = dict(root_entries(system, v_root))
+        Z1 = _bracket(Ev, M, PRIME)
+        Z2 = _bracket(Ev, Z1, PRIME)
+        cols.append([(_feval(system, Z1, fd) + half * _feval(system, Z2, fd)) % PRIME
+                     for fd in funcs])
     return b, cols
 
 
 def _run_tower(system, M0, plan, var_set, cond_set, extra, rng):
-    M = {rc: v % PRIME for rc, v in M0.items()}
+    M = dict(M0)
     total_rank = 0
-    for t, (_, stage_vars, stage_conds) in enumerate(plan):
-        vrs = sorted(stage_vars & var_set, key=lambda a: (a.height, a.coeffs))
+    for t, (stage_vars, stage_conds) in enumerate(plan):
+        vrs = [a for a in stage_vars if a in var_set]
         funcs = _stage_funcs(stage_conds, cond_set, extra, t)
         if not funcs:
             if vrs:
@@ -472,11 +481,11 @@ def _stability_stage(system, M0, plan, var_set, cond_set, extra, fdict, rng):
     the earlier conditions cut out."""
     best = 0
     for _ in range(2):
-        M = {rc: v % PRIME for rc, v in M0.items()}
+        M = dict(M0)
         vals = [_feval(system, M, fdict)]
         broken = False
-        for t, (_, stage_vars, stage_conds) in enumerate(plan):
-            vrs = sorted(stage_vars & var_set, key=lambda a: (a.height, a.coeffs))
+        for t, (stage_vars, stage_conds) in enumerate(plan):
+            vrs = [a for a in stage_vars if a in var_set]
             if not vrs:
                 vals.append(vals[-1])
                 continue
@@ -501,7 +510,7 @@ def _stability_stage(system, M0, plan, var_set, cond_set, extra, fdict, rng):
     return best
 
 
-def _solve_once(spec, system, M0, plan, var_set, cond_set, rng):
+def _solve_once(system, M0, plan, var_set, cond_set, rng):
     extra: list[tuple[int, dict]] = []
     seen: set[frozenset] = set()
     for _ in range(MAX_DERIVED):
@@ -525,7 +534,7 @@ def _solve_once(spec, system, M0, plan, var_set, cond_set, rng):
                                  fd, rng)
             if s == 0:
                 # pinned before any variable acts; nonzero means no solutions
-                if _feval(system, {rc: v % PRIME for rc, v in M0.items()}, fd):
+                if _feval(system, dict(M0), fd):
                     return "empty", None
                 continue
             if s > t:
@@ -549,15 +558,14 @@ def cell_dim_oracle(
     """Probabilistic dimension of the cell BpiB intersected with H(M,H)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    M0 = operator_matrix(spec, system)
+    M0, plan = _oracle_data(spec, system)
     cond_set = complement_roots(H, pi)
     var_set = inversion_set(pi)
-    plan = _stage_plan(spec, system)
     dims = set()
     empties = 0
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
-        kind, d = _solve_once(spec, system, M0, plan, var_set, cond_set, rng)
+        kind, d = _solve_once(system, M0, plan, var_set, cond_set, rng)
         if kind == "inconsistent":
             return INCONSISTENT
         if kind == "empty":
@@ -572,18 +580,6 @@ def cell_dim_oracle(
 
 
 # --- structural verification --------------------------------------------------
-
-
-def _bracket(A: dict, B: dict) -> dict:
-    AB = _mat_mul(A, B)
-    BA = _mat_mul(B, A)
-    for rc, v in BA.items():
-        s = AB.get(rc, 0) - v
-        if s:
-            AB[rc] = s
-        else:
-            AB.pop(rc, None)
-    return AB
 
 
 def _borel_basis(system: RootSystemId):
@@ -672,12 +668,10 @@ def unitriangular_conjugate(m: int) -> dict:
     while term:
         for rc, v in term.items():
             s = uinv.get(rc, Poly()) + sign * v
-            if isinstance(s, Poly) and s.is_zero():
+            if _is_zero(s):
                 uinv.pop(rc, None)
             else:
                 uinv[rc] = s
         term = _mat_mul(term, A)
         sign = -sign
-    out = _mat_mul(_mat_mul(uinv, N), u)
-    return {rc: v for rc, v in out.items()
-            if not (isinstance(v, Poly) and v.is_zero())}
+    return _mat_mul(_mat_mul(uinv, N), u)

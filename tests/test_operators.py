@@ -168,3 +168,15 @@ def test_general_functional_decreasing_across_blocks():
     for a in positive_roots(system):
         val = sum(v * x for v, x in zip(euclidean(system, a), s))
         assert (val == 0) == (a in zero)
+
+
+def test_list_fields_become_tuples():
+    # specs key the oracle's per-spec cache, so they must hash like tuples
+    pairs = [
+        (TypeANilpotent([2, 1]), TypeANilpotent((2, 1))),
+        (TypeAGeneral([["x", [2]], ["y", [1]]]), TypeAGeneral((("x", (2,)), ("y", (1,))))),
+        (SemisimpleClassical([[1, 2]]), SemisimpleClassical(((1, 2),))),
+    ]
+    for given, expected in pairs:
+        assert given == expected
+        assert hash(given) == hash(expected)
