@@ -2,9 +2,9 @@
 
 The package computes, for an operator M = S + N in canonical form and a
 Hessenberg space H, which Bruhat cells meet the Hessenberg variety and the
-dimension of each intersection, three independent ways: closed root-theoretic
-formulas, Young-diagram counting in type A, and a probabilistic row-by-row
-affine solver over a large prime field.
+dimension of each intersection, three independent ways: one closed
+root-theoretic formula, Young-diagram counting in type A, and a probabilistic
+row-by-row affine solver over a large prime field.
 """
 
 from .hessenberg import (

@@ -104,8 +104,7 @@ def _operator(args, system: RootSystemId):
             ))
         # surface shape errors (wrong family, wrong total, bad blocks) now
         canonical_form(spec, system)
-        if isinstance(spec, SemisimpleClassical):
-            levi_roots(spec, system)
+        levi_roots(spec, system)
         return spec
     except (ValueError, ConfigError) as e:
         raise ConfigError(str(e)) from None

@@ -163,7 +163,11 @@ def canonical_form(spec, system: RootSystemId) -> CanonicalNilpotent:
 
 
 def _levi_simple_indices(spec, system: RootSystemId) -> frozenset[int]:
+    """Simple roots on which S vanishes: all of them for a nilpotent spec
+    (S = 0, so the Levi is the whole group)."""
     n = system.rank
+    if isinstance(spec, (RegularNilpotent, TypeANilpotent)):
+        return frozenset(range(1, n + 1))
     if isinstance(spec, SemisimpleClassical):
         seen: set[int] = set()
         for block in spec.levi_blocks:
@@ -219,7 +223,8 @@ def _check_connected(spec: SemisimpleClassical, system: RootSystemId):
 
 
 def levi_roots(spec, system: RootSystemId) -> frozenset[Root]:
-    """Phi_l: positive roots in the span of the operator's simple-root blocks."""
+    """Phi_l: positive roots on which S vanishes, the span of the operator's
+    simple-root blocks (all of Phi+ for a nilpotent spec)."""
     idx = _levi_simple_indices(spec, system)
     return frozenset(
         a for a in positive_roots(system)

@@ -4,8 +4,8 @@
   domain (Poly variables, Fractions, residues mod PRIME) whose every row step
   is the exact two-bracket form M + [X, M] + 1/2 [X, [X, M]] (the row lemma
   (ad X)^3 = 0 on the Borel), which yields the orbit root set
-  Phi_{U_pi . M} by zero-testing polynomial coefficients or by random
-  evaluation, and
+  Phi_{(U_pi cap L) . M} by zero-testing polynomial coefficients or by
+  random evaluation, and
 * a probabilistic row-by-row affine solver over a large prime field that
   certifies cell dimensions independently of any closed formula.
 
@@ -22,14 +22,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .hessenberg import HessenbergSpace, complement_roots
-from .operators import (
-    SemisimpleClassical,
-    TypeAGeneral,
-    canonical_form,
-    semisimple_functional,
-)
+from .operators import canonical_form, levi_roots, semisimple_functional
 from .polynomial import Poly
 from .rootsys import (
     Root,
@@ -112,10 +108,6 @@ def cartan_matrix(system: RootSystemId, svec) -> dict:
     return out
 
 
-def s_value(system: RootSystemId, svec, alpha: Root):
-    return sum(v * s for v, s in zip(euclidean(system, alpha), svec))
-
-
 def _support_matrix(system: RootSystemId, support) -> dict:
     """Sum of E_beta over the support."""
     out: dict = {}
@@ -126,13 +118,10 @@ def _support_matrix(system: RootSystemId, support) -> dict:
 
 
 def operator_matrix(spec, system: RootSystemId) -> dict:
-    """Integer matrix of the canonical M = S + N."""
+    """Integer matrix of the canonical M = S + N (S = 0 for nilpotent specs)."""
     out = _support_matrix(system, canonical_form(spec, system).support)
-    if isinstance(spec, (SemisimpleClassical, TypeAGeneral)):
-        for rc, x in cartan_matrix(
-            system, semisimple_functional(spec, system)
-        ).items():
-            out[rc] = out.get(rc, 0) + x
+    for rc, x in cartan_matrix(system, semisimple_functional(spec, system)).items():
+        out[rc] = out.get(rc, 0) + x
     return {rc: x for rc, x in out.items() if x}
 
 
@@ -264,7 +253,8 @@ def _orbit_support(system: RootSystemId, M0: dict, var_roots, mode: str,
 def generic_conjugate(spec, system: RootSystemId, pi: WeylElement) -> dict:
     """Exact coefficient polynomials {alpha: Poly for alpha in Phi+} of
     u^{-1}.M for generic u in U_pi."""
-    M = _symbolic_rows(system, operator_matrix(spec, system), inversion_set(pi))
+    M = _symbolic_rows(system, dict(_oracle_data(spec, system).matrix),
+                       inversion_set(pi))
     return {a: Poly() + coeff_at(system, M, a) for a in positive_roots(system)}
 
 
@@ -275,10 +265,14 @@ def orbit_roots(
     mode: str = "auto",
     seed: int = 0,
 ) -> frozenset[Root]:
-    """Phi_{U_pi . M}: positive roots with a not-identically-zero coefficient
-    in the generic conjugate."""
-    return _orbit_support(system, operator_matrix(spec, system),
-                          inversion_set(pi), mode, f"orbit:{seed}:{pi.window}")
+    """Phi_{(U_pi cap L) . M}: positive roots with a not-identically-zero
+    coefficient in u^{-1}.M for generic u in U_pi cap L, the root groups of
+    the inversion set inside the Levi Phi_l.  S commutes with U_pi cap L, so
+    only N moves and S adds no root; a nilpotent spec has L = G, so this is
+    Phi_{U_pi . N}."""
+    data = _oracle_data(spec, system)
+    return _orbit_support(system, dict(data.matrix), inversion_set(pi) & data.levi,
+                          mode, f"orbit:{seed}:{pi.window}")
 
 
 def restricted_orbit_roots(
@@ -288,7 +282,8 @@ def restricted_orbit_roots(
     seed: int = 0,
 ) -> frozenset[Root]:
     """Orbit roots of N = sum of E_beta over the support, for u ranging over
-    the subgroup generated by var_roots."""
+    the subgroup generated by var_roots: in type A, the per-block reference
+    that orbit_roots of a general operator is tested against."""
     key = f"orbitR:{seed}:{sorted(a.coeffs for a in var_roots)}"
     return _orbit_support(system, _support_matrix(system, support), var_roots,
                           "auto", key)
@@ -307,25 +302,32 @@ EMPTY = OracleVerdict("empty")
 INCONSISTENT = OracleVerdict("inconsistent")
 
 
+class _SpecData(NamedTuple):
+    """Everything the formula path and the oracle read about M = S + N."""
+
+    residues: tuple  # M mod PRIME, ((row, col), residue) pairs
+    plan: tuple  # the oracle's stages, (variable roots, condition roots)
+    matrix: tuple  # M over the integers, ((row, col), int) pairs
+    support: tuple[Root, ...]  # supp N, in canonical order
+    levi: frozenset[Root]  # Phi_l, the positive roots on which S vanishes
+
+
 @lru_cache(maxsize=None)
-def _oracle_data(spec, system: RootSystemId):
-    """Per-spec solver input, built once per (spec, system) and immutable:
-    the operator matrix mod PRIME as ((row, col), residue) pairs, and the
-    stage plan, (variable roots, condition roots) pairs in solving order,
-    each sorted by height.
+def _oracle_data(spec, system: RootSystemId) -> _SpecData:
+    """Per-spec data, built once per (spec, system) and immutable.  The
+    stage plan lists (variable roots, condition roots) pairs in solving
+    order, each sorted by height.
 
     Type C rows below the last get the two-stage refinement: the long root
     gamma_i (and gamma_i - alpha_i when the nilpotent part contains alpha_i
-    and (gamma_i - alpha_i)(S_M) = 0) is deferred to a second stage whose
-    only condition is gamma_i itself.
+    and gamma_i - alpha_i lies in the Levi, i.e. (gamma_i - alpha_i)(S) = 0)
+    is deferred to a second stage whose only condition is gamma_i itself.
     """
     rp = row_partition(system)
     n = system.rank
-    support = set(canonical_form(spec, system).support)
-    if isinstance(spec, (SemisimpleClassical, TypeAGeneral)):
-        svec = semisimple_functional(spec, system)
-    else:
-        svec = (0,) * len(euclidean(system, simple_roots(system)[0]))
+    matrix = tuple(operator_matrix(spec, system).items())
+    support = canonical_form(spec, system).support
+    levi = levi_roots(spec, system)
     plan = []
     for i in range(n, 0, -1):
         row = tuple(sorted(rp.rows[i - 1], key=lambda a: (a.height, a.coeffs)))
@@ -333,15 +335,15 @@ def _oracle_data(spec, system: RootSystemId):
             gamma = rp.long_root[i - 1]
             alpha_i = simple_roots(system)[i - 1]
             defer = {gamma}
-            if alpha_i in support and s_value(system, svec, gamma - alpha_i) == 0:
+            if alpha_i in support and gamma - alpha_i in levi:
                 defer.add(gamma - alpha_i)
             plan.append((tuple(a for a in row if a not in defer),
                          tuple(a for a in row if a != gamma)))
             plan.append((tuple(a for a in row if a in defer), (gamma,)))
         else:
             plan.append((row, row))
-    M0 = tuple((rc, v % PRIME) for rc, v in operator_matrix(spec, system).items())
-    return M0, tuple(plan)
+    residues = tuple((rc, v % PRIME) for rc, v in matrix)
+    return _SpecData(residues, tuple(plan), matrix, support, levi)
 
 
 def _solve_affine(cols, b, rng):
@@ -558,14 +560,14 @@ def cell_dim_oracle(
     """Probabilistic dimension of the cell BpiB intersected with H(M,H)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    M0, plan = _oracle_data(spec, system)
+    data = _oracle_data(spec, system)
     cond_set = complement_roots(H, pi)
     var_set = inversion_set(pi)
     dims = set()
     empties = 0
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
-        kind, d = _solve_once(system, M0, plan, var_set, cond_set, rng)
+        kind, d = _solve_once(system, data.residues, data.plan, var_set, cond_set, rng)
         if kind == "inconsistent":
             return INCONSISTENT
         if kind == "empty":
@@ -636,14 +638,14 @@ def nonoverlap_check(spec, system: RootSystemId, pi: WeylElement,
                      samples: int = 100, seed: int = 0) -> bool:
     """Phi_M is contained in Phi_{u^-1.M} with unchanged coefficients, for
     random u in U_pi (exact rational arithmetic)."""
-    M0 = operator_matrix(spec, system)
-    support = canonical_form(spec, system).support
-    base = {b: coeff_at(system, M0, b) for b in support}
+    data = _oracle_data(spec, system)
+    M0 = dict(data.matrix)
+    base = {b: coeff_at(system, M0, b) for b in data.support}
     rng = random.Random(f"nonoverlap:{seed}:{system}:{pi.window}")
     for _ in range(samples):
         M = _conjugate_rows(system, M0, inversion_set(pi),
                             lambda a: Fraction(rng.randint(-9, 9)))
-        for b in support:
+        for b in data.support:
             if coeff_at(system, M, b) != base[b]:
                 return False
     return True

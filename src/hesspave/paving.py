@@ -1,15 +1,19 @@
 """Cell-by-cell pavings of Hessenberg varieties and their Poincare
 polynomials.
 
-Each Weyl element pi indexes a cell; the closed formulas give nonemptiness
-and dimension per operator variant:
+Each Weyl element pi indexes a cell.  Every operator M = S + N enters the
+closed formula through the Levi Phi_l (the positive roots on which S
+vanishes, all of Phi+ when S = 0) and the support of N, both built once per
+spec, and through the orbit roots Phi_{(U_pi cap L).N} of N under the part
+of U_pi inside the Levi.  The cell is empty iff pi^{-1} maps supp N outside
+M_H; otherwise its dimension is
 
-* regular nilpotent / type-A nilpotent: nonempty iff pi^{-1} maps the
-  canonical support into M_H; dimension |Phi_pi| minus the complementary
-  orbit-root count,
-* semisimple: always nonempty; pure set arithmetic,
-* type-A general: per-eigenvalue-block nilpotent contributions plus the
-  cross-block term.
+    |Phi_pi| - #{a in (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} :
+                 pi^{-1} a not in M_H}.
+
+For a regular semisimple operator (N = 0, Phi_l empty) this is the De
+Mari-Procesi-Shayman count #{a in Phi_pi : pi^{-1} a in M_H}; for a
+nilpotent one (S = 0) the first set is empty and only orbit roots remain.
 
 Three computation paths are exposed (closed formula, tableau count in type
 A, probabilistic solver) so they can certify each other.
@@ -21,24 +25,16 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .hessenberg import HessenbergSpace, complement_roots, to_h
+from .hessenberg import HessenbergSpace, to_h
 from .operators import (
     RegularNilpotent,
     SemisimpleClassical,
     TypeAGeneral,
     TypeANilpotent,
-    blocks_of,
-    block_ranges,
-    canonical_form,
-    levi_roots,
     multidiagram_of,
 )
-from .orbit_oracle import (
-    cell_dim_oracle,
-    orbit_roots,
-    restricted_orbit_roots,
-)
-from .rootsys import RootSystemId, positive_roots
+from .orbit_oracle import _oracle_data, cell_dim_oracle, orbit_roots
+from .rootsys import RootSystemId
 from .tableaux import Filling, multidiagram_dimension, multidiagram_nonempty
 from .weyl import WeylElement, enumerate_weyl, inversion_set
 
@@ -46,9 +42,7 @@ __all__ = [
     "CellReport",
     "PoincarePolynomial",
     "PavingResult",
-    "cell_regular_nilpotent",
-    "cell_typeA",
-    "cell_semisimple",
+    "cell_formula",
     "cell_tableau",
     "cell_oracle",
     "cell_report",
@@ -126,86 +120,29 @@ def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
     return PoincarePolynomial(tuple(sorted(counts.items())))
 
 
-# --- closed formulas ----------------------------------------------------------
+# --- the closed formula -------------------------------------------------------
 
 
-def _support_in_H(support, H: HessenbergSpace, pi: WeylElement) -> bool:
-    inv = pi.inverse()
-    return all(inv.act(beta) in H.roots for beta in support)
-
-
-def _nilpotent_cell(spec, system, H, pi, seed, tag) -> CellReport:
-    support = canonical_form(spec, system).support
-    if not _support_in_H(support, H, pi):
-        return CellReport(pi, False, None, tag)
-    orbit = orbit_roots(spec, system, pi, seed=seed)
-    c = complement_roots(H, pi)
-    dim = len(inversion_set(pi)) - len(c & orbit)
-    return CellReport(pi, True, dim, tag)
-
-
-def cell_regular_nilpotent(
-    system: RootSystemId,
-    H: HessenbergSpace,
-    pi: WeylElement,
-    seed: int = 0,
-) -> CellReport:
-    return _nilpotent_cell(
-        RegularNilpotent(), system, H, pi, seed, "regular-nilpotent"
-    )
-
-
-def cell_semisimple(
-    system: RootSystemId,
-    spec: SemisimpleClassical,
-    H: HessenbergSpace,
-    pi: WeylElement,
-) -> CellReport:
-    phi_l = levi_roots(spec, system)
-    inv_set = inversion_set(pi)
-    piinv = pi.inverse()
-    dim = sum(
-        1 for a in inv_set
-        if a in phi_l or piinv.act(a) in H.roots
-    )
-    return CellReport(pi, True, dim, "semisimple")
-
-
-def cell_typeA(
+def cell_formula(
     spec,
     system: RootSystemId,
     H: HessenbergSpace,
     pi: WeylElement,
     seed: int = 0,
 ) -> CellReport:
-    if isinstance(spec, TypeANilpotent):
-        return _nilpotent_cell(spec, system, H, pi, seed, "typeA-nilpotent")
-    if not isinstance(spec, TypeAGeneral):
-        raise ValueError("cell_typeA requires a type-A operator spec")
-    support = canonical_form(spec, system).support
-    if not _support_in_H(support, H, pi):
-        return CellReport(pi, False, None, "typeA-general")
-    inv_set = inversion_set(pi)
+    """The one Levi formula for M = S + N: empty iff pi^{-1} maps supp N
+    outside M_H, else |Phi_pi| minus the roots a of
+    (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H."""
+    data = _oracle_data(spec, system)
     piinv = pi.inverse()
-    phi_l = levi_roots(spec, system)
-    cross = sum(
-        1 for a in inv_set if a not in phi_l and piinv.act(a) in H.roots
-    )
-    c = complement_roots(H, pi)
-    total = cross
-    n1 = system.rank + 1
-    for (lo, hi), (_, mu) in zip(block_ranges(spec), blocks_of(spec)):
-        block_idx = set(range(lo, hi - 1))
-        block_roots = frozenset(
-            a for a in positive_roots(system)
-            if all(c_ == 0 for k, c_ in enumerate(a.coeffs, start=1)
-                   if k not in block_idx)
-        )
-        vars_j = inv_set & block_roots
-        support_j = tuple(b for b in support if b in block_roots)
-        orbit_j = restricted_orbit_roots(system, support_j, vars_j, seed=seed)
-        total += len(vars_j) - len(c & orbit_j)
-    return CellReport(pi, True, total, "typeA-general")
+    if any(piinv.act(beta) not in H.roots for beta in data.support):
+        return CellReport(pi, False, None, "formula")
+    inv_set = inversion_set(pi)
+    moved = inv_set - data.levi
+    if data.support:
+        moved |= orbit_roots(spec, system, pi, seed=seed)
+    dim = len(inv_set) - sum(1 for a in moved if piinv.act(a) not in H.roots)
+    return CellReport(pi, True, dim, "formula")
 
 
 def cell_tableau(
@@ -255,11 +192,7 @@ def cell_report(
     trials: int = 5,
 ) -> CellReport:
     if method == "formula":
-        if isinstance(spec, RegularNilpotent):
-            return cell_regular_nilpotent(system, H, pi, seed)
-        if isinstance(spec, SemisimpleClassical):
-            return cell_semisimple(system, spec, H, pi)
-        return cell_typeA(spec, system, H, pi, seed)
+        return cell_formula(spec, system, H, pi, seed)
     if method == "tableau":
         return cell_tableau(spec, system, H, pi)
     if method == "oracle":

@@ -159,7 +159,7 @@ def test_conjugate_rejects_matrix_outside_borel():
 
 def test_oracle_data_is_built_once_and_immutable():
     system = RootSystemId("D", 4)
-    M0, plan = _oracle_data(RegularNilpotent(), system)
+    M0, plan, *_ = _oracle_data(RegularNilpotent(), system)
     assert _oracle_data(RegularNilpotent(), system)[0] is M0
     assert dict(M0) == {rc: v % PRIME
                         for rc, v in operator_matrix(RegularNilpotent(), system).items()}

@@ -1,10 +1,29 @@
+import sys
+
 import pytest
 
-from hesspave.hessenberg import borel_space, full_space, peterson_space
-from hesspave.operators import RegularNilpotent, TypeANilpotent
+from hesspave import operators, orbit_oracle
+from hesspave.hessenberg import (
+    HessFunction,
+    borel_space,
+    from_h,
+    full_space,
+    peterson_space,
+)
+from hesspave.operators import (
+    RegularNilpotent,
+    SemisimpleClassical,
+    TypeAGeneral,
+    TypeANilpotent,
+    block_ranges,
+    canonical_form,
+    levi_roots,
+    semisimple_functional,
+)
 from hesspave.orbit_oracle import (
     EMPTY,
     OracleVerdict,
+    _oracle_data,
     cell_dim_oracle,
     coeff_at,
     generic_conjugate,
@@ -16,15 +35,18 @@ from hesspave.orbit_oracle import (
     unitriangular_conjugate,
     verify_adform,
 )
+from hesspave.paving import pave
 from hesspave.polynomial import Poly
 from hesspave.rootsys import (
     Root,
     RootSystemId,
     all_roots,
+    ambient_dim,
     positive_roots,
     simple_roots,
+    type_a_root,
 )
-from hesspave.weyl import WeylElement, enumerate_weyl, identity
+from hesspave.weyl import WeylElement, enumerate_weyl, identity, inversion_set
 
 
 def r(*coeffs):
@@ -112,6 +134,87 @@ def test_restricted_orbit_no_variables():
     support = (r(1, 1, 0), r(0, 1, 1))
     got = restricted_orbit_roots(system, support, frozenset())
     assert got == frozenset(support)
+
+
+GENERAL = [
+    (RootSystemId("A", 3), (("x", (2,)), ("y", (1, 1)))),
+    (RootSystemId("A", 3), (("x", (2,)), ("y", (1,)), ("z", (1,)))),
+    (RootSystemId("A", 4), (("x", (3,)), ("y", (2,)))),
+]
+
+
+@pytest.mark.parametrize("system,blocks", GENERAL,
+                         ids=["A3 x:2|y:1,1", "A3 x:2|y:1|z:1", "A4 x:3|y:2"])
+@pytest.mark.parametrize("mode", ["symbolic", "randomized"])
+def test_levi_orbit_is_union_of_block_orbits(system, blocks, mode):
+    # the blocks commute, so the orbit under U_pi cap L is the disjoint union
+    # of each block's nilpotent orbit under its own inversion roots
+    spec = TypeAGeneral(blocks)
+    support = canonical_form(spec, system).support
+    block_roots = [
+        frozenset(type_a_root(system.rank, i, j)
+                  for i in range(lo, hi) for j in range(i + 1, hi))
+        for lo, hi in block_ranges(spec)
+    ]
+    for pi in enumerate_weyl(system):
+        expected = frozenset()
+        for roots in block_roots:
+            expected |= restricted_orbit_roots(
+                system, tuple(b for b in support if b in roots),
+                inversion_set(pi) & roots,
+            )
+        assert orbit_roots(spec, system, pi, mode=mode, seed=7) == expected
+
+
+@pytest.mark.parametrize(
+    "spec,system",
+    [(RegularNilpotent(), RootSystemId("A", 3)),
+     (RegularNilpotent(), RootSystemId("B", 3)),
+     (RegularNilpotent(), RootSystemId("C", 3)),
+     (RegularNilpotent(), RootSystemId("D", 4)),
+     (TypeANilpotent((2, 1, 1)), RootSystemId("A", 3))],
+    ids=["A3", "B3", "C3", "D4", "A3 2,1,1"],
+)
+def test_nilpotent_specs_have_the_whole_levi(spec, system):
+    assert levi_roots(spec, system) == frozenset(positive_roots(system))
+    assert semisimple_functional(spec, system) == (0,) * ambient_dim(system)
+
+
+def test_spec_data_is_built_once_per_spec(monkeypatch):
+    calls = {"operator_matrix": 0, "canonical_form": 0, "levi_roots": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, owner in (("operator_matrix", orbit_oracle),
+                        ("canonical_form", operators), ("levi_roots", operators)):
+        fn = getattr(owner, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("hesspave") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    _oracle_data.cache_clear()
+    a4 = RootSystemId("A", 4)
+    b3 = RootSystemId("B", 3)
+    cases = [
+        (TypeANilpotent((2, 2, 1)), a4,
+         [from_h(HessFunction((2, 3, 4, 5, 5))), full_space(a4)]),
+        (SemisimpleClassical(((1,),)), b3, [peterson_space(b3), full_space(b3)]),
+    ]
+    for spec, system, spaces in cases:
+        for name in calls:
+            calls[name] = 0
+        for H in spaces:
+            pave(spec, system, H)
+        # one build, whatever the number of cells and spaces
+        assert calls["operator_matrix"] == 1
+        assert calls["canonical_form"] <= 2
+        assert calls["levi_roots"] <= 2
+        data = _oracle_data(spec, system)
+        assert isinstance(data.matrix, tuple) and isinstance(data.support, tuple)
+        assert isinstance(data.levi, frozenset)
 
 
 def test_cell_oracle_identity_cell():

@@ -27,7 +27,12 @@ def test_tracer_install_pave_uninstall(monkeypatch, capsys):
             ["--rank", "2", "--general", "x:2|y:1", "--hess", "full"],
             ["--rank", "4", "--nilpotent", "2,2,1", "--hess", "h=2,3,4,5,5"],
         ):
+            symbolic = tracer.calls["orbit_oracle.orbit_roots.symbolic"]
             assert cli.main(["pave", "--family", "A", *argv]) == 0
+            if "--general" in argv:
+                general_symbolic = (
+                    tracer.calls["orbit_oracle.orbit_roots.symbolic"] - symbolic
+                )
         # the tracer reads a positional mode at index 3
         randomized = tracer.calls["orbit_oracle.orbit_roots.randomized"]
         a2 = RootSystemId("A", 2)
@@ -42,4 +47,5 @@ def test_tracer_install_pave_uninstall(monkeypatch, capsys):
     assert metrics["orbit_oracle.cell_dim_oracle.calls"] == 6
     assert tracer.calls["orbit_oracle.orbit_roots.symbolic"] > 0
     assert tracer.calls["orbit_oracle.orbit_roots.randomized"] > 1
-    assert tracer.calls["orbit_oracle.restricted_orbit_roots"] > 0
+    # the general operator's orbit roots go through orbit_roots
+    assert general_symbolic > 0
