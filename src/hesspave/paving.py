@@ -162,8 +162,14 @@ def cell_tableau(
 
 class OracleDisagreement(RuntimeError):
     def __init__(self, pi: WeylElement, detail: str):
-        super().__init__(f"oracle inconsistent at pi={pi}: {detail}")
+        # args holds the constructor's arguments so that the exception
+        # pickles back from a pave(jobs > 1) worker
+        super().__init__(pi, detail)
         self.pi = pi
+
+    def __str__(self):
+        pi, detail = self.args
+        return f"oracle inconsistent at pi={pi}: {detail}"
 
 
 def cell_oracle(

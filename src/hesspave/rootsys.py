@@ -9,7 +9,6 @@ partial order and row membership trivial to read off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
@@ -30,7 +29,7 @@ __all__ = [
     "root_gt",
     "type_a_root",
     "euclidean",
-    "from_euclidean",
+    "root_table",
     "weyl_order",
 ]
 
@@ -285,7 +284,8 @@ def verticality_check(partition: RowPartition) -> bool:
 # --- Euclidean realization -------------------------------------------------
 #
 # A_n lives in R^{n+1} with alpha_i = e_i - e_{i+1}; B/C/D live in R^n with
-# the usual simple roots.  Used for the Weyl action and matrix models.
+# the usual simple roots.  Used for the Weyl action (through root_table) and
+# matrix models.
 
 
 def ambient_dim(system: RootSystemId) -> int:
@@ -316,32 +316,14 @@ def euclidean(system: RootSystemId, alpha: Root) -> tuple[int, ...]:
     return tuple(v)
 
 
-def from_euclidean(system: RootSystemId, v: tuple[int, ...]) -> Root:
-    fam, n = system.family, system.rank
-    if fam == "A":
-        coeffs = []
-        s = 0
-        for j in range(n):
-            s += v[j]
-            coeffs.append(s)
-        return Root(tuple(coeffs))
-    partial = [0] * (n + 1)
-    for j in range(n):
-        partial[j + 1] = partial[j] + v[j]
-    if fam == "B":
-        coeffs = partial[1:]
-    elif fam == "C":
-        coeffs = partial[1:n] + [Fraction(partial[n - 1] + v[n - 1], 2)]
-    else:  # D
-        cn = Fraction(partial[n - 2] + v[n - 2] + v[n - 1], 2)
-        coeffs = partial[1 : n - 1] + [cn - v[n - 1], cn]
-    out = []
-    for c in coeffs:
-        ci = int(c)
-        if ci != c:
-            raise ValueError(f"{v} is not in the root lattice of {system}")
-        out.append(ci)
-    return Root(tuple(out))
+@lru_cache(maxsize=None)
+def root_table(
+    system: RootSystemId,
+) -> tuple[dict[Root, tuple[int, ...]], dict[tuple[int, ...], Root]]:
+    """Every root, positive and negative, to its Euclidean vector, and each
+    such vector back to its root."""
+    vector = {a: euclidean(system, a) for a in all_roots(system)}
+    return vector, {v: a for a, v in vector.items()}
 
 
 def weyl_order(system: RootSystemId) -> int:

@@ -20,7 +20,6 @@ __all__ = [
     "Diagram",
     "Filling",
     "MultiDiagram",
-    "index_boxes",
     "vertical_pairs",
     "is_nonempty",
     "dimension",
@@ -77,10 +76,6 @@ class Diagram:
                      for c in range(1, self.row_length(r) + 1)]
             lines.append(" ".join(cells))
         return "\n".join(lines)
-
-
-def index_boxes(mu: tuple[int, ...]) -> Diagram:
-    return Diagram(tuple(mu))
 
 
 def vertical_pairs(d: Diagram) -> tuple[tuple[int, int], ...]:

@@ -2,8 +2,9 @@
 
 Type A_n elements are permutations of {1..n+1}; types B/C are signed
 permutations of {1..n}; type D keeps only windows with an even number of
-sign changes.  The action on roots goes through the Euclidean realization,
-where pi sends e_i to sign(w_i) e_{|w_i|}.
+sign changes.  The action on roots reads the system's root table: pi sends
+e_i to sign(w_i) e_{|w_i|} in the Euclidean realization, and the image
+vector is looked up as a root.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from .rootsys import (
     Root,
     RootSystemId,
     ambient_dim,
-    euclidean,
-    from_euclidean,
+    positive_root_set,
     positive_roots,
-    row_of,
+    root_table,
     weyl_order,
 )
 
@@ -28,11 +28,12 @@ __all__ = [
     "identity",
     "enumerate_weyl",
     "inversion_set",
-    "inversion_rows",
 ]
 
-# Refuse to materialize groups past this size; full pavings iterate all of W.
-MAX_WEYL_ORDER = 10**7
+# Refuse to materialize groups past this size; full pavings iterate all of W
+# and keep every cell's report and inversion set, about 2 KB per cell
+# (A8 semisimple on the full space: 362,880 cells, 728 MB peak RSS).
+MAX_WEYL_ORDER = 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -75,19 +76,14 @@ class WeylElement:
         return tuple(out)
 
     def act(self, alpha: Root) -> Root:
-        return _act_cached(self, alpha)
+        vector, root = root_table(self.system)
+        return root[self.act_euclidean(vector[alpha])]
 
     def length(self) -> int:
         return len(inversion_set(self))
 
     def __str__(self):
         return "[" + " ".join(str(w) for w in self.window) + "]"
-
-
-@lru_cache(maxsize=None)
-def _act_cached(pi: WeylElement, alpha: Root) -> Root:
-    v = euclidean(pi.system, alpha)
-    return from_euclidean(pi.system, pi.act_euclidean(v))
 
 
 def identity(system: RootSystemId) -> WeylElement:
@@ -122,17 +118,5 @@ def _enumerate_cached(system: RootSystemId) -> tuple[WeylElement, ...]:
 def inversion_set(pi: WeylElement) -> frozenset[Root]:
     """Positive roots sent negative by pi^{-1}."""
     inv = pi.inverse()
-    return frozenset(
-        a for a in positive_roots(pi.system) if inv.act(a).is_negative
-    )
-
-
-def inversion_rows(pi: WeylElement) -> dict[int, tuple[Root, ...]]:
-    """Inversion set split by row, each row sorted by (height, coeffs)."""
-    rows: dict[int, list[Root]] = {}
-    for a in inversion_set(pi):
-        rows.setdefault(row_of(a), []).append(a)
-    return {
-        i: tuple(sorted(v, key=lambda r: (r.height, r.coeffs)))
-        for i, v in sorted(rows.items())
-    }
+    pos = positive_root_set(pi.system)
+    return frozenset(a for a in positive_roots(pi.system) if inv.act(a) not in pos)

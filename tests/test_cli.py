@@ -3,6 +3,8 @@ import json
 import pytest
 
 from hesspave import cli
+from hesspave.rootsys import RootSystemId, weyl_order
+from hesspave.weyl import MAX_WEYL_ORDER
 
 
 def run(capsys, *argv):
@@ -150,6 +152,28 @@ def test_pave_resource_cap(capsys):
     code, _, err = run(capsys, "pave", "--family", "B", "--rank", "11",
                        "--regular-nilpotent", "--hess", "borel")
     assert code == 4 and "resource cap" in err
+
+
+def test_pave_weyl_cap(capsys):
+    assert weyl_order(RootSystemId("A", 9)) > MAX_WEYL_ORDER
+    code, _, err = run(capsys, "pave", "--family", "A", "--rank", "9",
+                       "--regular-nilpotent", "--hess", "borel")
+    assert code == 4 and "resource cap" in err
+
+
+def test_pave_oracle_jobs_disagreement(capsys, monkeypatch):
+    # forked workers inherit the patch; the disagreement must reach the
+    # parent as itself, not as a broken pool
+    import hesspave.paving as paving_mod
+    from hesspave.orbit_oracle import INCONSISTENT
+
+    monkeypatch.setattr(paving_mod, "cell_dim_oracle",
+                        lambda *a, **k: INCONSISTENT)
+    code, _, err = run(capsys, "pave", "--family", "A", "--rank", "2",
+                       "--regular-nilpotent", "--hess", "full",
+                       "--method", "oracle", "--jobs", "2")
+    assert code == 3
+    assert "oracle could not certify a dimension at pi=[1 2 3]" in err
 
 
 def test_verify_all_hess(capsys):

@@ -168,6 +168,15 @@ def test_oracle_disagreement_carries_pi(monkeypatch):
     assert err.value.pi == w
 
 
+def test_oracle_disagreement_pickles():
+    import pickle
+
+    w = WeylElement(RootSystemId("A", 2), (2, 1, 3))
+    e = pickle.loads(pickle.dumps(OracleDisagreement(w, "x")))
+    assert e.pi == w
+    assert str(e) == str(OracleDisagreement(w, "x"))
+
+
 def test_labels():
     assert spec_label(RegularNilpotent()) == "regular-nilpotent"
     assert spec_label(TypeANilpotent((2, 1))) == "nilpotent:2,1"

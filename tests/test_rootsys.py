@@ -9,9 +9,9 @@ from hesspave.rootsys import (
     euclidean,
     extremal_roots,
     extremal_simples,
-    from_euclidean,
     positive_roots,
     root_geq,
+    root_table,
     row_of,
     row_partition,
     row_structure_kind,
@@ -212,9 +212,12 @@ def test_order_matches_chain_reachability(system):
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=str)
 def test_euclidean_roundtrip(system):
+    vector, root = root_table(system)
     for a in positive_roots(system):
-        assert from_euclidean(system, euclidean(system, a)) == a
-        assert from_euclidean(system, euclidean(system, -a)) == -a
+        for b in (a, -a):
+            assert vector[b] == euclidean(system, b)
+            assert root[euclidean(system, b)] == b
+    assert len(vector) == len(root) == 2 * len(positive_roots(system))
 
 
 def test_weyl_order_values():

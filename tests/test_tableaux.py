@@ -9,7 +9,6 @@ from hesspave.tableaux import (
     Filling,
     MultiDiagram,
     dimension,
-    index_boxes,
     is_nonempty,
     multidiagram_dimension,
     multidiagram_nonempty,
@@ -19,7 +18,7 @@ from hesspave.tableaux import (
 
 
 def test_indexing_321():
-    d = index_boxes((3, 2, 1))
+    d = Diagram((3, 2, 1))
     assert d.render() == "6\n5 4\n3 2 1"
     assert d.box_index[(1, 1)] == 3
     assert d.box_index[(1, 3)] == 1
@@ -27,15 +26,15 @@ def test_indexing_321():
 
 
 def test_vertical_pairs_321():
-    assert set(vertical_pairs(index_boxes((3, 2, 1)))) == {(3, 5), (5, 6), (2, 4)}
+    assert set(vertical_pairs(Diagram((3, 2, 1)))) == {(3, 5), (5, 6), (2, 4)}
 
 
 def test_single_row_has_no_pairs():
-    assert vertical_pairs(index_boxes((1, 1, 1, 1))) == ()
+    assert vertical_pairs(Diagram((1, 1, 1, 1))) == ()
 
 
 def test_single_column_pairs():
-    assert vertical_pairs(index_boxes((4,))) == ((1, 2), (2, 3), (3, 4))
+    assert vertical_pairs(Diagram((4,))) == ((1, 2), (2, 3), (3, 4))
 
 
 def test_partition_validation():
@@ -54,7 +53,7 @@ def test_filling_validation():
 
 
 def test_single_column_nonempty():
-    d = index_boxes((3,))
+    d = Diagram((3,))
     h = HessFunction((2, 3, 3))
     assert not is_nonempty(d, Filling((3, 1, 2)), h)
     assert is_nonempty(d, Filling((1, 2, 3)), h)
@@ -62,11 +61,11 @@ def test_single_column_nonempty():
 
 def test_nonempty_size_mismatch():
     with pytest.raises(ValueError):
-        is_nonempty(index_boxes((2,)), Filling((1, 2)), HessFunction((1, 2, 3)))
+        is_nonempty(Diagram((2,)), Filling((1, 2)), HessFunction((1, 2, 3)))
 
 
 def test_dimension_of_empty_cell_raises():
-    d = index_boxes((3,))
+    d = Diagram((3,))
     with pytest.raises(ValueError):
         dimension(d, Filling((3, 1, 2)), HessFunction((2, 3, 3)))
 
@@ -74,7 +73,7 @@ def test_dimension_of_empty_cell_raises():
 def test_full_space_single_row_counts_inversions():
     # one-row diagram with h = n everywhere: dimension is the inversion count
     n = 4
-    d = index_boxes((1,) * n)
+    d = Diagram((1,) * n)
     h = HessFunction((n,) * n)
     for vals in itertools.permutations(range(1, n + 1)):
         f = Filling(vals)
@@ -121,7 +120,7 @@ def test_multidiagram_offsets_and_render():
 
 def test_multidiagram_single_block_matches_diagram():
     mu = (2, 2)
-    d = index_boxes(mu)
+    d = Diagram(mu)
     md = MultiDiagram((d,))
     h = HessFunction((2, 3, 4, 4))
     for vals in itertools.permutations(range(1, 5)):

@@ -2,12 +2,15 @@ import math
 
 import pytest
 
+from hesspave import weyl
+from hesspave.hessenberg import full_space
+from hesspave.operators import SemisimpleClassical
+from hesspave.paving import pave
 from hesspave.rootsys import Root, RootSystemId, positive_roots, weyl_order
 from hesspave.weyl import (
     WeylElement,
     enumerate_weyl,
     identity,
-    inversion_rows,
     inversion_set,
 )
 
@@ -92,12 +95,16 @@ def test_inversion_examples():
     assert inversion_set(w0) == frozenset({r(1, 0), r(0, 1), r(1, 1)})
 
 
-def test_inversion_rows():
-    a2 = RootSystemId("A", 2)
-    w0 = WeylElement(a2, (3, 2, 1))
-    rows = inversion_rows(w0)
-    assert set(rows[1]) == {r(1, 0), r(1, 1)}
-    assert set(rows[2]) == {r(0, 1)}
+def test_weyl_caches_bounded_by_group_order():
+    # one inversion set per element and a few per-system tables; nothing
+    # kept per (element, root)
+    system = RootSystemId("A", 3)
+    caches = [f for f in vars(weyl).values() if hasattr(f, "cache_info")]
+    for f in caches:
+        f.cache_clear()
+    pave(SemisimpleClassical(()), system, full_space(system))
+    entries = sum(f.cache_info().currsize for f in caches)
+    assert entries <= weyl_order(system) + 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
