@@ -10,18 +10,20 @@ which is what the enumerator walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rootsys import (
     Root,
     RootSystemId,
     negative_roots,
+    positive_pairs,
     positive_root_set,
     positive_roots,
+    root_table,
     simple_roots,
     type_a_root,
 )
-from .weyl import WeylElement
+from .weyl import WeylElement, signed_inverse
 
 __all__ = [
     "HessenbergSpace",
@@ -61,6 +63,15 @@ class HessenbergSpace:
                         f"not closed under addition of positive roots: "
                         f"{a} + {g} = {s} missing"
                     )
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """The signed position pairs of M_H, each in both orders, so that
+        pi^{-1} a in M_H is one lookup of the image pair."""
+        pair = root_table(self.system)[0]
+        return frozenset(
+            pq for a in self.roots for pq in (pair[a], pair[a][::-1])
+        )
 
     def negative_part(self) -> frozenset[Root]:
         return frozenset(a for a in self.roots if a.is_negative)
@@ -189,5 +200,10 @@ def full_space(system: RootSystemId) -> HessenbergSpace:
 
 def complement_roots(H: HessenbergSpace, pi: WeylElement) -> frozenset[Root]:
     """C_{pi.H} = Phi+ minus pi(M_H)."""
-    inv = pi.inverse()
-    return frozenset(a for a in positive_roots(H.system) if inv.act(a) not in H.roots)
+    s = signed_inverse(pi)
+    pairs = H.pairs
+    return frozenset(
+        a
+        for a, (p, q) in zip(positive_roots(H.system), positive_pairs(H.system))
+        if (s[p], s[q]) not in pairs
+    )

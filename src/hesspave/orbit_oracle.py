@@ -32,6 +32,7 @@ from .rootsys import (
     RootSystemId,
     euclidean,
     positive_roots,
+    root_table,
     row_partition,
     simple_roots,
 )
@@ -264,14 +265,19 @@ def orbit_roots(
     pi: WeylElement,
     mode: str = "auto",
     seed: int = 0,
+    *,
+    levi_inversions: frozenset[Root] | None = None,
 ) -> frozenset[Root]:
     """Phi_{(U_pi cap L) . M}: positive roots with a not-identically-zero
     coefficient in u^{-1}.M for generic u in U_pi cap L, the root groups of
     the inversion set inside the Levi Phi_l.  S commutes with U_pi cap L, so
     only N moves and S adds no root; a nilpotent spec has L = G, so this is
-    Phi_{U_pi . N}."""
+    Phi_{U_pi . N}.  A caller that already has Phi_pi cap Phi_l passes it
+    as levi_inversions."""
     data = _oracle_data(spec, system)
-    return _orbit_support(system, dict(data.matrix), inversion_set(pi) & data.levi,
+    if levi_inversions is None:
+        levi_inversions = inversion_set(pi) & data.levi
+    return _orbit_support(system, dict(data.matrix), levi_inversions,
                           mode, f"orbit:{seed}:{pi.window}")
 
 
@@ -310,6 +316,8 @@ class _SpecData(NamedTuple):
     matrix: tuple  # M over the integers, ((row, col), int) pairs
     support: tuple[Root, ...]  # supp N, in canonical order
     levi: frozenset[Root]  # Phi_l, the positive roots on which S vanishes
+    support_pairs: tuple[tuple[int, int], ...]  # supp N as signed position pairs
+    levi_mask: tuple[bool, ...]  # a in Phi_l, for a in positive_roots order
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +351,10 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
         else:
             plan.append((row, row))
     residues = tuple((rc, v % PRIME) for rc, v in matrix)
-    return _SpecData(residues, tuple(plan), matrix, support, levi)
+    pair = root_table(system)[0]
+    return _SpecData(residues, tuple(plan), matrix, support, levi,
+                     tuple(pair[b] for b in support),
+                     tuple(a in levi for a in positive_roots(system)))
 
 
 def _solve_affine(cols, b, rng):

@@ -15,6 +15,12 @@ For a regular semisimple operator (N = 0, Phi_l empty) this is the De
 Mari-Procesi-Shayman count #{a in Phi_pi : pi^{-1} a in M_H}; for a
 nilpotent one (S = 0) the first set is empty and only orbit roots remain.
 
+The formula reads roots as signed position pairs (rootsys.root_table):
+pi^{-1}'s signed window maps a pair entrywise, a per-system table says
+whether the image is negative (a in Phi_pi), and a per-space pair set says
+whether it lies in M_H.  Each cell is then integer lookups over Phi+, with
+Root objects built only for the orbit roots.
+
 Three computation paths are exposed (closed formula, tableau count in type
 A, probabilistic solver) so they can certify each other.
 """
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .hessenberg import HessenbergSpace, to_h
 from .operators import (
@@ -34,9 +41,16 @@ from .operators import (
     multidiagram_of,
 )
 from .orbit_oracle import _oracle_data, cell_dim_oracle, orbit_roots
-from .rootsys import RootSystemId
+from .rootsys import (
+    RootSystemId,
+    negative_pairs,
+    positive_pairs,
+    positive_roots,
+    root_table,
+    weyl_order,
+)
 from .tableaux import Filling, multidiagram_dimension, multidiagram_nonempty
-from .weyl import WeylElement, enumerate_weyl, inversion_set
+from .weyl import WeylElement, enumerate_weyl, signed_inverse
 
 __all__ = [
     "CellReport",
@@ -64,7 +78,7 @@ class CellReport:
     def __post_init__(self):
         if self.nonempty != (self.dim is not None):
             raise ValueError("dim must be present exactly when nonempty")
-        if self.dim is not None and not 0 <= self.dim <= len(inversion_set(self.pi)):
+        if self.dim is not None and not 0 <= self.dim <= self.pi.length():
             raise ValueError(f"dim {self.dim} outside [0, |Phi_pi|]")
 
 
@@ -107,16 +121,21 @@ class PoincarePolynomial:
 
 
 def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
-    """Aggregate CellReports covering W exactly once."""
-    seen = [r.pi for r in reports]
-    if len(set(seen)) != len(seen):
-        raise ValueError("duplicate Weyl element in reports")
-    if set(seen) != set(enumerate_weyl(system)):
-        raise ValueError("reports do not cover the Weyl group")
+    """Aggregate CellReports covering W exactly once.  Every WeylElement
+    checks its window when built, so |W| distinct windows of the system are
+    all of W."""
+    windows = set()
     counts: dict[int, int] = {}
     for r in reports:
+        if r.pi.system != system:
+            raise ValueError(f"report for {r.pi.system} in a paving of {system}")
+        if r.pi.window in windows:
+            raise ValueError("duplicate Weyl element in reports")
+        windows.add(r.pi.window)
         if r.nonempty:
             counts[2 * r.dim] = counts.get(2 * r.dim, 0) + 1
+    if len(windows) != weyl_order(system):
+        raise ValueError("reports do not cover the Weyl group")
     return PoincarePolynomial(tuple(sorted(counts.items())))
 
 
@@ -132,17 +151,39 @@ def cell_formula(
 ) -> CellReport:
     """The one Levi formula for M = S + N: empty iff pi^{-1} maps supp N
     outside M_H, else |Phi_pi| minus the roots a of
-    (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H."""
+    (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H.
+
+    Roots are signed position pairs here, so every test is a lookup of
+    pi^{-1}'s image pair; Root objects appear only when orbit roots are
+    needed."""
     data = _oracle_data(spec, system)
-    piinv = pi.inverse()
-    if any(piinv.act(beta) not in H.roots for beta in data.support):
+    s = signed_inverse(pi)
+    in_H = H.pairs
+    if any((s[p], s[q]) not in in_H for p, q in data.support_pairs):
         return CellReport(pi, False, None, "formula")
-    inv_set = inversion_set(pi)
-    moved = inv_set - data.levi
+    negative = negative_pairs(system)
+    length = outside = 0
+    levi_inversions = []
+    for k, (p, q) in enumerate(positive_pairs(system)):
+        x, y = s[p], s[q]
+        if negative[x][y]:
+            length += 1
+            if data.levi_mask[k]:
+                levi_inversions.append(k)
+            elif (x, y) not in in_H:
+                outside += 1
     if data.support:
-        moved |= orbit_roots(spec, system, pi, seed=seed)
-    dim = len(inv_set) - sum(1 for a in moved if piinv.act(a) not in H.roots)
-    return CellReport(pi, True, dim, "formula")
+        pos = positive_roots(system)
+        orbit = orbit_roots(spec, system, pi, seed=seed,
+                            levi_inversions=frozenset(pos[k] for k in levi_inversions))
+        # M_H contains Phi+, so an orbit root outside Phi_l with pi^{-1} a
+        # outside M_H lies in Phi_pi minus Phi_l and was counted above
+        pair = root_table(system)[0]
+        for a in orbit & data.levi:
+            p, q = pair[a]
+            if (s[p], s[q]) not in in_H:
+                outside += 1
+    return CellReport(pi, True, length - outside, "formula")
 
 
 def cell_tableau(
@@ -152,12 +193,18 @@ def cell_tableau(
     pi: WeylElement,
 ) -> CellReport:
     """Type-A combinatorial path through the (multi)diagram filling."""
-    md = multidiagram_of(spec, system)
-    h = to_h(H)
+    md, h = _tableau_data(spec, H)
     f = Filling(pi.inverse().window)
     if not multidiagram_nonempty(md, f, h):
         return CellReport(pi, False, None, "tableau")
     return CellReport(pi, True, multidiagram_dimension(md, f, h), "tableau")
+
+
+@lru_cache(maxsize=None)
+def _tableau_data(spec, H: HessenbergSpace):
+    """The (multi)diagram of the spec and the Hessenberg function of H,
+    built once per (spec, space)."""
+    return multidiagram_of(spec, H.system), to_h(H)
 
 
 class OracleDisagreement(RuntimeError):

@@ -30,6 +30,8 @@ __all__ = [
     "type_a_root",
     "euclidean",
     "root_table",
+    "positive_pairs",
+    "negative_pairs",
     "weyl_order",
 ]
 
@@ -281,11 +283,11 @@ def verticality_check(partition: RowPartition) -> bool:
     return True
 
 
-# --- Euclidean realization -------------------------------------------------
+# --- Euclidean realization and signed position pairs ------------------------
 #
 # A_n lives in R^{n+1} with alpha_i = e_i - e_{i+1}; B/C/D live in R^n with
-# the usual simple roots.  Used for the Weyl action (through root_table) and
-# matrix models.
+# the usual simple roots.  Used for the matrix models, and once per system
+# to build the pair table the Weyl action reads.
 
 
 def ambient_dim(system: RootSystemId) -> int:
@@ -319,11 +321,43 @@ def euclidean(system: RootSystemId, alpha: Root) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def root_table(
     system: RootSystemId,
-) -> tuple[dict[Root, tuple[int, ...]], dict[tuple[int, ...], Root]]:
-    """Every root, positive and negative, to its Euclidean vector, and each
-    such vector back to its root."""
-    vector = {a: euclidean(system, a) for a in all_roots(system)}
-    return vector, {v: a for a, v in vector.items()}
+) -> tuple[dict[Root, tuple[int, int]], dict[tuple[int, int], Root]]:
+    """Every root, positive and negative, to its signed position pair, and
+    each pair, in either order, back to its root.
+
+    The pair lists the root's nonzero Euclidean coordinates as signed
+    positions, smaller position first: e_i - e_j is (i, -j), e_i + e_j is
+    (i, j), and e_i or 2e_i is (i, 0); the family fixes which of the last
+    two exists.  A signed permutation w sends position k to sgn(k) w(|k|),
+    so it acts on a pair entrywise."""
+    pair = {}
+    for a in all_roots(system):
+        v = euclidean(system, a)
+        signed = [i if c > 0 else -i for i, c in enumerate(v, start=1) if c]
+        pair[a] = (signed[0], signed[1] if len(signed) > 1 else 0)
+    root = {}
+    for a, (p, q) in pair.items():
+        root[p, q] = root[q, p] = a
+    return pair, root
+
+
+@lru_cache(maxsize=None)
+def positive_pairs(system: RootSystemId) -> tuple[tuple[int, int], ...]:
+    """The pairs of positive_roots(system), in that order."""
+    pair = root_table(system)[0]
+    return tuple(pair[a] for a in positive_roots(system))
+
+
+@lru_cache(maxsize=None)
+def negative_pairs(system: RootSystemId) -> tuple[tuple[bool, ...], ...]:
+    """negative[x][y], for signed positions x and y read with Python's
+    negative indexing: whether (x, y) is the pair of a negative root, that
+    is, whether its entry of smaller |position| is negative."""
+    size = 2 * ambient_dim(system) + 1
+    negative = [[False] * size for _ in range(size)]
+    for a, (p, q) in root_table(system)[0].items():
+        negative[p][q] = negative[q][p] = a.is_negative
+    return tuple(tuple(row) for row in negative)
 
 
 def weyl_order(system: RootSystemId) -> int:

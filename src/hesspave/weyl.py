@@ -2,9 +2,9 @@
 
 Type A_n elements are permutations of {1..n+1}; types B/C are signed
 permutations of {1..n}; type D keeps only windows with an even number of
-sign changes.  The action on roots reads the system's root table: pi sends
-e_i to sign(w_i) e_{|w_i|} in the Euclidean realization, and the image
-vector is looked up as a root.
+sign changes.  pi sends e_k to sgn(w_k) e_{|w_k|}, so it acts on a root's
+signed position pair (rootsys.root_table) entrywise by k -> sgn(k) w(|k|):
+the action, inversion sets and lengths are integer lookups on a window.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from .rootsys import (
     Root,
     RootSystemId,
     ambient_dim,
-    positive_root_set,
+    negative_pairs,
+    positive_pairs,
     positive_roots,
     root_table,
     weyl_order,
@@ -28,11 +29,13 @@ __all__ = [
     "identity",
     "enumerate_weyl",
     "inversion_set",
+    "signed_inverse",
 ]
 
 # Refuse to materialize groups past this size; full pavings iterate all of W
-# and keep every cell's report and inversion set, about 2 KB per cell
-# (A8 semisimple on the full space: 362,880 cells, 728 MB peak RSS).
+# and keep every cell's report, about 0.4 KB per cell (A8 semisimple on the
+# full space: 362,880 cells, 5.7 s and 159 MB peak RSS on a 2-vCPU VM).
+# The cap stays until A9 and D8 pavings are measured.
 MAX_WEYL_ORDER = 10**6
 
 
@@ -69,21 +72,37 @@ class WeylElement:
             win.append(s if w > 0 else -s)
         return WeylElement(self.system, tuple(win))
 
-    def act_euclidean(self, v: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * len(v)
-        for i, w in enumerate(self.window):
-            out[abs(w) - 1] = v[i] if w > 0 else -v[i]
-        return tuple(out)
-
     def act(self, alpha: Root) -> Root:
-        vector, root = root_table(self.system)
-        return root[self.act_euclidean(vector[alpha])]
+        pair, root = root_table(self.system)
+        p, q = pair[alpha]
+        s = _signed_window(self.window)
+        return root[s[p], s[q]]
 
     def length(self) -> int:
-        return len(inversion_set(self))
+        """|Phi_pi|: the positive roots pi sends negative (as many as pi^{-1}
+        does), counted on the window."""
+        s = _signed_window(self.window)
+        negative = negative_pairs(self.system)
+        return sum([negative[s[p]][s[q]] for p, q in positive_pairs(self.system)])
 
     def __str__(self):
         return "[" + " ".join(str(w) for w in self.window) + "]"
+
+
+def _signed_window(window: tuple[int, ...]) -> list[int]:
+    """The window extended to signed positions: entry k, for -m <= k <= m
+    with Python's negative indexing, is sgn(k) w(|k|), and entry 0 is 0.
+    The element sends the root with pair (p, q) to the one with (s[p], s[q])."""
+    return [0, *window, *[-w for w in reversed(window)]]
+
+
+def signed_inverse(pi: WeylElement) -> list[int]:
+    """_signed_window of pi^{-1}, read off pi's window: pi sends position i
+    to w(i), so pi^{-1} sends w(i) to i and -w(i) to -i."""
+    s = [0] * (2 * len(pi.window) + 1)
+    for i, w in enumerate(pi.window, start=1):
+        s[w], s[-w] = i, -i
+    return s
 
 
 def identity(system: RootSystemId) -> WeylElement:
@@ -117,6 +136,10 @@ def _enumerate_cached(system: RootSystemId) -> tuple[WeylElement, ...]:
 @lru_cache(maxsize=None)
 def inversion_set(pi: WeylElement) -> frozenset[Root]:
     """Positive roots sent negative by pi^{-1}."""
-    inv = pi.inverse()
-    pos = positive_root_set(pi.system)
-    return frozenset(a for a in positive_roots(pi.system) if inv.act(a) not in pos)
+    s = signed_inverse(pi)
+    negative = negative_pairs(pi.system)
+    return frozenset(
+        a
+        for a, (p, q) in zip(positive_roots(pi.system), positive_pairs(pi.system))
+        if negative[s[p]][s[q]]
+    )

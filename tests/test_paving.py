@@ -65,6 +65,49 @@ def test_poincare_requires_exact_coverage():
         poincare(reports + [reports[0]], system)
 
 
+def test_poincare_cover_check_is_exact_and_order_free():
+    system = RootSystemId("A", 2)
+    reports = [CellReport(w, True, w.length(), "t") for w in enumerate_weyl(system)]
+    expected = poincare(reports, system)
+    assert poincare(reports[::-1], system) == expected
+    with pytest.raises(ValueError, match="duplicate"):
+        poincare(reports[:-1] + [reports[0]], system)  # |W| reports, one twice
+    with pytest.raises(ValueError, match="cover"):
+        poincare(reports[1:], system)
+    # the missing window (3, 2, 1) supplied by an element of B3
+    b3_top = WeylElement(RootSystemId("B", 3), reports[-1].pi.window)
+    with pytest.raises(ValueError, match="B3"):
+        poincare(reports[:-1] + [CellReport(b3_top, False, None, "t")], system)
+
+
+def test_tableau_data_is_built_once_per_spec_and_space(monkeypatch):
+    import sys
+
+    from hesspave import hessenberg, operators, paving
+
+    calls = {"to_h": 0, "multidiagram_of": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, owner in (("to_h", hessenberg), ("multidiagram_of", operators)):
+        fn = getattr(owner, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("hesspave") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    paving._tableau_data.cache_clear()
+    system = RootSystemId("A", 3)
+    specs = (TypeANilpotent((2, 1, 1)), RegularNilpotent())
+    spaces = (from_h(HessFunction((2, 3, 4, 4))), full_space(system))
+    for spec in specs:
+        for H in spaces:
+            pave(spec, system, H, method="tableau")
+    assert calls == {"to_h": 4, "multidiagram_of": 4}
+
+
 @pytest.mark.parametrize("system", [
     RootSystemId("A", 2), RootSystemId("B", 2),
     RootSystemId("C", 2), RootSystemId("D", 3),

@@ -212,12 +212,19 @@ def test_order_matches_chain_reachability(system):
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=str)
 def test_euclidean_roundtrip(system):
-    vector, root = root_table(system)
+    # the pair table reads each root's signed nonzero Euclidean coordinates
+    # and is a bijection of the 2|Phi+| roots onto their pairs
+    pair, root = root_table(system)
     for a in positive_roots(system):
         for b in (a, -a):
-            assert vector[b] == euclidean(system, b)
-            assert root[euclidean(system, b)] == b
-    assert len(vector) == len(root) == 2 * len(positive_roots(system))
+            p, q = pair[b]
+            signs = {i: c > 0 for i, c in enumerate(euclidean(system, b), 1) if c}
+            assert {abs(k): k > 0 for k in (p, q) if k} == signs
+            assert q == 0 or abs(p) < abs(q)
+            assert root[p, q] == root[q, p] == b
+    n_roots = 2 * len(positive_roots(system))
+    assert len(pair) == len(set(pair.values())) == n_roots
+    assert set(root.values()) == set(pair)
 
 
 def test_weyl_order_values():
