@@ -273,7 +273,8 @@ def orbit_roots(
     the inversion set inside the Levi Phi_l.  S commutes with U_pi cap L, so
     only N moves and S adds no root; a nilpotent spec has L = G, so this is
     Phi_{U_pi . N}.  A caller that already has Phi_pi cap Phi_l passes it
-    as levi_inversions."""
+    as levi_inversions; it is trusted, so a set that is not pi's gives
+    wrong orbit roots."""
     data = _oracle_data(spec, system)
     if levi_inversions is None:
         levi_inversions = inversion_set(pi) & data.levi

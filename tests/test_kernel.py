@@ -9,6 +9,7 @@ element of the small classical groups.
 
 import pytest
 
+from hesspave import paving
 from hesspave.hessenberg import (
     borel_space,
     complement_roots,
@@ -87,8 +88,19 @@ def _levi_spec(system):
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
-def test_cell_formula_matches_euclidean_reference(system):
+def test_cell_formula_matches_euclidean_reference(system, monkeypatch):
     act = euclidean_action(system)
+    handed = []
+
+    def checked_orbit_roots(spec, system, pi, mode="auto", seed=0, *, levi_inversions):
+        # orbit_roots trusts the Phi_pi cap Phi_l it is handed: it must be pi's
+        inv = pi.inverse()
+        levi = _oracle_data(spec, system).levi
+        assert levi_inversions == frozenset(a for a in levi if act(inv, a).is_negative)
+        handed.append(pi)
+        return orbit_roots(spec, system, pi, mode, seed, levi_inversions=levi_inversions)
+
+    monkeypatch.setattr(paving, "orbit_roots", checked_orbit_roots)
     if system.rank <= 3:
         spaces = enumerate_spaces(system)
     else:  # every space of A4 and D4 would add seconds of orbit roots
@@ -99,3 +111,4 @@ def test_cell_formula_matches_euclidean_reference(system):
                 r = cell_formula(spec, system, H, pi, seed=3)
                 expected = reference_cell(spec, system, H, pi, act, seed=3)
                 assert (r.nonempty, r.dim) == expected, (spec, H, pi)
+    assert handed  # the regular nilpotent hands over on every nonempty cell
