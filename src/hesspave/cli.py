@@ -237,8 +237,9 @@ def cmd_pave(args) -> int:
         result = pave(spec, system, H, method=args.method,
                       seed=args.seed, trials=args.trials, jobs=args.jobs)
     except OracleDisagreement as e:
-        print(f"oracle could not certify a dimension at pi=[{_window_str(e.pi)}]",
-              file=sys.stderr)
+        code = f" ({e.reason})" if e.reason else ""
+        print(f"oracle could not certify a dimension at pi=[{_window_str(e.pi)}]"
+              f"{code}", file=sys.stderr)
         return EXIT_VERIFY
     if args.format == "json":
         print(result_to_json(spec, H, result))
@@ -290,8 +291,8 @@ def cmd_verify(args) -> int:
                 try:
                     r = cell_report(spec, system, H, pi, method,
                                     seed=args.seed, trials=args.trials)
-                except OracleDisagreement:
-                    outcomes.append((method, ("inconsistent", None)))
+                except OracleDisagreement as e:
+                    outcomes.append((method, ("inconsistent", e.reason)))
                     continue
                 outcomes.append((method, (r.nonempty, r.dim)))
             if len({o for _, o in outcomes}) != 1:

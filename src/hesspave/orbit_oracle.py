@@ -7,13 +7,19 @@
   Phi_{(U_pi cap L) . M} by zero-testing polynomial coefficients or by
   random evaluation, and
 * a probabilistic row-by-row affine solver over a large prime field that
-  certifies cell dimensions independently of any closed formula.
+  certifies cell dimensions independently of any closed formula.  A stage
+  that comes out infeasible yields derived functionals; each is re-attached
+  to the stage that pins it, found along two constrained towers: the
+  trial's own, read off the states it recorded and continued past the
+  infeasible stage, and one fresh replay.  A cell the solver cannot certify
+  gets an "inconsistent" verdict naming its cause (REASONS).
 
 Realizations use the antidiagonal bilinear forms (symmetric for B/D, skew
 for C) so that the Borel is upper triangular.  Each root vector has a pivot
 entry in rows 1..n (or the middle row for short B roots) that no other root
 vector or diagonal element touches, so coefficient extraction is a single
-dictionary lookup.
+dictionary lookup.  One plain-dict table per system (_kernel_table) holds
+each positive root's row, entries and pivot for the mod-p kernel.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ __all__ = [
     "orbit_roots",
     "cell_dim_oracle",
     "OracleVerdict",
+    "REASONS",
     "verify_adform",
     "nonoverlap_check",
     "unitriangular_conjugate",
@@ -136,7 +143,7 @@ def _is_zero(v) -> bool:
 def _pruned(D: dict, mod=None) -> dict:
     """D without its zero entries, reduced mod `mod` when given."""
     if mod:
-        return {rc: v % mod for rc, v in D.items() if v % mod}
+        return {rc: r for rc, v in D.items() if (r := v % mod)}
     return {rc: v for rc, v in D.items() if not _is_zero(v)}
 
 
@@ -151,36 +158,50 @@ def _mat_mul(A: dict, B: dict) -> dict:
     return _pruned(out)
 
 
-def _bracket(A: dict, B: dict, mod=None) -> dict:
-    """[A, B] = AB - BA of sparse matrices, reduced mod `mod` when given.
-    One pass over B against row and column indices of A, so A should be the
-    smaller one (a row element)."""
-    arows: dict = {}
-    acols: dict = {}
-    for (r, c), v in A.items():
-        arows.setdefault(r, []).append((c, v))
-        acols.setdefault(c, []).append((r, v))
-    out: dict = {}
-    for (k, c), b in B.items():
-        for r, a in acols.get(k, ()):
-            out[r, c] = out.get((r, c), 0) + a * b
-        for j, a in arows.get(c, ()):
-            out[k, j] = out.get((k, j), 0) - b * a
-    return _pruned(out, mod)
-
-
-def _row_element(system: RootSystemId, assignment: dict) -> dict:
-    """Sum of x_beta E_beta over an assignment {Root: value}."""
-    X: dict = {}
-    for beta, x in assignment.items():
-        for rc, c in root_entries(system, beta):
-            X[rc] = X.get(rc, 0) + x * c
-    return _pruned(X)
-
-
 @lru_cache(maxsize=None)
-def _row_sets(system: RootSystemId) -> tuple[frozenset[Root], ...]:
-    return tuple(frozenset(row) for row in row_partition(system).rows)
+def _kernel_table(system: RootSystemId) -> dict:
+    """Positive root -> (row, entries, pivot): its row index, E_alpha as
+    (row, col, coeff) triples, and its pivot position.  The one table the
+    conjugation kernel, the stage systems and functional evaluation read; a
+    root missing from it is outside Phi+."""
+    out = {}
+    for i, row in enumerate(row_partition(system).rows, start=1):
+        for a in row:
+            entries = root_entries(system, a)
+            out[a] = (i, tuple((r, c, x) for (r, c), x in entries), entries[0][0])
+    return out
+
+
+def _row_index(system: RootSystemId, assignment: dict) -> tuple[dict, dict]:
+    """Row and column index of X = sum of x_beta E_beta over the assignment
+    {Root: scalar}: {row: [(col, value)]} and {col: [(row, value)]}.
+    Raises unless the assignment's roots are positive and lie in one row."""
+    table = _kernel_table(system)
+    xrows: dict = {}
+    xcols: dict = {}
+    row = None
+    for beta, x in assignment.items():
+        entry = table.get(beta)
+        if entry is None or row not in (None, entry[0]):
+            raise RuntimeError("conjugation by roots outside a single row")
+        row = entry[0]
+        for r, c, s in entry[1]:
+            v = x * s
+            xrows.setdefault(r, []).append((c, v))
+            xcols.setdefault(c, []).append((r, v))
+    return xrows, xcols
+
+
+def _ad(out: dict, X: tuple[dict, dict], B: dict) -> dict:
+    """Add [X, B] = XB - BX into out, X given by its _row_index, and return
+    out.  One pass over B; nothing is reduced."""
+    xrows, xcols = X
+    for (k, c), b in B.items():
+        for r, a in xcols.get(k, ()):
+            out[r, c] = out.get((r, c), 0) + a * b
+        for j, a in xrows.get(c, ()):
+            out[k, j] = out.get((k, j), 0) - b * a
+    return out
 
 
 def _conjugate(system: RootSystemId, M: dict, assignment: dict, mod=None) -> dict:
@@ -189,18 +210,18 @@ def _conjugate(system: RootSystemId, M: dict, assignment: dict, mod=None) -> dic
 
     The assignment's roots must lie in one row and M in the Borel; then
     (ad X)^3 M = 0 (the row lemma, checked by verify_adform), so the action
-    is exactly M + [X, M] + 1/2 [X, [X, M]]."""
-    if not any(row.issuperset(assignment) for row in _row_sets(system)):
-        raise RuntimeError("conjugation by roots outside a single row")
+    is exactly M + [X, M] + 1/2 [X, [X, M]].  X is indexed once for both
+    brackets, and each bracket pass is reduced once.  The 1/2 scales only
+    the entries [X, [X, M]] leaves, which matters over Poly."""
+    X = _row_index(system, assignment)
     if any(r > c for r, c in M):
         raise RuntimeError("conjugated matrix is not in the Borel")
-    X = _row_element(system, assignment)
-    XM = _bracket(X, M, mod)
+    XM = _pruned(_ad({}, X, M), mod)
     half = pow(2, -1, mod) if mod else Fraction(1, 2)
     out = dict(M)
     for rc, v in XM.items():
         out[rc] = out.get(rc, 0) + v
-    for rc, v in _bracket(X, XM, mod).items():
+    for rc, v in _pruned(_ad({}, X, XM), mod).items():
         out[rc] = out.get(rc, 0) + half * v
     return _pruned(out, mod)
 
@@ -236,10 +257,11 @@ def _orbit_support(system: RootSystemId, M0: dict, var_roots, mode: str,
     "auto" is symbolic up to AUTO_SYMBOLIC_RANK."""
     if mode == "auto":
         mode = "symbolic" if system.rank <= AUTO_SYMBOLIC_RANK else "randomized"
-    pos = positive_roots(system)
+    table = _kernel_table(system)
     if mode == "symbolic":
         M = _symbolic_rows(system, M0, var_roots)
-        return frozenset(a for a in pos if not _is_zero(coeff_at(system, M, a)))
+        return frozenset(a for a, (_, _, rc) in table.items()
+                         if not _is_zero(M.get(rc, 0)))
     if mode != "randomized":
         raise ValueError(f"unknown orbit mode {mode!r}")
     found: set[Root] = set()
@@ -247,7 +269,7 @@ def _orbit_support(system: RootSystemId, M0: dict, var_roots, mode: str,
         rng = random.Random(f"{key}:{t}")
         M = _conjugate_rows(system, {rc: v % PRIME for rc, v in M0.items()},
                             var_roots, lambda a: rng.randrange(1, PRIME), PRIME)
-        found.update(a for a in pos if coeff_at(system, M, a))
+        found.update(a for a, (_, _, rc) in table.items() if M.get(rc))
     return frozenset(found)
 
 
@@ -301,8 +323,23 @@ def restricted_orbit_roots(
 
 @dataclass(frozen=True)
 class OracleVerdict:
+    """A cell's oracle verdict.  An "inconsistent" verdict names its cause in
+    reason, one of REASONS."""
+
     kind: str  # "empty" | "dim" | "inconsistent"
     dim: int | None = None
+    reason: str | None = None
+
+
+REASONS = {
+    "nonaffine": "a stage system failed the affineness probe, or a condition "
+                 "was still unmet after the last stage",
+    "late-pin": "a derived functional still moved after the stage that "
+                "produced it",
+    "no-progress": "an infeasible stage yielded no new derived functional",
+    "max-derived": "the trial ran out of derived functionals (MAX_DERIVED)",
+    "trial-split": "the trials disagreed on emptiness or dimension",
+}
 
 
 EMPTY = OracleVerdict("empty")
@@ -412,8 +449,15 @@ def _solve_affine(cols, b, rng):
 MAX_DERIVED = 12
 
 
-def _feval(system, M, fdict):
-    return sum(c * coeff_at(system, M, a) for a, c in fdict.items()) % PRIME
+def _pivots(system, fdict) -> list:
+    """The functional {Root: coeff} as (pivot position, coeff) pairs."""
+    table = _kernel_table(system)
+    return [(table[a][2], c) for a, c in fdict.items()]
+
+
+def _feval(M, pivots):
+    """Value of a functional, given by its _pivots, at M."""
+    return sum(c * M.get(rc, 0) for rc, c in pivots) % PRIME
 
 
 def _combine(funcs, combo):
@@ -426,8 +470,18 @@ def _combine(funcs, combo):
     return {a: v for a, v in out.items() if v}
 
 
-def _stage_funcs(stage_conds, cond_set, extra, t):
-    funcs = [{a: 1} for a in stage_conds if a in cond_set]
+def _cell_stages(plan, var_set, cond_set) -> list:
+    """The plan restricted to one cell: per stage, its variable roots in
+    var_set and its condition roots in cond_set, in plan order.  The plan
+    covers every positive root once on each side.  Lists: tuples built from
+    generators here raised the peak RSS of the pave-oracle benchmark cases
+    by about 0.4 MB."""
+    return [([a for a in vs if a in var_set], [a for a in cs if a in cond_set])
+            for vs, cs in plan]
+
+
+def _stage_funcs(conds, extra, t):
+    funcs = [{a: 1} for a in conds]
     funcs.extend(fd for s, fd in extra if s == t)
     return funcs
 
@@ -436,26 +490,44 @@ def _stage_system(system, M, vrs, funcs):
     """Baseline values and per-variable columns of the stage's affine system.
 
     Column v is f(conj(M, {v: 1})) - f(M) = f([E_v, M]) + 1/2 f([E_v, [E_v, M]]).
-    The quadratic term stays: _stability_stage solves stage systems without
-    the affineness probe, so dropping it would change its answers."""
-    b = [_feval(system, M, fd) for fd in funcs]
+    [E_v, M] is built once per variable; the second bracket is read only at
+    the functionals' pivots.  The quadratic term stays: _tower_values
+    solves stage systems without the affineness probe, so dropping it would
+    change its answers."""
+    table = _kernel_table(system)
+    fpivs = [_pivots(system, fd) for fd in funcs]
+    need = {rc for fp in fpivs for rc, _ in fp}
+    b = [_feval(M, fp) for fp in fpivs]
     half = pow(2, -1, PRIME)
     cols = []
     for v_root in vrs:
-        Ev = dict(root_entries(system, v_root))
-        Z1 = _bracket(Ev, M, PRIME)
-        Z2 = _bracket(Ev, Z1, PRIME)
-        cols.append([(_feval(system, Z1, fd) + half * _feval(system, Z2, fd)) % PRIME
-                     for fd in funcs])
+        ev = table[v_root][1]
+        Z1 = _ad({}, _row_index(system, {v_root: 1}), M)
+        col = {}
+        for r, c in need:
+            z2 = 0
+            for i, j, x in ev:  # [E_v, Z1] at (r, c)
+                if i == r:
+                    z2 += x * Z1.get((j, c), 0)
+                if j == c:
+                    z2 -= x * Z1.get((r, i), 0)
+            col[r, c] = Z1.get((r, c), 0) + half * z2
+        cols.append([sum(k * col[rc] for rc, k in fp) % PRIME for fp in fpivs])
     return b, cols
 
 
-def _run_tower(system, M0, plan, var_set, cond_set, extra, rng):
+def _run_tower(system, M0, stages, extra, rng):
+    """One trial: solve the cell's stages in order.  An infeasible stage t
+    returns (t, funcs, combos, states, broken): the stage's functionals, the
+    eliminated combinations with vanished linear part, the states M_0 .. M_t
+    the tower entered each stage with, and whether stage t had variables
+    (so that a replay through it would fall back to random draws)."""
     M = dict(M0)
+    states = []
     total_rank = 0
-    for t, (stage_vars, stage_conds) in enumerate(plan):
-        vrs = [a for a in stage_vars if a in var_set]
-        funcs = _stage_funcs(stage_conds, cond_set, extra, t)
+    for t, (vrs, conds) in enumerate(stages):
+        states.append(M)
+        funcs = _stage_funcs(conds, extra, t)
         if not funcs:
             if vrs:
                 M = _conjugate(system, M, {a: rng.randrange(PRIME) for a in vrs},
@@ -467,75 +539,93 @@ def _run_tower(system, M0, plan, var_set, cond_set, extra, rng):
                 return "infeasible", (t, funcs, [
                     [int(i == j) for j in range(len(funcs))]
                     for i, v in enumerate(b) if v
-                ])
+                ], states, False)
             continue
         # affineness probe at a random point
         xp = [rng.randrange(PRIME) for _ in vrs]
         Mp = _conjugate(system, M, dict(zip(vrs, xp)), PRIME)
         for idx, fd in enumerate(funcs):
             pred = (b[idx] + sum(cols[j][idx] * xp[j] for j in range(len(vrs)))) % PRIME
-            if _feval(system, Mp, fd) != pred:
+            if _feval(Mp, _pivots(system, fd)) != pred:
                 return "nonaffine", None
         sol = _solve_affine(cols, b, rng)
         if sol[0] == "bad":
-            return "infeasible", (t, funcs, sol[1])
+            return "infeasible", (t, funcs, sol[1], states, True)
         _, rank, xstar = sol
         total_rank += rank
         M = _conjugate(system, M, dict(zip(vrs, xstar)), PRIME)
-    if any(coeff_at(system, M, a) for a in cond_set):
+    table = _kernel_table(system)
+    if any(M.get(table[a][2]) for _, conds in stages for a in conds):
         return "nonaffine", None
-    return "dim", len(var_set) - total_rank
+    return "dim", sum(len(vrs) for vrs, _ in stages) - total_rank
 
 
-def _stability_stage(system, M0, plan, var_set, cond_set, extra, fdict, rng):
+def _tower_values(system, stages, extra, pivots, rng, states, broken):
+    """The functional's value entering each stage and at the end, along a
+    constrained tower: read off the given states M_0 .. M_k, then continued
+    from M_k at stage k.  Each later stage takes a random solution of its
+    stage system until one is infeasible (or from the start when broken),
+    and nonzero random draws from then on."""
+    vals = [_feval(M, pivots) for M in states]
+    M = states[-1]
+    for t in range(len(states) - 1, len(stages)):
+        vrs, conds = stages[t]
+        if not vrs:
+            vals.append(vals[-1])
+            continue
+        assign = None
+        if not broken:
+            funcs = _stage_funcs(conds, extra, t)
+            if funcs:
+                b, cols = _stage_system(system, M, vrs, funcs)
+                sol = _solve_affine(cols, b, rng)
+                if sol[0] == "ok":
+                    assign = sol[2]
+                else:
+                    broken = True
+        if assign is None:
+            assign = [rng.randrange(1, PRIME) for _ in vrs]
+        M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
+        vals.append(_feval(M, pivots))
+    return vals
+
+
+def _stability_stage(system, stages, extra, fdict, rng, states, broken):
     """Smallest s such that the functional's value is unchanged by stages
     s+1, s+2, ... along towers that satisfy the conditions enforced so far
-    (so plan[s-1] is the stage pinning it).  Replaying constrained towers
-    matters: a dependence on a later stage can vanish exactly on the locus
-    the earlier conditions cut out."""
+    (so stages[s-1] is the stage pinning it).  Constrained towers matter: a
+    dependence on a later stage can vanish exactly on the locus the earlier
+    conditions cut out.
+
+    Two towers, and s is the larger of their answers.  The first is the
+    trial's own: its recorded states (the caller cuts them at the first
+    stage a functional attached since the trial ran has made stale) are
+    read as they are and continued to the last stage, with random
+    draws past the infeasible stage when broken, so a dependence after that
+    stage still shows (s > t).  The second is a fresh replay from M_0."""
+    pivots = _pivots(system, fdict)
     best = 0
-    for _ in range(2):
-        M = dict(M0)
-        vals = [_feval(system, M, fdict)]
-        broken = False
-        for t, (stage_vars, stage_conds) in enumerate(plan):
-            vrs = [a for a in stage_vars if a in var_set]
-            if not vrs:
-                vals.append(vals[-1])
-                continue
-            assign = None
-            if not broken:
-                funcs = _stage_funcs(stage_conds, cond_set, extra, t)
-                if funcs:
-                    b, cols = _stage_system(system, M, vrs, funcs)
-                    sol = _solve_affine(cols, b, rng)
-                    if sol[0] == "ok":
-                        assign = sol[2]
-                    else:
-                        broken = True
-            if assign is None:
-                assign = [rng.randrange(1, PRIME) for _ in vrs]
-            M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
-            vals.append(_feval(system, M, fdict))
-        s = len(plan)
+    for prefix, brk in ((states, broken), (states[:1], False)):
+        vals = _tower_values(system, stages, extra, pivots, rng, prefix, brk)
+        s = len(stages)
         while s > 0 and vals[s - 1] == vals[-1]:
             s -= 1
         best = max(best, s)
     return best
 
 
-def _solve_once(system, M0, plan, var_set, cond_set, rng):
+def _solve_once(system, M0, stages, rng):
+    """One trial: ("dim", d), ("empty", None) or ("inconsistent", reason)."""
     extra: list[tuple[int, dict]] = []
     seen: set[frozenset] = set()
     for _ in range(MAX_DERIVED):
-        status, payload = _run_tower(
-            system, M0, plan, var_set, cond_set, extra, rng
-        )
+        status, payload = _run_tower(system, M0, stages, extra, rng)
         if status == "nonaffine":
-            return "inconsistent", None
+            return "inconsistent", "nonaffine"
         if status != "infeasible":
             return status, payload
-        t, funcs, combos = payload
+        t, funcs, combos, states, broken = payload
+        attached = len(extra)
         progress = False
         for combo in combos:
             fd = _combine(funcs, combo)
@@ -544,21 +634,24 @@ def _solve_once(system, M0, plan, var_set, cond_set, rng):
             key = frozenset(fd.items())
             if key in seen:
                 continue
-            s = _stability_stage(system, M0, plan, var_set, cond_set, extra,
-                                 fd, rng)
+            # functionals attached since the trial ran make its states stale
+            # from their stage on; the sample replays from there
+            stale = [s for s, _ in extra[attached:]]
+            sample = (states[:min(stale) + 1], False) if stale else (states, broken)
+            s = _stability_stage(system, stages, extra, fd, rng, *sample)
             if s == 0:
                 # pinned before any variable acts; nonzero means no solutions
-                if _feval(system, dict(M0), fd):
+                if _feval(states[0], _pivots(system, fd)):
                     return "empty", None
                 continue
             if s > t:
-                return "inconsistent", None
+                return "inconsistent", "late-pin"
             seen.add(key)
             extra.append((s - 1, fd))
             progress = True
         if not progress:
-            return "inconsistent", None
-    return "inconsistent", None
+            return "inconsistent", "no-progress"
+    return "inconsistent", "max-derived"
 
 
 def cell_dim_oracle(
@@ -573,15 +666,14 @@ def cell_dim_oracle(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)
-    cond_set = complement_roots(H, pi)
-    var_set = inversion_set(pi)
+    stages = _cell_stages(data.plan, inversion_set(pi), complement_roots(H, pi))
     dims = set()
     empties = 0
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
-        kind, d = _solve_once(system, data.residues, data.plan, var_set, cond_set, rng)
+        kind, d = _solve_once(system, data.residues, stages, rng)
         if kind == "inconsistent":
-            return INCONSISTENT
+            return OracleVerdict(kind, reason=d)
         if kind == "empty":
             empties += 1
         else:
@@ -590,7 +682,7 @@ def cell_dim_oracle(
         return EMPTY
     if empties == 0 and len(dims) == 1:
         return OracleVerdict("dim", dims.pop())
-    return INCONSISTENT
+    return OracleVerdict("inconsistent", reason="trial-split")
 
 
 # --- structural verification --------------------------------------------------
@@ -626,13 +718,13 @@ def verify_adform(system: RootSystemId, i: int, samples: int = 3,
     later_rows = [a for j in range(i + 1, system.rank + 1)
                   for a in rp.rows[j - 1]]
     for _ in range(samples):
-        X = _row_element(
+        X = _row_index(
             system, {a: rng.choice([-3, -2, -1, 1, 2, 3]) for a in row}
         )
         for Y in basis:
-            Z1 = _bracket(X, Y)
-            Z2 = _bracket(X, Z1)
-            Z3 = _bracket(X, Z2)
+            Z1 = _pruned(_ad({}, X, Y))
+            Z2 = _pruned(_ad({}, X, Z1))
+            Z3 = _pruned(_ad({}, X, Z2))
             if Z3:
                 return False
             for Z in (Z1, Z2):

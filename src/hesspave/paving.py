@@ -40,7 +40,7 @@ from .operators import (
     TypeANilpotent,
     multidiagram_of,
 )
-from .orbit_oracle import _oracle_data, cell_dim_oracle, orbit_roots
+from .orbit_oracle import REASONS, _oracle_data, cell_dim_oracle, orbit_roots
 from .rootsys import (
     RootSystemId,
     negative_pairs,
@@ -208,15 +208,20 @@ def _tableau_data(spec, H: HessenbergSpace):
 
 
 class OracleDisagreement(RuntimeError):
-    def __init__(self, pi: WeylElement, detail: str):
+    """The oracle could not certify a cell; reason is the verdict's code
+    (orbit_oracle.REASONS), None when the verdict named none."""
+
+    def __init__(self, pi: WeylElement, detail: str, reason: str | None = None):
         # args holds the constructor's arguments so that the exception
         # pickles back from a pave(jobs > 1) worker
-        super().__init__(pi, detail)
+        super().__init__(pi, detail, reason)
         self.pi = pi
+        self.reason = reason
 
     def __str__(self):
-        pi, detail = self.args
-        return f"oracle inconsistent at pi={pi}: {detail}"
+        pi, detail, reason = self.args
+        code = f" [{reason}]" if reason else ""
+        return f"oracle inconsistent at pi={pi}: {detail}{code}"
 
 
 def cell_oracle(
@@ -229,7 +234,8 @@ def cell_oracle(
 ) -> CellReport:
     v = cell_dim_oracle(spec, system, H, pi, trials=trials, seed=seed)
     if v.kind == "inconsistent":
-        raise OracleDisagreement(pi, "trial disagreement or non-affine stage")
+        raise OracleDisagreement(pi, REASONS.get(v.reason, "no reason given"),
+                                 v.reason)
     if v.kind == "empty":
         return CellReport(pi, False, None, "oracle")
     return CellReport(pi, True, v.dim, "oracle")

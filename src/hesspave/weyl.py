@@ -73,7 +73,7 @@ class WeylElement:
         return WeylElement(self.system, tuple(win))
 
     def act(self, alpha: Root) -> Root:
-        pair, root = root_table(self.system)
+        pair, root, _, _ = _tables(self.system)
         p, q = pair[alpha]
         s = _signed_window(self.window)
         return root[s[p], s[q]]
@@ -82,11 +82,20 @@ class WeylElement:
         """|Phi_pi|: the positive roots pi sends negative (as many as pi^{-1}
         does), counted on the window."""
         s = _signed_window(self.window)
-        negative = negative_pairs(self.system)
-        return sum([negative[s[p]][s[q]] for p, q in positive_pairs(self.system)])
+        _, _, negative, positive = _tables(self.system)
+        return sum([negative[s[p]][s[q]] for p, q in positive])
 
     def __str__(self):
         return "[" + " ".join(str(w) for w in self.window) + "]"
+
+
+@lru_cache(maxsize=None)
+def _tables(system: RootSystemId) -> tuple:
+    """root_table's two maps, negative_pairs and positive_pairs of the
+    system in one tuple, so that a call reaches all of them with one cache
+    lookup (one hash of the system)."""
+    pair, root = root_table(system)
+    return pair, root, negative_pairs(system), positive_pairs(system)
 
 
 def _signed_window(window: tuple[int, ...]) -> list[int]:
@@ -137,9 +146,9 @@ def _enumerate_cached(system: RootSystemId) -> tuple[WeylElement, ...]:
 def inversion_set(pi: WeylElement) -> frozenset[Root]:
     """Positive roots sent negative by pi^{-1}."""
     s = signed_inverse(pi)
-    negative = negative_pairs(pi.system)
+    _, _, negative, positive = _tables(pi.system)
     return frozenset(
         a
-        for a, (p, q) in zip(positive_roots(pi.system), positive_pairs(pi.system))
+        for a, (p, q) in zip(positive_roots(pi.system), positive)
         if negative[s[p]][s[q]]
     )

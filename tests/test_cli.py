@@ -176,6 +176,23 @@ def test_pave_oracle_jobs_disagreement(capsys, monkeypatch):
     assert "oracle could not certify a dimension at pi=[1 2 3]" in err
 
 
+def test_oracle_reason_in_pave_and_verify(capsys, monkeypatch):
+    import hesspave.paving as paving_mod
+    from hesspave.orbit_oracle import OracleVerdict
+
+    monkeypatch.setattr(paving_mod, "cell_dim_oracle", lambda *a, **k:
+                        OracleVerdict("inconsistent", reason="no-progress"))
+    code, _, err = run(capsys, "pave", "--family", "A", "--rank", "2",
+                       "--regular-nilpotent", "--hess", "full",
+                       "--method", "oracle")
+    assert code == 3
+    assert "at pi=[1 2 3] (no-progress)" in err
+    code, out, _ = run(capsys, "verify", "--family", "A", "--rank", "2",
+                       "--regular-nilpotent", "--hess", "full")
+    assert code == 3
+    assert "FAIL" in out and "oracle=('inconsistent', 'no-progress')" in out
+
+
 def test_verify_all_hess(capsys):
     code, out, _ = run(capsys, "verify", "--family", "A", "--rank", "2",
                        "--nilpotent", "2,1", "--all-hess",

@@ -1,3 +1,4 @@
+import random
 import sys
 
 import pytest
@@ -290,3 +291,35 @@ def test_nonoverlap_under_conjugation():
     for spec, system, window in configs:
         pi = WeylElement(system, window)
         assert nonoverlap_check(spec, system, pi, samples=20)
+
+
+@pytest.mark.parametrize("system", [RootSystemId("A", 3), RootSystemId("B", 3),
+                                    RootSystemId("C", 3), RootSystemId("D", 4)],
+                         ids=str)
+def test_stage_system_functional_spanning_two_rows(system):
+    # a derived functional mixes a root of the stage's row with one of the
+    # next row down; the stage columns read the second bracket at both pivots
+    from hesspave.orbit_oracle import PRIME, _conjugate, _stage_system, cartan_matrix
+    from hesspave.rootsys import row_partition
+
+    rng = random.Random(f"span:{system}")
+    M = dict(cartan_matrix(system, [rng.randrange(PRIME)
+                                    for _ in range(ambient_dim(system))]))
+    for a in positive_roots(system):
+        x = rng.randrange(PRIME)
+        for rc, s in root_entries(system, a):
+            M[rc] = (M.get(rc, 0) + x * s) % PRIME
+
+    def f(fd, D):
+        return sum(c * coeff_at(system, D, a) for a, c in fd.items()) % PRIME
+
+    rows = row_partition(system).rows
+    for i in range(len(rows) - 1):
+        row, below = rows[i], rows[i + 1]
+        funcs = [{row[-1]: rng.randrange(1, PRIME), below[0]: rng.randrange(1, PRIME)},
+                 {row[0]: 1, below[-1]: PRIME - 1}]
+        b, cols = _stage_system(system, M, list(row), funcs)
+        assert b == [f(fd, M) for fd in funcs]
+        for v, col in zip(row, cols):
+            Mv = _conjugate(system, M, {v: 1}, PRIME)
+            assert col == [(f(fd, Mv) - f(fd, M)) % PRIME for fd in funcs]

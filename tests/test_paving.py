@@ -251,3 +251,21 @@ def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         cell_report(RegularNilpotent(), system, borel_space(system),
                     identity(system), method="guess")
+
+
+def test_oracle_disagreement_names_the_reason(monkeypatch):
+    import pickle
+
+    import hesspave.paving as paving_mod
+    from hesspave.orbit_oracle import REASONS, OracleVerdict
+
+    system = RootSystemId("A", 2)
+    monkeypatch.setattr(paving_mod, "cell_dim_oracle", lambda *a, **k:
+                        OracleVerdict("inconsistent", reason="late-pin"))
+    w = WeylElement(system, (2, 1, 3))
+    with pytest.raises(OracleDisagreement) as err:
+        paving_mod.cell_oracle(RegularNilpotent(), system, borel_space(system), w)
+    e = pickle.loads(pickle.dumps(err.value))
+    assert e.pi == w and e.reason == "late-pin"
+    assert str(e) == str(err.value)
+    assert REASONS["late-pin"] in str(e) and "[late-pin]" in str(e)

@@ -1,0 +1,276 @@
+"""The oracle's stability test on the trial's own tower.
+
+_stability_stage takes one of its two constrained towers from the states
+the trial tower recorded, continued past the infeasible stage, and replays
+only the other one.  The reference below is the two-fresh-replay version
+it replaced, kept as it was apart from reading the cell's stages and
+evaluating functionals with coeff_at.  Swapping it in must not change any
+cell's verdict, the number of derived functionals of any solve, or the
+stability values they got.  The tests below also check that stale recorded
+states are cut, that the late-pin check runs on the recorded continuation,
+and that each reason code of an "inconsistent" verdict is reachable.
+"""
+
+import itertools
+from collections import Counter
+
+import pytest
+
+from hesspave import orbit_oracle
+from hesspave.hessenberg import HessFunction, borel_space, from_h, peterson_space
+from hesspave.operators import RegularNilpotent, TypeAGeneral, TypeANilpotent
+from hesspave.orbit_oracle import (
+    PRIME,
+    _conjugate,
+    _solve_affine,
+    _stage_funcs,
+    _stage_system,
+    cell_dim_oracle,
+    coeff_at,
+)
+from hesspave.rootsys import RootSystemId
+from hesspave.weyl import WeylElement, enumerate_weyl
+
+
+def _fresh_replay_stability(system, M0, stages, extra, fdict, rng):
+    """Two fresh constrained towers from M0 per derived functional."""
+    def feval(M):
+        return sum(c * coeff_at(system, M, a) for a, c in fdict.items()) % PRIME
+
+    best = 0
+    for _ in range(2):
+        M = dict(M0)
+        vals = [feval(M)]
+        broken = False
+        for t, (vrs, conds) in enumerate(stages):
+            if not vrs:
+                vals.append(vals[-1])
+                continue
+            assign = None
+            if not broken:
+                funcs = _stage_funcs(conds, extra, t)
+                if funcs:
+                    b, cols = _stage_system(system, M, vrs, funcs)
+                    sol = _solve_affine(cols, b, rng)
+                    if sol[0] == "ok":
+                        assign = sol[2]
+                    else:
+                        broken = True
+            if assign is None:
+                assign = [rng.randrange(1, PRIME) for _ in vrs]
+            M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
+            vals.append(feval(M))
+        s = len(stages)
+        while s > 0 and vals[s - 1] == vals[-1]:
+            s -= 1
+        best = max(best, s)
+    return best
+
+
+def _pinning_stage(vals):
+    s = len(vals) - 1
+    while s > 0 and vals[s - 1] == vals[-1]:
+        s -= 1
+    return s
+
+
+def _a3(*h):
+    return from_h(HessFunction(h))
+
+
+LEVI = TypeAGeneral((("x", (2,)), ("y", (1, 1))))
+CASES = [
+    (RegularNilpotent(), RootSystemId("A", 3), peterson_space, False),
+    (RegularNilpotent(), RootSystemId("B", 3), peterson_space, False),
+    (RegularNilpotent(), RootSystemId("C", 3), peterson_space, False),
+    # attaches derived functionals, some while states recorded before them
+    # are still in use (the replay from a stale stage)
+    (RegularNilpotent(), RootSystemId("D", 4), peterson_space, True),
+    (RegularNilpotent(), RootSystemId("D", 4), borel_space, False),
+    (TypeANilpotent((2, 1, 1)), RootSystemId("A", 3), lambda _: _a3(2, 3, 4, 4),
+     False),
+    (TypeANilpotent((2, 2)), RootSystemId("A", 3), lambda _: _a3(3, 3, 4, 4),
+     False),
+    (LEVI, RootSystemId("A", 3), borel_space, False),
+]
+IDS = ["A3", "B3", "C3", "D4", "D4 borel", "A3 2,1,1", "A3 2,2", "A3 x:2|y:1,1"]
+
+
+def _oracle_log(monkeypatch, spec, system, H, reference):
+    """Per-cell verdicts and, per solve, (derived functionals attached,
+    multiset of stability values), with the library's stability test or the
+    reference swapped in."""
+    solves = []
+    real_solve = orbit_oracle._solve_once
+    real_stability = orbit_oracle._stability_stage
+
+    def solve(*args):
+        solves.append({"extra": [], "values": []})
+        return real_solve(*args)
+
+    samples = []
+    real_values = orbit_oracle._tower_values
+
+    def values(*args):
+        vals = real_values(*args)
+        samples.append(_pinning_stage(vals))
+        return vals
+
+    def stability(system, stages, extra, fdict, rng, states, broken):
+        samples.clear()
+        if reference:
+            s = _fresh_replay_stability(system, states[0], stages, extra, fdict,
+                                        rng)
+        else:
+            s = real_stability(system, stages, extra, fdict, rng, states, broken)
+            # the recorded tower on its own answers like the fresh replay;
+            # the maximum of the two would hide a recorded sample pinning
+            # too early
+            recorded, fresh = samples
+            assert recorded == fresh == s
+        solves[-1]["extra"] = extra
+        solves[-1]["values"].append(s)
+        return s
+
+    monkeypatch.setattr(orbit_oracle, "_solve_once", solve)
+    monkeypatch.setattr(orbit_oracle, "_stability_stage", stability)
+    monkeypatch.setattr(orbit_oracle, "_tower_values", values)
+    verdicts = [cell_dim_oracle(spec, system, H, pi, trials=2, seed=3)
+                for pi in enumerate_weyl(system)]
+    monkeypatch.undo()
+    return verdicts, [(len(s["extra"]), Counter(s["values"])) for s in solves]
+
+
+@pytest.mark.parametrize("spec,system,space,attaches", CASES, ids=IDS)
+def test_recorded_tower_matches_fresh_replays(monkeypatch, spec, system, space,
+                                              attaches):
+    H = space(system)
+    got = _oracle_log(monkeypatch, spec, system, H, reference=False)
+    want = _oracle_log(monkeypatch, spec, system, H, reference=True)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert any(values for _, values in got[1])  # the stability test ran
+    assert any(n for n, _ in got[1]) == attaches
+
+
+def test_stale_recorded_states_are_cut_at_the_new_functionals_stage(monkeypatch):
+    # a functional attached after the trial ran (an earlier combination of
+    # the same infeasible stage) makes the recorded states from its stage on
+    # stale: the recorded sample must restart there, constrained
+    system = RootSystemId("D", 4)
+    H = peterson_space(system)
+    trial = {}
+    real_run = orbit_oracle._run_tower
+    real_stability = orbit_oracle._stability_stage
+
+    def run(system, M0, stages, extra, rng):
+        status, payload = real_run(system, M0, stages, extra, rng)
+        if status == "infeasible":
+            trial.update(states=payload[3], broken=payload[4], attached=len(extra))
+        return status, payload
+
+    cuts = []
+
+    def stability(system, stages, extra, fdict, rng, states, broken):
+        new = [s for s, _ in extra[trial["attached"]:]]
+        if new:
+            cuts.append((len(states), min(new) + 1, broken))
+            assert all(a is b for a, b in zip(states, trial["states"]))
+        else:
+            assert states is trial["states"] and broken == trial["broken"]
+        return real_stability(system, stages, extra, fdict, rng, states, broken)
+
+    monkeypatch.setattr(orbit_oracle, "_run_tower", run)
+    monkeypatch.setattr(orbit_oracle, "_stability_stage", stability)
+    for pi in enumerate_weyl(system):
+        cell_dim_oracle(RegularNilpotent(), system, H, pi, trials=2, seed=3)
+    assert cuts
+    assert all(n == m and not broken for n, m, broken in cuts)
+
+
+def test_late_pin_is_checked_on_the_recorded_continuation(monkeypatch):
+    # Perturb every value the recorded tower takes past its recorded
+    # states: the functional then moves after the stage that produced it,
+    # which only the continuation past that stage can see.
+    system = RootSystemId("D", 4)
+    H = peterson_space(system)
+    pi = WeylElement(system, (-1, -2, -3, -4))
+    assert cell_dim_oracle(RegularNilpotent(), system, H, pi) == \
+        orbit_oracle.OracleVerdict("dim", 4)
+    real_values = orbit_oracle._tower_values
+    real_feval = orbit_oracle._feval
+    recorded = []
+
+    def values(system, stages, extra, pivots, rng, states, broken):
+        if len(states) == 1:  # the fresh replay
+            return real_values(system, stages, extra, pivots, rng, states, broken)
+        recorded.append(len(states))
+
+        def moved(M, pivots):
+            bump = 0 if any(M is S for S in states) else 1
+            return (real_feval(M, pivots) + bump) % PRIME
+
+        monkeypatch.setattr(orbit_oracle, "_feval", moved)
+        try:
+            return real_values(system, stages, extra, pivots, rng, states, broken)
+        finally:
+            monkeypatch.setattr(orbit_oracle, "_feval", real_feval)
+
+    monkeypatch.setattr(orbit_oracle, "_tower_values", values)
+    verdict = cell_dim_oracle(RegularNilpotent(), system, H, pi)
+    assert recorded
+    assert verdict == orbit_oracle.OracleVerdict("inconsistent", reason="late-pin")
+
+
+
+# --- reason codes ---------------------------------------------------------------
+
+
+def _d4_top():
+    system = RootSystemId("D", 4)
+    return system, peterson_space(system), WeylElement(system, (-1, -2, -3, -4))
+
+
+def _reason(system, H, pi, spec=RegularNilpotent()):
+    verdict = cell_dim_oracle(spec, system, H, pi)
+    assert verdict.kind == "inconsistent" and verdict.dim is None
+    assert verdict.reason in orbit_oracle.REASONS
+    return verdict.reason
+
+
+def test_reason_nonaffine(monkeypatch):
+    # a wrong column breaks the affineness probe's prediction
+    real = orbit_oracle._stage_system
+
+    def skewed(system, M, vrs, funcs):
+        b, cols = real(system, M, vrs, funcs)
+        if cols:
+            cols[0][0] = (cols[0][0] + 1) % PRIME
+        return b, cols
+
+    monkeypatch.setattr(orbit_oracle, "_stage_system", skewed)
+    assert _reason(*_d4_top()) == "nonaffine"
+
+
+def test_reason_no_progress(monkeypatch):
+    # every combination of an infeasible stage comes out empty
+    monkeypatch.setattr(orbit_oracle, "_combine", lambda funcs, combo: {})
+    assert _reason(*_d4_top()) == "no-progress"
+
+
+def test_reason_max_derived(monkeypatch):
+    monkeypatch.setattr(orbit_oracle, "MAX_DERIVED", 0)
+    assert _reason(*_d4_top()) == "max-derived"
+
+
+def test_reason_trial_split(monkeypatch):
+    answers = itertools.cycle([("dim", 4), ("empty", None)])
+    monkeypatch.setattr(orbit_oracle, "_solve_once", lambda *a: next(answers))
+    assert _reason(*_d4_top()) == "trial-split"
+
+
+def test_reason_late_pin(monkeypatch):
+    # a derived functional that looks pinned only after its own stage
+    monkeypatch.setattr(orbit_oracle, "_stability_stage",
+                        lambda system, stages, *a: len(stages))
+    assert _reason(*_d4_top()) == "late-pin"
