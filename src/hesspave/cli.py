@@ -12,7 +12,6 @@ import json
 import sys
 
 from .hessenberg import (
-    ENUM_RANK_CAP,
     HessenbergSpace,
     HessFunction,
     borel_space,
@@ -39,6 +38,7 @@ from .paving import (
     spec_label,
 )
 from .rootsys import (
+    ResourceCapError,
     Root,
     RootSystemId,
     negative_roots,
@@ -47,9 +47,8 @@ from .rootsys import (
     row_partition,
     row_structure_kind,
     verticality_check,
-    weyl_order,
 )
-from .weyl import MAX_WEYL_ORDER, enumerate_weyl
+from .weyl import enumerate_weyl
 
 __all__ = ["main"]
 
@@ -60,10 +59,6 @@ EXIT_RESOURCE = 4
 
 
 class ConfigError(Exception):
-    pass
-
-
-class ResourceCap(Exception):
     pass
 
 
@@ -148,13 +143,6 @@ def _hess_text(H: HessenbergSpace) -> str:
     return str(H)
 
 
-def _weyl_guard(system: RootSystemId):
-    if weyl_order(system) > MAX_WEYL_ORDER:
-        raise ResourceCap(
-            f"Weyl group of {system} exceeds {MAX_WEYL_ORDER} elements"
-        )
-
-
 def _window_str(pi) -> str:
     return " ".join(str(w) for w in pi.window)
 
@@ -202,8 +190,6 @@ def cmd_roots(args) -> int:
 
 def cmd_spaces(args) -> int:
     system = _system(args)
-    if system.rank > ENUM_RANK_CAP:
-        raise ResourceCap(f"space enumeration capped at rank {ENUM_RANK_CAP}")
     spaces = enumerate_spaces(system)
     if args.format == "json":
         obj = {
@@ -226,7 +212,6 @@ def cmd_spaces(args) -> int:
 
 def cmd_pave(args) -> int:
     system = _system(args)
-    _weyl_guard(system)
     spec = _operator(args, system)
     if not args.hess:
         raise ConfigError("pave needs --hess")
@@ -270,11 +255,8 @@ def _tableau_applies(spec, system: RootSystemId) -> bool:
 
 def cmd_verify(args) -> int:
     system = _system(args)
-    _weyl_guard(system)
     spec = _operator(args, system)
     if args.all_hess:
-        if system.rank > ENUM_RANK_CAP:
-            raise ResourceCap(f"space enumeration capped at rank {ENUM_RANK_CAP}")
         spaces = enumerate_spaces(system)
     elif args.hess:
         spaces = (_hess(args.hess, system),)
@@ -389,7 +371,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResourceCap as e:
+    except ResourceCapError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_RESOURCE
 

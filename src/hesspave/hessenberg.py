@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .rootsys import (
+    ResourceCapError,
     Root,
     RootSystemId,
-    negative_roots,
-    positive_pairs,
-    positive_root_set,
     positive_roots,
-    root_table,
+    root_index,
     simple_roots,
     type_a_root,
 )
@@ -49,16 +47,16 @@ class HessenbergSpace:
     roots: frozenset[Root]
 
     def __post_init__(self):
-        pos = positive_root_set(self.system)
+        index = root_index(self.system)
+        pos = index.positive_set
         if not pos <= self.roots:
             raise ValueError("Hessenberg space must contain all positive roots")
-        allr = pos | {-a for a in pos}
-        if not self.roots <= allr:
+        if not self.roots.issubset(index.pair):
             raise ValueError("Hessenberg space contains non-roots")
         for a in self.roots:
             for g in pos:
                 s = a + g
-                if s in allr and s not in self.roots:
+                if s in index.pair and s not in self.roots:
                     raise ValueError(
                         f"not closed under addition of positive roots: "
                         f"{a} + {g} = {s} missing"
@@ -68,7 +66,7 @@ class HessenbergSpace:
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The signed position pairs of M_H, each in both orders, so that
         pi^{-1} a in M_H is one lookup of the image pair."""
-        pair = root_table(self.system)[0]
+        pair = root_index(self.system).pair
         return frozenset(
             pq for a in self.roots for pq in (pair[a], pair[a][::-1])
         )
@@ -131,9 +129,10 @@ def all_hess_functions(n: int):
 def enumerate_spaces(system: RootSystemId) -> tuple[HessenbergSpace, ...]:
     """All Hessenberg spaces, as down-closed negative parts over Phi+."""
     if system.rank > ENUM_RANK_CAP:
-        raise ValueError(f"enumeration capped at rank {ENUM_RANK_CAP}")
-    pos = positive_roots(system)  # height-ascending
-    pos_set = positive_root_set(system)
+        raise ResourceCapError(f"space enumeration capped at rank {ENUM_RANK_CAP}")
+    index = root_index(system)
+    pos = index.positive  # height-ascending
+    pos_set = index.positive_set
     # preds[a] = roots that must already be chosen before a may be
     preds = {a: frozenset(a - g for g in pos_set if (a - g) in pos_set) for a in pos}
     spaces: list[frozenset[Root]] = []
@@ -150,8 +149,7 @@ def enumerate_spaces(system: RootSystemId) -> tuple[HessenbergSpace, ...]:
             chosen.remove(a)
 
     rec(0, set())
-    base = pos_set
-    out = [HessenbergSpace(system, frozenset(base | {-a for a in ideal}))
+    out = [HessenbergSpace(system, pos_set | {-a for a in ideal})
            for ideal in spaces]
     out.sort(key=lambda H: (len(H.roots), sorted(a.coeffs for a in H.roots)))
     return tuple(out)
@@ -189,21 +187,20 @@ def peterson_space(system: RootSystemId) -> HessenbergSpace:
 
 
 def borel_space(system: RootSystemId) -> HessenbergSpace:
-    return HessenbergSpace(system, positive_root_set(system))
+    return HessenbergSpace(system, root_index(system).positive_set)
 
 
 def full_space(system: RootSystemId) -> HessenbergSpace:
-    return HessenbergSpace(
-        system, positive_root_set(system) | frozenset(negative_roots(system))
-    )
+    return HessenbergSpace(system, frozenset(root_index(system).pair))
 
 
 def complement_roots(H: HessenbergSpace, pi: WeylElement) -> frozenset[Root]:
     """C_{pi.H} = Phi+ minus pi(M_H)."""
     s = signed_inverse(pi)
     pairs = H.pairs
+    index = root_index(H.system)
     return frozenset(
         a
-        for a, (p, q) in zip(positive_roots(H.system), positive_pairs(H.system))
+        for a, (p, q) in zip(index.positive, index.positive_pairs)
         if (s[p], s[q]) not in pairs
     )

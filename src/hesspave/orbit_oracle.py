@@ -34,11 +34,11 @@ from .hessenberg import HessenbergSpace, complement_roots
 from .operators import canonical_form, levi_roots, semisimple_functional
 from .polynomial import Poly
 from .rootsys import (
+    ResourceCapError,
     Root,
     RootSystemId,
-    euclidean,
     positive_roots,
-    root_table,
+    root_index,
     row_partition,
     simple_roots,
 )
@@ -76,28 +76,24 @@ def matrix_dim(system: RootSystemId) -> int:
 
 @lru_cache(maxsize=None)
 def root_entries(system: RootSystemId, alpha: Root) -> tuple:
-    """((row, col), coeff) pairs of E_alpha; the first entry is the pivot."""
-    v = euclidean(system, alpha)
+    """((row, col), coeff) pairs of E_alpha; the first entry is the pivot.
+
+    A positive root with signed pair (p, q) is eps_p + eps_q, where
+    eps_k = sgn(k) e_|k| and eps_0 = 0 (in type C, (p, 0) is 2 eps_p).
+    Signed position k is matrix index k, -k is its mirror N + 1 - k, and 0
+    is type B's middle row, so E_alpha sends the basis vector at -q to p
+    and the one at -p to q."""
     if alpha.is_negative:
         return tuple(((c, r), x) for (r, c), x in root_entries(system, -alpha))
-    fam, n = system.family, system.rank
+    p, q = root_index(system).pair[alpha]
+    if system.family == "A":  # e_p - e_{-q}
+        return (((p, -q), 1),)
     N = matrix_dim(system)
-    bar = lambda k: N + 1 - k
-    nz = [(k, x) for k, x in enumerate(v, start=1) if x]
-    if fam == "A":
-        (i, _), (j, _) = nz
-        return (((i, j), 1),)
-    if len(nz) == 1:
-        (i, x) = nz[0]
-        if x == 2:  # type C long root 2e_i
-            return (((i, bar(i)), 1),)
-        return (((i, n + 1), 1), ((n + 1, bar(i)), -1))  # type B short root e_i
-    (i, xi), (j, xj) = nz
-    if xj == -1:  # e_i - e_j
-        return (((i, j), 1), ((bar(j), bar(i)), -1))
-    if fam == "C":  # e_i + e_j
-        return (((i, bar(j)), 1), ((j, bar(i)), 1))
-    return (((i, bar(j)), 1), ((j, bar(i)), -1))  # e_i + e_j in B/D
+    place = lambda k: k if k > 0 else N + 1 + k if k else system.rank + 1
+    if system.family == "C" and not q:  # 2e_p
+        return (((p, place(-p)), 1),)
+    sign = 1 if system.family == "C" and q > 0 else -1
+    return (((p, place(-q)), 1), ((place(q), place(-p)), sign))
 
 
 def coeff_at(system: RootSystemId, M: dict, alpha: Root):
@@ -245,7 +241,8 @@ def _conjugate_rows(system: RootSystemId, M: dict, roots, draw, mod=None) -> dic
 def _symbolic_rows(system: RootSystemId, M0: dict, roots) -> dict:
     """Exact generic conjugate over Poly, within SYMBOLIC_RANK_CAP."""
     if system.rank > SYMBOLIC_RANK_CAP:
-        raise ValueError(f"symbolic conjugation capped at rank {SYMBOLIC_RANK_CAP}")
+        raise ResourceCapError(
+            f"symbolic conjugation capped at rank {SYMBOLIC_RANK_CAP}")
     return _conjugate_rows(system, M0, roots, lambda a: Poly.var(f"x[{a}]"))
 
 
@@ -389,10 +386,10 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
         else:
             plan.append((row, row))
     residues = tuple((rc, v % PRIME) for rc, v in matrix)
-    pair = root_table(system)[0]
+    index = root_index(system)
     return _SpecData(residues, tuple(plan), matrix, support, levi,
-                     tuple(pair[b] for b in support),
-                     tuple(a in levi for a in positive_roots(system)))
+                     tuple(index.pair[b] for b in support),
+                     tuple(a in levi for a in index.positive))
 
 
 def _solve_affine(cols, b, rng):

@@ -15,7 +15,7 @@ For a regular semisimple operator (N = 0, Phi_l empty) this is the De
 Mari-Procesi-Shayman count #{a in Phi_pi : pi^{-1} a in M_H}; for a
 nilpotent one (S = 0) the first set is empty and only orbit roots remain.
 
-The formula reads roots as signed position pairs (rootsys.root_table):
+The formula reads roots as signed position pairs (rootsys.root_index):
 pi^{-1}'s signed window maps a pair entrywise, a per-system table says
 whether the image is negative (a in Phi_pi), and a per-space pair set says
 whether it lies in M_H.  Each cell is then integer lookups over Phi+, with
@@ -41,14 +41,7 @@ from .operators import (
     multidiagram_of,
 )
 from .orbit_oracle import REASONS, _oracle_data, cell_dim_oracle, orbit_roots
-from .rootsys import (
-    RootSystemId,
-    negative_pairs,
-    positive_pairs,
-    positive_roots,
-    root_table,
-    weyl_order,
-)
+from .rootsys import RootSystemId, root_index, weyl_order
 from .tableaux import Filling, multidiagram_dimension, multidiagram_nonempty
 from .weyl import WeylElement, enumerate_weyl, signed_inverse
 
@@ -161,10 +154,11 @@ def cell_formula(
     in_H = H.pairs
     if any((s[p], s[q]) not in in_H for p, q in data.support_pairs):
         return CellReport(pi, False, None, "formula")
-    negative = negative_pairs(system)
+    index = root_index(system)
+    negative = index.negative
     length = outside = 0
     levi_inversions = []
-    for k, (p, q) in enumerate(positive_pairs(system)):
+    for k, (p, q) in enumerate(index.positive_pairs):
         x, y = s[p], s[q]
         if negative[x][y]:
             length += 1
@@ -173,14 +167,13 @@ def cell_formula(
             elif (x, y) not in in_H:
                 outside += 1
     if data.support:
-        pos = positive_roots(system)
+        pos = index.positive
         orbit = orbit_roots(spec, system, pi, seed=seed,
                             levi_inversions=frozenset(pos[k] for k in levi_inversions))
         # M_H contains Phi+, so an orbit root outside Phi_l with pi^{-1} a
         # outside M_H lies in Phi_pi minus Phi_l and was counted above
-        pair = root_table(system)[0]
         for a in orbit & data.levi:
-            p, q = pair[a]
+            p, q = index.pair[a]
             if (s[p], s[q]) not in in_H:
                 outside += 1
     return CellReport(pi, True, length - outside, "formula")

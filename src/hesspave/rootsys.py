@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "RootSystemId",
@@ -29,13 +30,18 @@ __all__ = [
     "root_gt",
     "type_a_root",
     "euclidean",
-    "root_table",
-    "positive_pairs",
-    "negative_pairs",
+    "RootIndex",
+    "root_index",
     "weyl_order",
+    "ResourceCapError",
 ]
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
+class ResourceCapError(ValueError):
+    """A request past one of the library's resource caps (Weyl group order,
+    space enumeration rank, symbolic conjugation rank)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -173,11 +179,6 @@ def all_roots(system: RootSystemId) -> tuple[Root, ...]:
     return positive_roots(system) + negative_roots(system)
 
 
-@lru_cache(maxsize=None)
-def positive_root_set(system: RootSystemId) -> frozenset[Root]:
-    return frozenset(positive_roots(system))
-
-
 def row_of(alpha: Root) -> int:
     """Row index: position of the first nonzero coefficient (1-based)."""
     for i, c in enumerate(alpha.coeffs, start=1):
@@ -245,9 +246,9 @@ def row_structure_kind(system: RootSystemId, i: int) -> str:
 
 def extremal_roots(system: RootSystemId, alpha: Root) -> frozenset[Root]:
     """Positive roots beta with alpha - beta again a positive root."""
-    if not alpha.is_positive or alpha not in positive_root_set(system):
+    pos = root_index(system).positive_set
+    if alpha not in pos:
         raise ValueError(f"{alpha} is not a positive root of {system}")
-    pos = positive_root_set(system)
     return frozenset(b for b in pos if (alpha - b) in pos)
 
 
@@ -286,8 +287,8 @@ def verticality_check(partition: RowPartition) -> bool:
 # --- Euclidean realization and signed position pairs ------------------------
 #
 # A_n lives in R^{n+1} with alpha_i = e_i - e_{i+1}; B/C/D live in R^n with
-# the usual simple roots.  Used for the matrix models, and once per system
-# to build the pair table the Weyl action reads.
+# the usual simple roots.  Read once per system to build the root index,
+# and by the semisimple functional.
 
 
 def ambient_dim(system: RootSystemId) -> int:
@@ -318,46 +319,45 @@ def euclidean(system: RootSystemId, alpha: Root) -> tuple[int, ...]:
     return tuple(v)
 
 
-@lru_cache(maxsize=None)
-def root_table(
-    system: RootSystemId,
-) -> tuple[dict[Root, tuple[int, int]], dict[tuple[int, int], Root]]:
-    """Every root, positive and negative, to its signed position pair, and
-    each pair, in either order, back to its root.
+class RootIndex(NamedTuple):
+    """Every root of a system read as a signed position pair.
 
     The pair lists the root's nonzero Euclidean coordinates as signed
     positions, smaller position first: e_i - e_j is (i, -j), e_i + e_j is
     (i, j), and e_i or 2e_i is (i, 0); the family fixes which of the last
     two exists.  A signed permutation w sends position k to sgn(k) w(|k|),
     so it acts on a pair entrywise."""
+
+    positive: tuple[Root, ...]  # positive_roots(system), in that order
+    positive_set: frozenset[Root]
+    pair: dict[Root, tuple[int, int]]  # every root, positive and negative
+    root: dict[tuple[int, int], Root]  # each pair, in either order
+    positive_pairs: tuple[tuple[int, int], ...]  # the pairs of positive
+    # negative[x][y], for signed positions read with Python's negative
+    # indexing: whether (x, y) is the pair of a negative root, that is,
+    # whether its entry of smaller |position| is negative
+    negative: tuple[tuple[bool, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def root_index(system: RootSystemId) -> RootIndex:
+    """The one per-system root lookup, built once from the Euclidean
+    realization."""
+    positive = positive_roots(system)
     pair = {}
     for a in all_roots(system):
         v = euclidean(system, a)
         signed = [i if c > 0 else -i for i, c in enumerate(v, start=1) if c]
         pair[a] = (signed[0], signed[1] if len(signed) > 1 else 0)
     root = {}
-    for a, (p, q) in pair.items():
-        root[p, q] = root[q, p] = a
-    return pair, root
-
-
-@lru_cache(maxsize=None)
-def positive_pairs(system: RootSystemId) -> tuple[tuple[int, int], ...]:
-    """The pairs of positive_roots(system), in that order."""
-    pair = root_table(system)[0]
-    return tuple(pair[a] for a in positive_roots(system))
-
-
-@lru_cache(maxsize=None)
-def negative_pairs(system: RootSystemId) -> tuple[tuple[bool, ...], ...]:
-    """negative[x][y], for signed positions x and y read with Python's
-    negative indexing: whether (x, y) is the pair of a negative root, that
-    is, whether its entry of smaller |position| is negative."""
     size = 2 * ambient_dim(system) + 1
     negative = [[False] * size for _ in range(size)]
-    for a, (p, q) in root_table(system)[0].items():
+    for a, (p, q) in pair.items():
+        root[p, q] = root[q, p] = a
         negative[p][q] = negative[q][p] = a.is_negative
-    return tuple(tuple(row) for row in negative)
+    return RootIndex(positive, frozenset(positive), pair, root,
+                     tuple(pair[a] for a in positive),
+                     tuple(tuple(row) for row in negative))
 
 
 def weyl_order(system: RootSystemId) -> int:

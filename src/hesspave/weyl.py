@@ -3,7 +3,7 @@
 Type A_n elements are permutations of {1..n+1}; types B/C are signed
 permutations of {1..n}; type D keeps only windows with an even number of
 sign changes.  pi sends e_k to sgn(w_k) e_{|w_k|}, so it acts on a root's
-signed position pair (rootsys.root_table) entrywise by k -> sgn(k) w(|k|):
+signed position pair (rootsys.root_index) entrywise by k -> sgn(k) w(|k|):
 the action, inversion sets and lengths are integer lookups on a window.
 """
 
@@ -14,13 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .rootsys import (
+    ResourceCapError,
     Root,
     RootSystemId,
     ambient_dim,
-    negative_pairs,
-    positive_pairs,
-    positive_roots,
-    root_table,
+    root_index,
     weyl_order,
 )
 
@@ -73,29 +71,21 @@ class WeylElement:
         return WeylElement(self.system, tuple(win))
 
     def act(self, alpha: Root) -> Root:
-        pair, root, _, _ = _tables(self.system)
-        p, q = pair[alpha]
+        index = root_index(self.system)
+        p, q = index.pair[alpha]
         s = _signed_window(self.window)
-        return root[s[p], s[q]]
+        return index.root[s[p], s[q]]
 
     def length(self) -> int:
         """|Phi_pi|: the positive roots pi sends negative (as many as pi^{-1}
         does), counted on the window."""
         s = _signed_window(self.window)
-        _, _, negative, positive = _tables(self.system)
-        return sum([negative[s[p]][s[q]] for p, q in positive])
+        index = root_index(self.system)
+        negative = index.negative
+        return sum([negative[s[p]][s[q]] for p, q in index.positive_pairs])
 
     def __str__(self):
         return "[" + " ".join(str(w) for w in self.window) + "]"
-
-
-@lru_cache(maxsize=None)
-def _tables(system: RootSystemId) -> tuple:
-    """root_table's two maps, negative_pairs and positive_pairs of the
-    system in one tuple, so that a call reaches all of them with one cache
-    lookup (one hash of the system)."""
-    pair, root = root_table(system)
-    return pair, root, negative_pairs(system), positive_pairs(system)
 
 
 def _signed_window(window: tuple[int, ...]) -> list[int]:
@@ -126,7 +116,8 @@ def enumerate_weyl(system: RootSystemId) -> tuple[WeylElement, ...]:
 @lru_cache(maxsize=None)
 def _enumerate_cached(system: RootSystemId) -> tuple[WeylElement, ...]:
     if weyl_order(system) > MAX_WEYL_ORDER:
-        raise ValueError(f"Weyl group of {system} exceeds {MAX_WEYL_ORDER} elements")
+        raise ResourceCapError(
+            f"Weyl group of {system} exceeds {MAX_WEYL_ORDER} elements")
     fam = system.family
     m = ambient_dim(system)
     if fam == "A":
@@ -146,9 +137,10 @@ def _enumerate_cached(system: RootSystemId) -> tuple[WeylElement, ...]:
 def inversion_set(pi: WeylElement) -> frozenset[Root]:
     """Positive roots sent negative by pi^{-1}."""
     s = signed_inverse(pi)
-    _, _, negative, positive = _tables(pi.system)
+    index = root_index(pi.system)
+    negative = index.negative
     return frozenset(
         a
-        for a, (p, q) in zip(positive_roots(pi.system), positive)
+        for a, (p, q) in zip(index.positive, index.positive_pairs)
         if negative[s[p]][s[q]]
     )

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from hesspave import cli
-from hesspave.rootsys import RootSystemId, weyl_order
-from hesspave.weyl import MAX_WEYL_ORDER
+from hesspave.hessenberg import enumerate_spaces
+from hesspave.orbit_oracle import _symbolic_rows
+from hesspave.rootsys import ResourceCapError, RootSystemId, weyl_order
+from hesspave.weyl import MAX_WEYL_ORDER, enumerate_weyl
 
 
 def run(capsys, *argv):
@@ -159,6 +161,31 @@ def test_pave_weyl_cap(capsys):
     code, _, err = run(capsys, "pave", "--family", "A", "--rank", "9",
                        "--regular-nilpotent", "--hess", "borel")
     assert code == 4 and "resource cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--rank", "9", "--regular-nilpotent", "--hess", "peterson"),
+    ("--rank", "8", "--regular-nilpotent", "--all-hess"),
+], ids=["weyl-order", "space-enumeration"])
+def test_verify_resource_caps(capsys, argv):
+    code, out, err = run(capsys, "verify", "--family", "A", *argv)
+    assert code == 4 and "resource cap" in err and not out
+
+
+def test_malformed_operator_precedes_the_cap(capsys):
+    code, _, err = run(capsys, "pave", "--family", "A", "--rank", "9",
+                       "--nilpotent", "3,3", "--hess", "borel")
+    assert code == 2 and "expected 10" in err
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_weyl(RootSystemId("A", 9)),
+    lambda: enumerate_spaces(RootSystemId("A", 8)),
+    lambda: _symbolic_rows(RootSystemId("B", 6), {}, frozenset()),
+], ids=["enumerate_weyl", "enumerate_spaces", "symbolic_rows"])
+def test_library_caps_raise_resource_cap_error(call):
+    with pytest.raises(ResourceCapError):
+        call()
 
 
 def test_pave_oracle_jobs_disagreement(capsys, monkeypatch):

@@ -10,13 +10,24 @@ coefficients and the partition alone, without hesspave's root or Weyl code.
 - The type-A Springer fibre of Jordan type lambda (H = Borel) has Euler
   characteristic n!/prod(lambda_i!) and dimension
   n(lambda) = sum (i - 1) lambda_i.
+- A regular semisimple operator on the Peterson space has the W-Eulerian
+  numbers as Betti numbers (De Mari-Procesi-Shayman, Trans. AMS 332, 1992).
+- The type-A regular nilpotent on h has Poincare polynomial
+  prod_j [h(j) - j + 1]_{x^2}.
 """
 
+import itertools
 import math
 
 import pytest
 
-from hesspave.hessenberg import borel_space, enumerate_spaces
+from hesspave.hessenberg import (
+    all_hess_functions,
+    borel_space,
+    enumerate_spaces,
+    from_h,
+    peterson_space,
+)
 from hesspave.operators import (
     RegularNilpotent,
     SemisimpleClassical,
@@ -41,6 +52,7 @@ REGULAR = [
     ("A3 x:2|y:2", _general("x:2|y:2"), RootSystemId("A", 3)),
     ("A3 x:3|y:1", _general("x:3|y:1"), RootSystemId("A", 3)),
     ("A3 x:1|y:1|z:2", _general("x:1|y:1|z:2"), RootSystemId("A", 3)),
+    ("A4 x:3|y:2", _general("x:3|y:2"), RootSystemId("A", 4)),
 ]
 
 
@@ -103,3 +115,66 @@ def test_type_a_springer_fibre(lam):
     assert poly.euler_characteristic() == euler
     n_lambda = sum(i * p for i, p in enumerate(lam))
     assert len(poly.as_list()) - 1 == 2 * n_lambda
+
+
+def _signed_descents(family, n):
+    """Number of signed permutations of {1..n} (even sign changes in type D)
+    by descents: with key(x) = sgn(x)(n + 1 - |x|), position i < n is a
+    descent when key(w_i) < key(w_{i+1}), and position n when w_n < 0 (B/C)
+    or key(w_{n-1}) + key(w_n) < 0 (D)."""
+    key = lambda x: (n + 1 - abs(x)) * (1 if x > 0 else -1)
+    counts = [0] * (n + 1)
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            if family == "D" and signs.count(-1) % 2:
+                continue
+            w = [s * p for s, p in zip(signs, perm)]
+            d = sum(key(w[i]) < key(w[i + 1]) for i in range(n - 1))
+            if family == "D":
+                d += key(w[-2]) + key(w[-1]) < 0
+            else:
+                d += w[-1] < 0
+            counts[d] += 1
+    return counts
+
+
+W_EULERIAN = {
+    "B3": [1, 23, 23, 1],
+    "C3": [1, 23, 23, 1],
+    "D4": [1, 44, 102, 44, 1],
+    "B4": [1, 76, 230, 76, 1],
+    "D5": [1, 157, 802, 802, 157, 1],
+}
+
+
+@pytest.mark.parametrize("name", W_EULERIAN)
+def test_regular_semisimple_peterson_w_eulerian(name):
+    family, n = name[0], int(name[1:])
+    assert _signed_descents(family, n) == W_EULERIAN[name]
+    system = RootSystemId(family, n)
+    poly = pave(SemisimpleClassical(()), system, peterson_space(system)).polynomial
+    assert poly.as_list()[::2] == W_EULERIAN[name]
+
+
+def _q_product(h):
+    """Coefficients of prod_j [h(j) - j + 1]_q, [m]_q = 1 + q + ... + q^{m-1}."""
+    out = [1]
+    for j, v in enumerate(h.values, start=1):
+        m = v - j + 1
+        new = [0] * (len(out) + m - 1)
+        for i, c in enumerate(out):
+            for k in range(m):
+                new[i + k] += c
+        out = new
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_type_a_regular_nilpotent_product_formula(n):
+    system = RootSystemId("A", n - 1)
+    checked = 0
+    for h in all_hess_functions(n):
+        poly = pave(RegularNilpotent(), system, from_h(h)).polynomial
+        assert poly.as_list()[::2] == _q_product(h), str(h)
+        checked += 1
+    assert checked == math.comb(2 * n, n) // (n + 1)

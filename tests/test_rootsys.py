@@ -1,7 +1,10 @@
+import ast
 import itertools
+import pathlib
 
 import pytest
 
+import hesspave
 from hesspave.rootsys import (
     Root,
     RootSystemId,
@@ -11,7 +14,7 @@ from hesspave.rootsys import (
     extremal_simples,
     positive_roots,
     root_geq,
-    root_table,
+    root_index,
     row_of,
     row_partition,
     row_structure_kind,
@@ -214,7 +217,8 @@ def test_order_matches_chain_reachability(system):
 def test_euclidean_roundtrip(system):
     # the pair table reads each root's signed nonzero Euclidean coordinates
     # and is a bijection of the 2|Phi+| roots onto their pairs
-    pair, root = root_table(system)
+    index = root_index(system)
+    pair, root = index.pair, index.root
     for a in positive_roots(system):
         for b in (a, -a):
             p, q = pair[b]
@@ -225,6 +229,25 @@ def test_euclidean_roundtrip(system):
     n_roots = 2 * len(positive_roots(system))
     assert len(pair) == len(set(pair.values())) == n_roots
     assert set(root.values()) == set(pair)
+    for (x, y), b in root.items():
+        assert index.negative[x][y] == b.is_negative
+    positive = positive_roots(system)
+    assert index.positive == positive
+    assert index.positive_pairs == tuple(pair[a] for a in positive)
+    assert index.positive_set == set(positive)
+
+
+def test_euclidean_is_read_only_in_rootsys_and_operators():
+    # every other module reads roots through root_index's signed pairs
+    callers = set()
+    for path in pathlib.Path(hesspave.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = getattr(f, "id", None) or getattr(f, "attr", None)
+                if name == "euclidean":
+                    callers.add(path.stem)
+    assert callers == {"rootsys", "operators"}
 
 
 def test_weyl_order_values():
