@@ -28,6 +28,7 @@ from .operators import (
     TypeANilpotent,
     canonical_form,
     levi_roots,
+    multidiagram_of,
 )
 from .paving import (
     OracleDisagreement,
@@ -203,10 +204,7 @@ def cmd_spaces(args) -> int:
     print(f"{system}: {len(spaces)} Hessenberg spaces")
     if args.list:
         for H in spaces:
-            if system.family == "A":
-                print(f"h={to_h(H)}")
-            else:
-                print(str(H))
+            print(_hess_text(H))
     return EXIT_OK
 
 
@@ -246,11 +244,11 @@ def cmd_pave(args) -> int:
 
 
 def _tableau_applies(spec, system: RootSystemId) -> bool:
-    if system.family != "A":
+    try:
+        multidiagram_of(spec, system)
+    except ValueError:
         return False
-    if isinstance(spec, (TypeANilpotent, TypeAGeneral, RegularNilpotent)):
-        return True
-    return isinstance(spec, SemisimpleClassical) and not spec.levi_blocks
+    return True
 
 
 def cmd_verify(args) -> int:

@@ -47,6 +47,8 @@ class HessenbergSpace:
     roots: frozenset[Root]
 
     def __post_init__(self):
+        if type(self.roots) is not frozenset:  # spaces hash as cache keys
+            object.__setattr__(self, "roots", frozenset(self.roots))
         index = root_index(self.system)
         pos = index.positive_set
         if not pos <= self.roots:

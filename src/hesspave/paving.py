@@ -85,9 +85,6 @@ class PoincarePolynomial:
         if any(d % 2 or c < 0 for d, c in self.coefficients):
             raise ValueError("only even degrees with nonnegative coefficients")
 
-    def coeff(self, degree: int) -> int:
-        return dict(self.coefficients).get(degree, 0)
-
     def euler_characteristic(self) -> int:
         return sum(c for _, c in self.coefficients)
 

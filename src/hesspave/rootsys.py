@@ -24,7 +24,6 @@ __all__ = [
     "row_structure_kind",
     "row_of",
     "extremal_roots",
-    "extremal_simples",
     "verticality_check",
     "root_geq",
     "root_gt",
@@ -250,10 +249,6 @@ def extremal_roots(system: RootSystemId, alpha: Root) -> frozenset[Root]:
     if alpha not in pos:
         raise ValueError(f"{alpha} is not a positive root of {system}")
     return frozenset(b for b in pos if (alpha - b) in pos)
-
-
-def extremal_simples(system: RootSystemId, alpha: Root) -> frozenset[Root]:
-    return frozenset(b for b in extremal_roots(system, alpha) if b.height == 1)
 
 
 def verticality_check(partition: RowPartition) -> bool:

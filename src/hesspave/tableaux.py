@@ -1,6 +1,6 @@
-"""Type-A combinatorics: Young diagrams from Jordan types, box indexing,
-fillings, cell nonemptiness and the configuration-counting dimension formula,
-plus multidiagrams for operators with several eigenvalues.
+"""Type-A combinatorics: Young diagrams from Jordan types, multidiagrams (one
+diagram per eigenvalue), box indexing, fillings, and the one rule that decides
+a filling's cell: nonemptiness and a dimension count over pairs of boxes.
 
 A partition mu gives a diagram whose columns have heights mu_1 >= mu_2 >= ...
 (left-aligned, bottom-aligned).  Boxes are indexed from the bottom rightmost
@@ -21,8 +21,6 @@ __all__ = [
     "Filling",
     "MultiDiagram",
     "vertical_pairs",
-    "is_nonempty",
-    "dimension",
     "peterson_cells",
     "compositions",
     "multidiagram_nonempty",
@@ -67,16 +65,6 @@ class Diagram:
                 out[(r, c)] = i
         return out
 
-    def render(self) -> str:
-        """ASCII grid, top row first, box indices in the cells."""
-        width = len(str(self.n))
-        lines = []
-        for r in range(self.rows, 0, -1):
-            cells = [str(self.box_index[(r, c)]).rjust(width)
-                     for c in range(1, self.row_length(r) + 1)]
-            lines.append(" ".join(cells))
-        return "\n".join(lines)
-
 
 def vertical_pairs(d: Diagram) -> tuple[tuple[int, int], ...]:
     """(lower box, upper box) for every vertically adjacent pair."""
@@ -105,46 +93,6 @@ class Filling:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-def _above(d: Diagram) -> dict[int, int | None]:
-    """box index -> index of the box directly above it, if any."""
-    up: dict[int, int | None] = {i: None for i in d.box_index.values()}
-    for j, k in vertical_pairs(d):
-        up[j] = k
-    return up
-
-
-def is_nonempty(d: Diagram, f: Filling, h: HessFunction) -> bool:
-    """Every vertical pair (j below k) must satisfy value(j) <= h(value(k))."""
-    if f.n != d.n or h.n != d.n:
-        raise ValueError("diagram, filling and h sizes must match")
-    return all(f(j) <= h(f(k)) for j, k in vertical_pairs(d))
-
-
-def _pair_count(f: Filling, h: HessFunction, up: dict[int, int | None],
-                pairs) -> int:
-    """Configuration count over the given (i, j) index pairs with i < j.
-
-    A pair contributes: with no box above j, when value(i) > value(j); with
-    box k above j, when value(j) < value(i) <= h(value(k))."""
-    total = 0
-    for i, j in pairs:
-        k = up[j]
-        if k is None:
-            if f(i) > f(j):
-                total += 1
-        elif f(j) < f(i) <= h(f(k)):
-            total += 1
-    return total
-
-
-def dimension(d: Diagram, f: Filling, h: HessFunction) -> int:
-    if not is_nonempty(d, f, h):
-        raise ValueError("dimension of an empty cell")
-    n = d.n
-    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-    return _pair_count(f, h, _above(d), pairs)
 
 
 def compositions(n: int):
@@ -197,58 +145,35 @@ class MultiDiagram:
                 out[off + i] = j
         return out
 
-    def render(self) -> str:
-        blocks = [d.render().split("\n") for d in self.diagrams]
-        # shift local indices to global ones, display right to left
-        shifted = []
-        for d, off, lines in zip(self.diagrams, self.offsets, blocks):
-            if off:
-                lines = [
-                    " ".join(str(int(t) + off) for t in ln.split()) for ln in lines
-                ]
-            shifted.append(lines)
-        shifted.reverse()
-        height = max(len(b) for b in shifted)
-        widths = [max(len(ln) for ln in b) for b in shifted]
-        rows = []
-        for r in range(height):
-            cells = []
-            for b, w in zip(shifted, widths):
-                pad = height - len(b)
-                ln = b[r - pad] if r >= pad else ""
-                cells.append(ln.rjust(w))
-            rows.append("   ".join(cells).rstrip())
-        return "\n".join(rows)
-
-
-def _global_up(md: MultiDiagram) -> dict[int, int | None]:
-    up: dict[int, int | None] = {}
-    for d, off in zip(md.diagrams, md.offsets):
-        for i, k in _above(d).items():
-            up[off + i] = None if k is None else off + k
-    return up
+    @cached_property
+    def up(self) -> dict[int, int | None]:
+        """global box index -> the box directly above it in its diagram, or None."""
+        out: dict[int, int | None] = dict.fromkeys(range(1, self.n + 1))
+        for d, off in zip(self.diagrams, self.offsets):
+            for j, k in vertical_pairs(d):
+                out[off + j] = off + k
+        return out
 
 
 def multidiagram_nonempty(md: MultiDiagram, f: Filling, h: HessFunction) -> bool:
+    """Every box j below a box k must hold value(j) <= h(value(k))."""
     if f.n != md.n or h.n != md.n:
         raise ValueError("multidiagram, filling and h sizes must match")
-    up = _global_up(md)
-    return all(
-        f(j) <= h(f(up[j])) for j in up if up[j] is not None
-    )
+    return all(k is None or f(j) <= h(f(k)) for j, k in md.up.items())
 
 
 def multidiagram_dimension(md: MultiDiagram, f: Filling, h: HessFunction) -> int:
-    """Within-diagram configuration count plus cross-diagram pairs (i, j),
-    i < j in different diagrams, with value(j) < value(i) <= h(value(j))."""
+    """Pairs of boxes i < j with value(j) < value(i) <= bound, where the bound
+    is h(value(k)) for the box k above j in the same diagram, none when j has
+    no box above it, and h(value(j)) when i and j lie in different diagrams."""
     if not multidiagram_nonempty(md, f, h):
         raise ValueError("dimension of an empty cell")
-    up = _global_up(md)
-    which = md.diagram_of
+    up, which = md.up, md.diagram_of
     total = 0
     for i, j in itertools.combinations(range(1, md.n + 1), 2):
-        if which[i] == which[j]:
-            total += _pair_count(f, h, up, [(i, j)])
-        elif f(j) < f(i) <= h(f(j)):
-            total += 1
+        if which[i] != which[j]:
+            bound = h(f(j))
+        else:
+            bound = md.n if up[j] is None else h(f(up[j]))
+        total += f(j) < f(i) <= bound
     return total

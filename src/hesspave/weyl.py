@@ -45,6 +45,8 @@ class WeylElement:
     window: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.window) is not tuple:  # windows hash as cache keys
+            object.__setattr__(self, "window", tuple(self.window))
         m = ambient_dim(self.system)
         if len(self.window) != m:
             raise ValueError(f"window length {len(self.window)} != {m}")

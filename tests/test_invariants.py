@@ -14,6 +14,13 @@ coefficients and the partition alone, without hesspave's root or Weyl code.
   numbers as Betti numbers (De Mari-Procesi-Shayman, Trans. AMS 332, 1992).
 - The type-A regular nilpotent on h has Poincare polynomial
   prod_j [h(j) - j + 1]_{x^2}.
+- The type-A regular semisimple operator on h has sum_w x^{2 inv_h(w)} as
+  Poincare polynomial, inv_h(w) = #{i < j : w(i) > w(j), w(i) <= h(w(j))}
+  (Shareshian-Wachs, Adv. Math. 295, 2016).
+- The regular nilpotent on H has Poincare polynomial prod_i [m_i + 1]_{x^2},
+  m the dual partition of the height partition of the ideal
+  M = {-a : a a negative root in M_H} (Sommers-Tymoczko, Trans. AMS 358,
+  2006; every type: Abe-Horiguchi-Masuda-Murai-Sato).
 """
 
 import itertools
@@ -178,3 +185,53 @@ def test_type_a_regular_nilpotent_product_formula(n):
         assert poly.as_list()[::2] == _q_product(h), str(h)
         checked += 1
     assert checked == math.comb(2 * n, n) // (n + 1)
+
+
+def _inv_h_counts(h):
+    """Permutations w of {1..n} by inv_h(w), n = len(h)."""
+    n = len(h)
+    counts = {}
+    for w in itertools.permutations(range(1, n + 1)):
+        k = sum(1 for i in range(n) for j in range(i + 1, n)
+                if w[j] < w[i] <= h[w[j] - 1])
+        counts[k] = counts.get(k, 0) + 1
+    return [counts.get(k, 0) for k in range(max(counts) + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_type_a_regular_semisimple_shareshian_wachs(n):
+    system = RootSystemId("A", n - 1)
+    checked = 0
+    for h in all_hess_functions(n):
+        poly = pave(SemisimpleClassical(()), system, from_h(h)).polynomial
+        assert poly.as_list()[::2] == _inv_h_counts(h.values), str(h)
+        checked += 1
+    assert checked == math.comb(2 * n, n) // (n + 1)
+
+
+def _ideal_exponent_product(heights):
+    """Coefficients in q = x^2 of prod_i [m_i + 1]_q, m the dual partition
+    of lambda_k = #{roots of height k in the ideal}."""
+    lam = [heights.count(k) for k in range(1, max(heights, default=0) + 1)]
+    m = [sum(1 for p in lam if p >= i) for i in range(1, max(lam, default=0) + 1)]
+    out = [1]
+    for e in m:
+        new = [0] * (len(out) + e)
+        for i, c in enumerate(out):
+            for k in range(e + 1):
+                new[i + k] += c
+        out = new
+    return out
+
+
+IDEAL_SYSTEMS = [RootSystemId(f, n) for f, n in
+                 (("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 2), ("C", 3),
+                  ("D", 3), ("D", 4))]
+
+
+@pytest.mark.parametrize("system", IDEAL_SYSTEMS, ids=str)
+def test_regular_nilpotent_sommers_tymoczko(system):
+    for H in enumerate_spaces(system):
+        heights = [-sum(a.coeffs) for a in H.roots if sum(a.coeffs) < 0]
+        poly = pave(RegularNilpotent(), system, H).polynomial
+        assert poly.as_list()[::2] == _ideal_exponent_product(heights), str(H)

