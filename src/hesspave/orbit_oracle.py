@@ -11,8 +11,11 @@
   that comes out infeasible yields derived functionals; each is re-attached
   to the stage that pins it, found along two constrained towers: the
   trial's own, read off the states it recorded and continued past the
-  infeasible stage, and one fresh replay.  A cell the solver cannot certify
-  gets an "inconsistent" verdict naming its cause (REASONS).
+  infeasible stage, and one fresh replay.  Both stop at the functional's
+  cut, the last stage on a row that can move it: by the row lemma, a stage
+  on row j leaves the coefficients of rows > j untouched.  A cell the
+  solver cannot certify gets an "inconsistent" verdict naming its cause
+  (REASONS).
 
 Realizations use the antidiagonal bilinear forms (symmetric for B/D, skew
 for C) so that the Borel is upper triangular.  Each root vector has a pivot
@@ -347,7 +350,7 @@ class _SpecData(NamedTuple):
     """Everything the formula path and the oracle read about M = S + N."""
 
     residues: tuple  # M mod PRIME, ((row, col), residue) pairs
-    plan: tuple  # the oracle's stages, (variable roots, condition roots)
+    plan: tuple  # the oracle's stages, (variable roots, condition roots, row)
     matrix: tuple  # M over the integers, ((row, col), int) pairs
     support: tuple[Root, ...]  # supp N, in canonical order
     levi: frozenset[Root]  # Phi_l, the positive roots on which S vanishes
@@ -358,8 +361,8 @@ class _SpecData(NamedTuple):
 @lru_cache(maxsize=None)
 def _oracle_data(spec, system: RootSystemId) -> _SpecData:
     """Per-spec data, built once per (spec, system) and immutable.  The
-    stage plan lists (variable roots, condition roots) pairs in solving
-    order, each sorted by height.
+    stage plan lists (variable roots, condition roots, row) triples in
+    solving order, roots sorted by height; rows run n, n-1, ..., 1.
 
     Type C rows below the last get the two-stage refinement: the long root
     gamma_i (and gamma_i - alpha_i when the nilpotent part contains alpha_i
@@ -381,10 +384,10 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
             if alpha_i in support and gamma - alpha_i in levi:
                 defer.add(gamma - alpha_i)
             plan.append((tuple(a for a in row if a not in defer),
-                         tuple(a for a in row if a != gamma)))
-            plan.append((tuple(a for a in row if a in defer), (gamma,)))
+                         tuple(a for a in row if a != gamma), i))
+            plan.append((tuple(a for a in row if a in defer), (gamma,), i))
         else:
-            plan.append((row, row))
+            plan.append((row, row, i))
     residues = tuple((rc, v % PRIME) for rc, v in matrix)
     index = root_index(system)
     return _SpecData(residues, tuple(plan), matrix, support, levi,
@@ -469,12 +472,12 @@ def _combine(funcs, combo):
 
 def _cell_stages(plan, var_set, cond_set) -> list:
     """The plan restricted to one cell: per stage, its variable roots in
-    var_set and its condition roots in cond_set, in plan order.  The plan
-    covers every positive root once on each side.  Lists: tuples built from
-    generators here raised the peak RSS of the pave-oracle benchmark cases
-    by about 0.4 MB."""
-    return [([a for a in vs if a in var_set], [a for a in cs if a in cond_set])
-            for vs, cs in plan]
+    var_set, its condition roots in cond_set and its row, in plan order.
+    The plan covers every positive root once on each side.  Lists: tuples
+    built from generators here raised the peak RSS of the pave-oracle
+    benchmark cases by about 0.4 MB."""
+    return [([a for a in vs if a in var_set], [a for a in cs if a in cond_set], i)
+            for vs, cs, i in plan]
 
 
 def _stage_funcs(conds, extra, t):
@@ -522,7 +525,7 @@ def _run_tower(system, M0, stages, extra, rng):
     M = dict(M0)
     states = []
     total_rank = 0
-    for t, (vrs, conds) in enumerate(stages):
+    for t, (vrs, conds, _) in enumerate(stages):
         states.append(M)
         funcs = _stage_funcs(conds, extra, t)
         if not funcs:
@@ -552,21 +555,23 @@ def _run_tower(system, M0, stages, extra, rng):
         total_rank += rank
         M = _conjugate(system, M, dict(zip(vrs, xstar)), PRIME)
     table = _kernel_table(system)
-    if any(M.get(table[a][2]) for _, conds in stages for a in conds):
+    if any(M.get(table[a][2]) for _, conds, _ in stages for a in conds):
         return "nonaffine", None
-    return "dim", sum(len(vrs) for vrs, _ in stages) - total_rank
+    return "dim", sum(len(vrs) for vrs, _, _ in stages) - total_rank
 
 
 def _tower_values(system, stages, extra, pivots, rng, states, broken):
-    """The functional's value entering each stage and at the end, along a
-    constrained tower: read off the given states M_0 .. M_k, then continued
-    from M_k at stage k.  Each later stage takes a random solution of its
-    stage system until one is infeasible (or from the start when broken),
-    and nonzero random draws from then on."""
+    """The functional's value entering each of the given stages and after
+    the last, along a constrained tower: read off the given states
+    M_0 .. M_k, then continued from M_k at stage k.  Each later stage takes
+    a random solution of its stage system until one is infeasible (or from
+    the start when broken), and nonzero random draws from then on.  The
+    caller passes the stages up to the functional's cut, so the last value
+    is its value at the end of the full tower."""
     vals = [_feval(M, pivots) for M in states]
     M = states[-1]
     for t in range(len(states) - 1, len(stages)):
-        vrs, conds = stages[t]
+        vrs, conds, _ = stages[t]
         if not vrs:
             vals.append(vals[-1])
             continue
@@ -594,12 +599,22 @@ def _stability_stage(system, stages, extra, fdict, rng, states, broken):
     dependence on a later stage can vanish exactly on the locus the earlier
     conditions cut out.
 
+    Both towers stop at the functional's cut, the last stage whose row is
+    at least the lowest row r of its roots.  Stage rows decrease, and by
+    the row lemma (verify_adform) conjugating by row j < r leaves every
+    pivot in rows >= r untouched, so every later value equals the value at
+    the cut, exactly.
+
     Two towers, and s is the larger of their answers.  The first is the
     trial's own: its recorded states (the caller cuts them at the first
     stage a functional attached since the trial ran has made stale) are
-    read as they are and continued to the last stage, with random
-    draws past the infeasible stage when broken, so a dependence after that
-    stage still shows (s > t).  The second is a fresh replay from M_0."""
+    read as they are and continued to the cut, with random draws past the
+    infeasible stage when broken, so a dependence after that stage still
+    shows (s > t).  The second is a fresh replay from M_0."""
+    table = _kernel_table(system)
+    low = min(table[a][0] for a in fdict)
+    cut = sum(1 for *_, i in stages if i >= low) - 1
+    stages, states = stages[:cut + 1], states[:cut + 2]
     pivots = _pivots(system, fdict)
     best = 0
     for prefix, brk in ((states, broken), (states[:1], False)):

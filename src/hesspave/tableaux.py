@@ -124,7 +124,7 @@ class MultiDiagram:
         if any(a < b for a, b in zip(sizes, sizes[1:])):
             raise ValueError("diagrams must be ordered largest to smallest")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(d.n for d in self.diagrams)
 

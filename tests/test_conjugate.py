@@ -164,4 +164,4 @@ def test_oracle_data_is_built_once_and_immutable():
     assert dict(M0) == {rc: v % PRIME
                         for rc, v in operator_matrix(RegularNilpotent(), system).items()}
     assert isinstance(M0, tuple) and isinstance(plan, tuple)
-    assert all(isinstance(vs, tuple) and isinstance(cs, tuple) for vs, cs in plan)
+    assert all(isinstance(vs, tuple) and isinstance(cs, tuple) for vs, cs, _ in plan)

@@ -8,10 +8,13 @@ evaluating functionals with coeff_at.  Swapping it in must not change any
 cell's verdict, the number of derived functionals of any solve, or the
 stability values they got.  The tests below also check that stale recorded
 states are cut, that the late-pin check runs on the recorded continuation,
-and that each reason code of an "inconsistent" verdict is reachable.
+that both towers stop exactly at the functional's cut (against a full-length
+copy of the tower loop), and that each reason code of an "inconsistent"
+verdict is reachable.
 """
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -22,13 +25,15 @@ from hesspave.operators import RegularNilpotent, TypeAGeneral, TypeANilpotent
 from hesspave.orbit_oracle import (
     PRIME,
     _conjugate,
+    _feval,
+    _pivots,
     _solve_affine,
     _stage_funcs,
     _stage_system,
     cell_dim_oracle,
     coeff_at,
 )
-from hesspave.rootsys import RootSystemId
+from hesspave.rootsys import RootSystemId, row_of
 from hesspave.weyl import WeylElement, enumerate_weyl
 
 
@@ -42,7 +47,7 @@ def _fresh_replay_stability(system, M0, stages, extra, fdict, rng):
         M = dict(M0)
         vals = [feval(M)]
         broken = False
-        for t, (vrs, conds) in enumerate(stages):
+        for t, (vrs, conds, _) in enumerate(stages):
             if not vrs:
                 vals.append(vals[-1])
                 continue
@@ -221,6 +226,100 @@ def test_late_pin_is_checked_on_the_recorded_continuation(monkeypatch):
     assert recorded
     assert verdict == orbit_oracle.OracleVerdict("inconsistent", reason="late-pin")
 
+
+
+# --- the cut --------------------------------------------------------------------
+
+
+def _full_tower(system, stages, extra, pivots, rng, states, broken):
+    """_tower_values' loop run to the last stage, not stopped at the cut."""
+    vals = [_feval(M, pivots) for M in states]
+    M = states[-1]
+    for t in range(len(states) - 1, len(stages)):
+        vrs, conds, _ = stages[t]
+        if not vrs:
+            vals.append(vals[-1])
+            continue
+        assign = None
+        if not broken:
+            funcs = _stage_funcs(conds, extra, t)
+            if funcs:
+                b, cols = _stage_system(system, M, vrs, funcs)
+                sol = _solve_affine(cols, b, rng)
+                if sol[0] == "ok":
+                    assign = sol[2]
+                else:
+                    broken = True
+        if assign is None:
+            assign = [rng.randrange(1, PRIME) for _ in vrs]
+        M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
+        vals.append(_feval(M, pivots))
+    return vals
+
+
+def _rng_at(rng):
+    out = random.Random()
+    out.setstate(rng.getstate())
+    return out
+
+
+CUT_CASES = [
+    (RootSystemId("A", 3), peterson_space),
+    (RootSystemId("B", 3), peterson_space),
+    (RootSystemId("C", 3), peterson_space),  # the two-stage plan
+    (RootSystemId("C", 4), peterson_space),
+    (RootSystemId("D", 4), peterson_space),
+    (RootSystemId("D", 4), borel_space),
+]
+
+
+@pytest.mark.parametrize("system,space", CUT_CASES,
+                         ids=["A3", "B3", "C3", "C4", "D4", "D4 borel"])
+def test_towers_stop_exactly_at_the_cut(monkeypatch, system, space):
+    # The cut is the last stage on a row at least the functional's lowest
+    # row.  Each tower the library runs must be the full tower up to and
+    # including the value after the cut, every full-tower value past it must
+    # equal that value, and from the same random state the library's s must
+    # be the full two-tower answer.  On these cases no functional moves at
+    # its cut stage, so s alone would not see towers stopped one stage
+    # early; the value lists do.
+    real_stability = orbit_oracle._stability_stage
+    real_values = orbit_oracle._tower_values
+    towers = []
+    cuts = []
+
+    def stability(system, stages, extra, fdict, rng, states, broken):
+        low = min(row_of(a) for a in fdict)
+        cut = max(t for t, (*_, i) in enumerate(stages) if i >= low)
+        pivots = _pivots(system, fdict)
+        both = ((states, broken), (states[:1], False))  # recorded, fresh
+        full_rng = _rng_at(rng)
+        full_s = max(_pinning_stage(_full_tower(system, stages, extra, pivots,
+                                                full_rng, prefix, brk))
+                     for prefix, brk in both)
+        towers[:] = [(stages, cut, prefix, brk) for prefix, brk in both]
+        s = real_stability(system, stages, extra, fdict, rng, states, broken)
+        assert not towers  # both towers ran
+        assert s == full_s
+        cuts.append((cut, len(stages)))
+        return s
+
+    def values(system, stages, extra, pivots, rng, states, broken):
+        full_stages, cut, prefix, brk = towers.pop(0)
+        full = _full_tower(system, full_stages, extra, pivots, _rng_at(rng),
+                           prefix, brk)
+        vals = real_values(system, stages, extra, pivots, rng, states, broken)
+        assert all(v == full[cut + 1] for v in full[cut + 1:])
+        assert vals == full[:cut + 2]
+        return vals
+
+    monkeypatch.setattr(orbit_oracle, "_stability_stage", stability)
+    monkeypatch.setattr(orbit_oracle, "_tower_values", values)
+    for pi in enumerate_weyl(system):
+        cell_dim_oracle(RegularNilpotent(), system, space(system), pi, trials=2,
+                        seed=3)
+    assert cuts
+    assert any(cut < n - 1 for cut, n in cuts)  # the cut drops stages
 
 
 # --- reason codes ---------------------------------------------------------------

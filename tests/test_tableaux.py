@@ -111,6 +111,7 @@ def test_multidiagram_ordering():
 def test_multidiagram_offsets_and_up():
     md = MultiDiagram((Diagram((2, 1)), Diagram((2,)), Diagram((2,))))
     assert md.offsets == (0, 3, 5)
+    assert md.n == 7 and vars(md)["n"] == 7  # summed once, then cached
     assert md.diagram_of[1] == 0 and md.diagram_of[4] == 1 and md.diagram_of[7] == 2
     # the diagrams side by side, first one rightmost:  7   5     3
     #                                                  6   4   2 1
