@@ -9,20 +9,28 @@
 * a probabilistic row-by-row affine solver over a large prime field that
   certifies cell dimensions independently of any closed formula.  A stage
   that comes out infeasible yields derived functionals; each is re-attached
-  to the stage that pins it, found along two constrained towers: the
-  trial's own, read off the states it recorded and continued past the
-  infeasible stage, and one fresh replay.  Both stop at the functional's
-  cut, the last stage on a row that can move it: by the row lemma, a stage
-  on row j leaves the coefficients of rows > j untouched.  A cell the
-  solver cannot certify gets an "inconsistent" verdict naming its cause
-  (REASONS).
+  to the stage that pins it.  Most are constant: the cell's R, computed once
+  per cell, holds every positive root whose coefficient a conjugation by
+  the cell's variable roots can change (those reached from supp N by adding
+  variable roots through positive roots, and every variable root when S
+  moves), since exp(ad X) changes the E_gamma coefficient only by terms from
+  gamma - (a sum of variable roots) and each pivot reads E_gamma alone.  A
+  functional with no root in R is pinned before any stage, exactly.  Any
+  other is pinned where two constrained towers say: the trial's own, read
+  off the states it recorded and continued past the infeasible stage, and
+  one fresh replay.  Both stop at the functional's cut, the last stage on a
+  row that can move it: by the row lemma, a stage on row j leaves the
+  coefficients of rows > j untouched.  A cell the solver cannot certify gets
+  an "inconsistent" verdict naming its cause (REASONS).
 
 Realizations use the antidiagonal bilinear forms (symmetric for B/D, skew
 for C) so that the Borel is upper triangular.  Each root vector has a pivot
 entry in rows 1..n (or the middle row for short B roots) that no other root
 vector or diagonal element touches, so coefficient extraction is a single
 dictionary lookup.  One plain-dict table per system (_kernel_table) holds
-each positive root's row, entries and pivot for the mod-p kernel.
+each positive root's row, entries and pivot for the mod-p kernel; next to
+it, built on first use, sit each root's unit X for the stage columns
+(_unit_table) and the positive-root sum table R is walked on (_sum_table).
 """
 
 from __future__ import annotations
@@ -189,6 +197,13 @@ def _row_index(system: RootSystemId, assignment: dict) -> tuple[dict, dict]:
             xrows.setdefault(r, []).append((c, v))
             xcols.setdefault(c, []).append((r, v))
     return xrows, xcols
+
+
+@lru_cache(maxsize=None)
+def _unit_table(system: RootSystemId) -> dict:
+    """Positive root -> the _row_index of E_alpha alone, the X of a stage
+    column; built once per system, on first use."""
+    return {a: _row_index(system, {a: 1}) for a in _kernel_table(system)}
 
 
 def _ad(out: dict, X: tuple[dict, dict], B: dict) -> dict:
@@ -480,14 +495,53 @@ def _cell_stages(plan, var_set, cond_set) -> list:
             for vs, cs, i in plan]
 
 
+@lru_cache(maxsize=None)
+def _sum_table(system: RootSystemId) -> tuple[dict, tuple]:
+    """Each positive root's position in root_index order, and per position
+    the (j, k) pairs with positive[k] the sum of it and positive[j], over
+    every j whose sum with it is a positive root; built once per system, on
+    first use."""
+    positive = root_index(system).positive
+    at = {a: i for i, a in enumerate(positive)}
+    return at, tuple(tuple((j, at[a + b]) for j, b in enumerate(positive)
+                           if a + b in at) for a in positive)
+
+
+def _reachable_roots(system: RootSystemId, data: _SpecData,
+                     var_roots) -> frozenset[Root]:
+    """R, the positive roots whose coefficient a conjugation by the cell's
+    variable roots can change: those reached from supp N by adding one or
+    more variable roots, every partial sum a positive root, and when S moves
+    (Phi_l != Phi+) every variable root and what it reaches the same way.
+
+    exp(ad X) for X in the span of the E_v, v a variable root, adds to
+    M = S + N only brackets [E_v1, [..., [E_vk, E_beta]]], in the root
+    space of beta + vk + ... + v1 when every partial sum is a root, and
+    [E_v1, [..., [E_vk, S]]], in that of vk + ... + v1.  Each conjugate is
+    again a sum of M's terms and such brackets, so down any tower the
+    coefficient of a root outside R keeps its value at M_0."""
+    index = root_index(system)
+    at, sums = _sum_table(system)
+    var = {at[v] for v in var_roots}
+    reach = set(var) if data.levi != index.positive_set else set()
+    todo = [at[b] for b in data.support] + list(reach)
+    while todo:
+        for j, k in sums[todo.pop()]:
+            if j in var and k not in reach:
+                reach.add(k)
+                todo.append(k)
+    return frozenset(index.positive[i] for i in reach)
+
+
 def _stage_funcs(conds, extra, t):
     funcs = [{a: 1} for a in conds]
     funcs.extend(fd for s, fd in extra if s == t)
     return funcs
 
 
-def _stage_system(system, M, vrs, funcs):
-    """Baseline values and per-variable columns of the stage's affine system.
+def _stage_system(system, M, vrs, fpivs):
+    """Baseline values and per-variable columns of the stage's affine system,
+    for the stage's functionals given by their _pivots.
 
     Column v is f(conj(M, {v: 1})) - f(M) = f([E_v, M]) + 1/2 f([E_v, [E_v, M]]).
     [E_v, M] is built once per variable; the second bracket is read only at
@@ -495,14 +549,14 @@ def _stage_system(system, M, vrs, funcs):
     solves stage systems without the affineness probe, so dropping it would
     change its answers."""
     table = _kernel_table(system)
-    fpivs = [_pivots(system, fd) for fd in funcs]
+    units = _unit_table(system)
     need = {rc for fp in fpivs for rc, _ in fp}
     b = [_feval(M, fp) for fp in fpivs]
     half = pow(2, -1, PRIME)
     cols = []
     for v_root in vrs:
         ev = table[v_root][1]
-        Z1 = _ad({}, _row_index(system, {v_root: 1}), M)
+        Z1 = _ad({}, units[v_root], M)
         col = {}
         for r, c in need:
             z2 = 0
@@ -533,7 +587,8 @@ def _run_tower(system, M0, stages, extra, rng):
                 M = _conjugate(system, M, {a: rng.randrange(PRIME) for a in vrs},
                                PRIME)
             continue
-        b, cols = _stage_system(system, M, vrs, funcs)
+        fpivs = [_pivots(system, fd) for fd in funcs]
+        b, cols = _stage_system(system, M, vrs, fpivs)
         if not vrs:
             if any(b):
                 return "infeasible", (t, funcs, [
@@ -544,9 +599,9 @@ def _run_tower(system, M0, stages, extra, rng):
         # affineness probe at a random point
         xp = [rng.randrange(PRIME) for _ in vrs]
         Mp = _conjugate(system, M, dict(zip(vrs, xp)), PRIME)
-        for idx, fd in enumerate(funcs):
+        for idx, fp in enumerate(fpivs):
             pred = (b[idx] + sum(cols[j][idx] * xp[j] for j in range(len(vrs)))) % PRIME
-            if _feval(Mp, _pivots(system, fd)) != pred:
+            if _feval(Mp, fp) != pred:
                 return "nonaffine", None
         sol = _solve_affine(cols, b, rng)
         if sol[0] == "bad":
@@ -579,7 +634,8 @@ def _tower_values(system, stages, extra, pivots, rng, states, broken):
         if not broken:
             funcs = _stage_funcs(conds, extra, t)
             if funcs:
-                b, cols = _stage_system(system, M, vrs, funcs)
+                b, cols = _stage_system(system, M, vrs,
+                                        [_pivots(system, fd) for fd in funcs])
                 sol = _solve_affine(cols, b, rng)
                 if sol[0] == "ok":
                     assign = sol[2]
@@ -597,7 +653,9 @@ def _stability_stage(system, stages, extra, fdict, rng, states, broken):
     s+1, s+2, ... along towers that satisfy the conditions enforced so far
     (so stages[s-1] is the stage pinning it).  Constrained towers matter: a
     dependence on a later stage can vanish exactly on the locus the earlier
-    conditions cut out.
+    conditions cut out.  _solve_once calls it only for a functional with a
+    root in the cell's R (_reachable_roots); on any other every value of
+    both towers is the one at M_0, so this would return 0.
 
     Both towers stop at the functional's cut, the last stage whose row is
     at least the lowest row r of its roots.  Stage rows decrease, and by
@@ -626,8 +684,17 @@ def _stability_stage(system, stages, extra, fdict, rng, states, broken):
     return best
 
 
-def _solve_once(system, M0, stages, rng):
-    """One trial: ("dim", d), ("empty", None) or ("inconsistent", reason)."""
+def _solve_once(system, M0, stages, reach, rng):
+    """One trial: ("dim", d), ("empty", None) or ("inconsistent", reason).
+
+    reach is the cell's R (_reachable_roots).  A derived functional with no
+    root in R reads only pivots of roots gamma whose E_gamma coefficient no
+    conjugation by the cell's variable roots changes (exp(ad X) moves it
+    only by terms from gamma - a sum of variable roots), so it is constant
+    on every tower and its stability stage is 0 without running one; this
+    is exact, not a sampled answer.  Any other goes to _stability_stage.
+    Either way a functional pinned at 0 and nonzero at M_0 has no solution,
+    so the cell is empty."""
     extra: list[tuple[int, dict]] = []
     seen: set[frozenset] = set()
     for _ in range(MAX_DERIVED):
@@ -646,11 +713,14 @@ def _solve_once(system, M0, stages, rng):
             key = frozenset(fd.items())
             if key in seen:
                 continue
-            # functionals attached since the trial ran make its states stale
-            # from their stage on; the sample replays from there
-            stale = [s for s, _ in extra[attached:]]
-            sample = (states[:min(stale) + 1], False) if stale else (states, broken)
-            s = _stability_stage(system, stages, extra, fd, rng, *sample)
+            if reach.isdisjoint(fd):
+                s = 0
+            else:
+                # functionals attached since the trial ran make its states
+                # stale from their stage on; the sample replays from there
+                stale = [s for s, _ in extra[attached:]]
+                sample = (states[:min(stale) + 1], False) if stale else (states, broken)
+                s = _stability_stage(system, stages, extra, fd, rng, *sample)
             if s == 0:
                 # pinned before any variable acts; nonzero means no solutions
                 if _feval(states[0], _pivots(system, fd)):
@@ -678,12 +748,14 @@ def cell_dim_oracle(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)
-    stages = _cell_stages(data.plan, inversion_set(pi), complement_roots(H, pi))
+    var_set = inversion_set(pi)
+    stages = _cell_stages(data.plan, var_set, complement_roots(H, pi))
+    reach = _reachable_roots(system, data, var_set)
     dims = set()
     empties = 0
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
-        kind, d = _solve_once(system, data.residues, stages, rng)
+        kind, d = _solve_once(system, data.residues, stages, reach, rng)
         if kind == "inconsistent":
             return OracleVerdict(kind, reason=d)
         if kind == "empty":

@@ -16,6 +16,7 @@ from hesspave.orbit_oracle import (
     PRIME,
     _conjugate,
     _oracle_data,
+    _pivots,
     _stage_system,
     cartan_matrix,
     coeff_at,
@@ -131,7 +132,8 @@ def test_stage_columns_are_unit_conjugation_differences(system):
             return sum(c * coeff_at(system, D, a) for a, c in fd.items()) % PRIME
 
         for row in row_partition(system).rows:
-            b, cols = _stage_system(system, M, list(row), funcs)
+            b, cols = _stage_system(system, M, list(row),
+                                    [_pivots(system, fd) for fd in funcs])
             assert b == [f(fd, M) for fd in funcs]
             for v, col in zip(row, cols):
                 Mv = reference_conjugate(system, M, {v: 1}, PRIME)

@@ -10,7 +10,10 @@ stability values they got.  The tests below also check that stale recorded
 states are cut, that the late-pin check runs on the recorded continuation,
 that both towers stop exactly at the functional's cut (against a full-length
 copy of the tower loop), and that each reason code of an "inconsistent"
-verdict is reachable.
+verdict is reachable.  The library settles a functional with no root in the
+cell's R (_reachable_roots) without towers; the tower tests widen R to all
+of Phi+ so every functional still runs them, and a sweep runs the towers on
+every functional R settles and checks that they pin it at 0.
 """
 
 import itertools
@@ -20,8 +23,19 @@ from collections import Counter
 import pytest
 
 from hesspave import orbit_oracle
-from hesspave.hessenberg import HessFunction, borel_space, from_h, peterson_space
-from hesspave.operators import RegularNilpotent, TypeAGeneral, TypeANilpotent
+from hesspave.hessenberg import (
+    HessFunction,
+    borel_space,
+    enumerate_spaces,
+    from_h,
+    peterson_space,
+)
+from hesspave.operators import (
+    RegularNilpotent,
+    SemisimpleClassical,
+    TypeAGeneral,
+    TypeANilpotent,
+)
 from hesspave.orbit_oracle import (
     PRIME,
     _conjugate,
@@ -33,8 +47,8 @@ from hesspave.orbit_oracle import (
     cell_dim_oracle,
     coeff_at,
 )
-from hesspave.rootsys import RootSystemId, row_of
-from hesspave.weyl import WeylElement, enumerate_weyl
+from hesspave.rootsys import RootSystemId, root_index, row_of
+from hesspave.weyl import WeylElement, enumerate_weyl, inversion_set
 
 
 def _fresh_replay_stability(system, M0, stages, extra, fdict, rng):
@@ -55,7 +69,8 @@ def _fresh_replay_stability(system, M0, stages, extra, fdict, rng):
             if not broken:
                 funcs = _stage_funcs(conds, extra, t)
                 if funcs:
-                    b, cols = _stage_system(system, M, vrs, funcs)
+                    b, cols = _stage_system(system, M, vrs,
+                                            [_pivots(system, fd) for fd in funcs])
                     sol = _solve_affine(cols, b, rng)
                     if sol[0] == "ok":
                         assign = sol[2]
@@ -81,6 +96,13 @@ def _pinning_stage(vals):
 
 def _a3(*h):
     return from_h(HessFunction(h))
+
+
+def _towers_for_every_functional(monkeypatch):
+    """Widen every cell's R to all of Phi+, so that no derived functional
+    is settled without its towers and each one reaches _stability_stage."""
+    monkeypatch.setattr(orbit_oracle, "_reachable_roots",
+                        lambda system, *a: root_index(system).positive_set)
 
 
 LEVI = TypeAGeneral((("x", (2,)), ("y", (1, 1))))
@@ -137,6 +159,7 @@ def _oracle_log(monkeypatch, spec, system, H, reference):
         solves[-1]["values"].append(s)
         return s
 
+    _towers_for_every_functional(monkeypatch)
     monkeypatch.setattr(orbit_oracle, "_solve_once", solve)
     monkeypatch.setattr(orbit_oracle, "_stability_stage", stability)
     monkeypatch.setattr(orbit_oracle, "_tower_values", values)
@@ -185,6 +208,7 @@ def test_stale_recorded_states_are_cut_at_the_new_functionals_stage(monkeypatch)
             assert states is trial["states"] and broken == trial["broken"]
         return real_stability(system, stages, extra, fdict, rng, states, broken)
 
+    _towers_for_every_functional(monkeypatch)
     monkeypatch.setattr(orbit_oracle, "_run_tower", run)
     monkeypatch.setattr(orbit_oracle, "_stability_stage", stability)
     for pi in enumerate_weyl(system):
@@ -244,7 +268,8 @@ def _full_tower(system, stages, extra, pivots, rng, states, broken):
         if not broken:
             funcs = _stage_funcs(conds, extra, t)
             if funcs:
-                b, cols = _stage_system(system, M, vrs, funcs)
+                b, cols = _stage_system(system, M, vrs,
+                                        [_pivots(system, fd) for fd in funcs])
                 sol = _solve_affine(cols, b, rng)
                 if sol[0] == "ok":
                     assign = sol[2]
@@ -313,6 +338,7 @@ def test_towers_stop_exactly_at_the_cut(monkeypatch, system, space):
         assert vals == full[:cut + 2]
         return vals
 
+    _towers_for_every_functional(monkeypatch)
     monkeypatch.setattr(orbit_oracle, "_stability_stage", stability)
     monkeypatch.setattr(orbit_oracle, "_tower_values", values)
     for pi in enumerate_weyl(system):
@@ -320,6 +346,95 @@ def test_towers_stop_exactly_at_the_cut(monkeypatch, system, space):
                         seed=3)
     assert cuts
     assert any(cut < n - 1 for cut, n in cuts)  # the cut drops stages
+
+
+# --- the reachable roots R --------------------------------------------------------
+
+
+SWEEPS = [(spec, system, [space(system)]) for spec, system, space, _ in CASES] + [
+    (TypeANilpotent((2, 1, 1)), RootSystemId("A", 3), None),
+    (RegularNilpotent(), RootSystemId("B", 3), None),
+    (SemisimpleClassical(((1,),)), RootSystemId("C", 3), None),
+]
+SWEEP_IDS = IDS + ["A3 2,1,1 all", "B3 all", "C3 semisimple 1 all"]
+
+
+@pytest.mark.parametrize("spec,system,spaces", SWEEPS, ids=SWEEP_IDS)
+def test_functionals_outside_reach_are_pinned_at_zero_by_both_towers(
+        monkeypatch, spec, system, spaces):
+    # Every derived functional goes through both towers, and each one the
+    # cell's real R settles (no root in R) must come out s = 0 there.  R
+    # lies in Phi+, and holds every variable root when S moves (Phi_l !=
+    # Phi+).  On these sweeps the nilpotent specs settle 2,516 functionals
+    # and tower 18; the Levi spec settles none (its R holds every variable
+    # root), and C3 semisimple derives none.
+    positive = root_index(system).positive_set
+    real_reach = orbit_oracle._reachable_roots
+    real_stability = orbit_oracle._stability_stage
+    cell = {}
+    moves = []
+    settled = []
+    towered = []
+
+    def reach(system, data, var_roots):
+        R = real_reach(system, data, var_roots)
+        assert R <= positive
+        if data.levi != positive:
+            assert var_roots <= R
+            moves.append(bool(var_roots))
+        cell["R"] = R
+        return positive
+
+    def stability(system, stages, extra, fdict, rng, states, broken):
+        s = real_stability(system, stages, extra, fdict, rng, states, broken)
+        (settled if cell["R"].isdisjoint(fdict) else towered).append(s)
+        return s
+
+    monkeypatch.setattr(orbit_oracle, "_reachable_roots", reach)
+    monkeypatch.setattr(orbit_oracle, "_stability_stage", stability)
+    for H in spaces or enumerate_spaces(system):
+        for pi in enumerate_weyl(system):
+            cell_dim_oracle(spec, system, H, pi, trials=2, seed=3)
+    assert set(settled) <= {0}
+    if spec == LEVI or isinstance(spec, SemisimpleClassical):
+        assert any(moves)  # S moves: R took in the variable roots
+    else:
+        assert settled and not moves
+
+
+
+REACH_CASES = [
+    (RegularNilpotent(), RootSystemId("A", 4)),
+    (RegularNilpotent(), RootSystemId("B", 3)),
+    (RegularNilpotent(), RootSystemId("C", 4)),
+    (RegularNilpotent(), RootSystemId("D", 4)),
+    (TypeANilpotent((2, 2, 1)), RootSystemId("A", 4)),
+    (LEVI, RootSystemId("A", 3)),
+    (SemisimpleClassical(((1,),)), RootSystemId("C", 3)),
+]
+
+
+@pytest.mark.parametrize("spec,system", REACH_CASES,
+                         ids=["A4", "B3", "C4", "D4", "A4 2,2,1", "A3 x:2|y:1,1",
+                              "C3 semisimple 1"])
+def test_reach_holds_every_root_a_conjugation_moves(spec, system):
+    # One random conjugation by the cell's variable roots, row by row from
+    # M_0: every root whose coefficient moved must lie in R (the argument
+    # of _reachable_roots).  For nilpotent specs R is no larger either, on
+    # every cell here: the closure is taken through every step, not one.
+    data = orbit_oracle._oracle_data(spec, system)
+    table = orbit_oracle._kernel_table(system)
+    M0 = dict(data.residues)
+    for pi in enumerate_weyl(system):
+        var = inversion_set(pi)
+        R = orbit_oracle._reachable_roots(system, data, var)
+        rng = random.Random(f"reach:{pi.window}")
+        M = orbit_oracle._conjugate_rows(
+            system, M0, var, lambda a: rng.randrange(1, PRIME), PRIME)
+        moved = {a for a, (_, _, rc) in table.items() if M.get(rc) != M0.get(rc)}
+        assert moved <= R
+        if data.levi == root_index(system).positive_set:
+            assert moved == R
 
 
 # --- reason codes ---------------------------------------------------------------
