@@ -316,7 +316,7 @@ def _add_paving(p):
                    help="Hessenberg space: h=2,3,3 (type A), peterson, "
                         "borel, full, or neg=-1,0;0,-1 listing the negative "
                         "part by coefficient vectors")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seeds the oracle path")
     p.add_argument("--trials", type=_positive_int, default=5,
                    help="solver trials per cell (oracle path)")
 

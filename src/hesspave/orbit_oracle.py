@@ -3,25 +3,22 @@
 * conjugation u^{-1}.M down the rows of U_pi, one walk over any scalar
   domain (Poly variables, Fractions, residues mod PRIME) whose every row step
   is the exact two-bracket form M + [X, M] + 1/2 [X, [X, M]] (the row lemma
-  (ad X)^3 = 0 on the Borel), which yields the orbit root set
-  Phi_{(U_pi cap L) . M} by zero-testing polynomial coefficients or by
-  random evaluation, and
-* a probabilistic row-by-row affine solver over a large prime field that
-  certifies cell dimensions independently of any closed formula.  A stage
-  that comes out infeasible yields derived functionals; each is re-attached
-  to the stage that pins it.  Most are constant: the cell's R, computed once
-  per cell, holds every positive root whose coefficient a conjugation by
-  the cell's variable roots can change (those reached from supp N by adding
-  variable roots through positive roots, and every variable root when S
-  moves), since exp(ad X) changes the E_gamma coefficient only by terms from
-  gamma - (a sum of variable roots) and each pivot reads E_gamma alone.  A
-  functional with no root in R is pinned before any stage, exactly.  Any
-  other is pinned where two constrained towers say: the trial's own, read
-  off the states it recorded and continued past the infeasible stage, and
-  one fresh replay.  Both stop at the functional's cut, the last stage on a
-  row that can move it: by the row lemma, a stage on row j leaves the
-  coefficients of rows > j untouched.  A cell the solver cannot certify gets
-  an "inconsistent" verdict naming its cause (REASONS).
+  (ad X)^3 = 0 on the Borel).  Zero-testing its polynomial coefficients
+  gives the orbit roots Phi_{(U_pi cap L) . M}, the exact reference for the
+  formula path's additive closure; random evaluation cross-checks it.
+* a seeded probabilistic row-by-row affine solver over a large prime field
+  that certifies cell dimensions independently of any closed formula.  A
+  stage that comes out infeasible yields derived functionals; each is
+  re-attached to the stage that pins it.  Most are constant: a functional
+  with no root in the cell's R, the roots whose coefficient a conjugation
+  by the cell's variable roots can change (_reachable_roots), is pinned
+  before any stage, exactly.  Any other is pinned where two constrained
+  towers say: the trial's own, read off the states it recorded and
+  continued past the infeasible stage, and one fresh replay.  Both stop at
+  the functional's cut, the last stage on a row that can move it: by the
+  row lemma, a stage on row j leaves the coefficients of rows > j
+  untouched.  A cell the solver cannot certify gets an "inconsistent"
+  verdict naming its cause (REASONS).
 
 Realizations use the antidiagonal bilinear forms (symmetric for B/D, skew
 for C) so that the Borel is upper triangular.  Each root vector has a pivot
@@ -30,7 +27,8 @@ vector or diagonal element touches, so coefficient extraction is a single
 dictionary lookup.  One plain-dict table per system (_kernel_table) holds
 each positive root's row, entries and pivot for the mod-p kernel; next to
 it, built on first use, sit each root's unit X for the stage columns
-(_unit_table) and the positive-root sum table R is walked on (_sum_table).
+(_unit_table).  R is walked by rootsys.root_closure, the walk the formula
+path's orbit roots share.
 """
 
 from __future__ import annotations
@@ -49,9 +47,11 @@ from .rootsys import (
     Root,
     RootSystemId,
     positive_roots,
+    root_closure,
     root_index,
     row_partition,
     simple_roots,
+    sum_table,
 )
 from .weyl import WeylElement, inversion_set
 
@@ -73,7 +73,6 @@ __all__ = [
 # Largest prime below 2^63; comfortably above the 2^61 sampling floor.
 PRIME = 9223372036854775783
 SYMBOLIC_RANK_CAP = 5
-AUTO_SYMBOLIC_RANK = 3
 
 
 def matrix_dim(system: RootSystemId) -> int:
@@ -264,14 +263,11 @@ def _symbolic_rows(system: RootSystemId, M0: dict, roots) -> dict:
     return _conjugate_rows(system, M0, roots, lambda a: Poly.var(f"x[{a}]"))
 
 
-def _orbit_support(system: RootSystemId, M0: dict, var_roots, mode: str,
-                   key: str) -> frozenset[Root]:
+def _orbit_support(system: RootSystemId, M0: dict, var_roots,
+                   mode: str = "symbolic", key: str = "") -> frozenset[Root]:
     """Positive roots whose coefficient in u^{-1}.M0 is not identically zero,
     u generic in the group of var_roots: exact over Poly ("symbolic"), or the
-    union over two random points mod PRIME seeded by key ("randomized").
-    "auto" is symbolic up to AUTO_SYMBOLIC_RANK."""
-    if mode == "auto":
-        mode = "symbolic" if system.rank <= AUTO_SYMBOLIC_RANK else "randomized"
+    union over two random points mod PRIME seeded by key ("randomized")."""
     table = _kernel_table(system)
     if mode == "symbolic":
         M = _symbolic_rows(system, M0, var_roots)
@@ -300,22 +296,18 @@ def orbit_roots(
     spec,
     system: RootSystemId,
     pi: WeylElement,
-    mode: str = "auto",
+    mode: str = "symbolic",
     seed: int = 0,
-    *,
-    levi_inversions: frozenset[Root] | None = None,
 ) -> frozenset[Root]:
     """Phi_{(U_pi cap L) . M}: positive roots with a not-identically-zero
     coefficient in u^{-1}.M for generic u in U_pi cap L, the root groups of
     the inversion set inside the Levi Phi_l.  S commutes with U_pi cap L, so
     only N moves and S adds no root; a nilpotent spec has L = G, so this is
-    Phi_{U_pi . N}.  A caller that already has Phi_pi cap Phi_l passes it
-    as levi_inversions; it is trusted, so a set that is not pi's gives
-    wrong orbit roots."""
+    Phi_{U_pi . N}.  The library computes these roots as an additive closure
+    (paving.cell_formula); this conjugation is the exact reference that
+    closure is tested against."""
     data = _oracle_data(spec, system)
-    if levi_inversions is None:
-        levi_inversions = inversion_set(pi) & data.levi
-    return _orbit_support(system, dict(data.matrix), levi_inversions,
+    return _orbit_support(system, dict(data.matrix), inversion_set(pi) & data.levi,
                           mode, f"orbit:{seed}:{pi.window}")
 
 
@@ -323,14 +315,11 @@ def restricted_orbit_roots(
     system: RootSystemId,
     support: tuple[Root, ...],
     var_roots: frozenset[Root],
-    seed: int = 0,
 ) -> frozenset[Root]:
-    """Orbit roots of N = sum of E_beta over the support, for u ranging over
+    """Exact orbit roots of N = sum of E_beta over the support, u ranging over
     the subgroup generated by var_roots: in type A, the per-block reference
     that orbit_roots of a general operator is tested against."""
-    key = f"orbitR:{seed}:{sorted(a.coeffs for a in var_roots)}"
-    return _orbit_support(system, _support_matrix(system, support), var_roots,
-                          "auto", key)
+    return _orbit_support(system, _support_matrix(system, support), var_roots)
 
 
 # --- probabilistic dimension solver -------------------------------------------
@@ -362,15 +351,13 @@ INCONSISTENT = OracleVerdict("inconsistent")
 
 
 class _SpecData(NamedTuple):
-    """Everything the formula path and the oracle read about M = S + N."""
+    """What the oracle and the reference conjugations read about M = S + N."""
 
     residues: tuple  # M mod PRIME, ((row, col), residue) pairs
     plan: tuple  # the oracle's stages, (variable roots, condition roots, row)
     matrix: tuple  # M over the integers, ((row, col), int) pairs
     support: tuple[Root, ...]  # supp N, in canonical order
     levi: frozenset[Root]  # Phi_l, the positive roots on which S vanishes
-    support_pairs: tuple[tuple[int, int], ...]  # supp N as signed position pairs
-    levi_mask: tuple[bool, ...]  # a in Phi_l, for a in positive_roots order
 
 
 @lru_cache(maxsize=None)
@@ -404,10 +391,7 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
         else:
             plan.append((row, row, i))
     residues = tuple((rc, v % PRIME) for rc, v in matrix)
-    index = root_index(system)
-    return _SpecData(residues, tuple(plan), matrix, support, levi,
-                     tuple(index.pair[b] for b in support),
-                     tuple(a in levi for a in index.positive))
+    return _SpecData(residues, tuple(plan), matrix, support, levi)
 
 
 def _solve_affine(cols, b, rng):
@@ -495,42 +479,26 @@ def _cell_stages(plan, var_set, cond_set) -> list:
             for vs, cs, i in plan]
 
 
-@lru_cache(maxsize=None)
-def _sum_table(system: RootSystemId) -> tuple[dict, tuple]:
-    """Each positive root's position in root_index order, and per position
-    the (j, k) pairs with positive[k] the sum of it and positive[j], over
-    every j whose sum with it is a positive root; built once per system, on
-    first use."""
-    positive = root_index(system).positive
-    at = {a: i for i, a in enumerate(positive)}
-    return at, tuple(tuple((j, at[a + b]) for j, b in enumerate(positive)
-                           if a + b in at) for a in positive)
-
-
 def _reachable_roots(system: RootSystemId, data: _SpecData,
                      var_roots) -> frozenset[Root]:
     """R, the positive roots whose coefficient a conjugation by the cell's
     variable roots can change: those reached from supp N by adding one or
-    more variable roots, every partial sum a positive root, and when S moves
-    (Phi_l != Phi+) every variable root and what it reaches the same way.
+    more variable roots, every partial sum a positive root, and every
+    variable root outside Phi_l and what it reaches the same way.
 
     exp(ad X) for X in the span of the E_v, v a variable root, adds to
     M = S + N only brackets [E_v1, [..., [E_vk, E_beta]]], in the root
     space of beta + vk + ... + v1 when every partial sum is a root, and
-    [E_v1, [..., [E_vk, S]]], in that of vk + ... + v1.  Each conjugate is
+    [E_v1, [..., [E_vk, S]]], in that of vk + ... + v1, where
+    [E_vk, S] = -vk(S) E_vk vanishes for vk in Phi_l.  Each conjugate is
     again a sum of M's terms and such brackets, so down any tower the
     coefficient of a root outside R keeps its value at M_0."""
-    index = root_index(system)
-    at, sums = _sum_table(system)
+    at, sums = sum_table(system)
     var = {at[v] for v in var_roots}
-    reach = set(var) if data.levi != index.positive_set else set()
-    todo = [at[b] for b in data.support] + list(reach)
-    while todo:
-        for j, k in sums[todo.pop()]:
-            if j in var and k not in reach:
-                reach.add(k)
-                todo.append(k)
-    return frozenset(index.positive[i] for i in reach)
+    start = {k for b in data.support for j, k in sums[at[b]] if j in var}
+    start.update(at[v] for v in var_roots if v not in data.levi)
+    positive = root_index(system).positive
+    return frozenset(positive[i] for i in root_closure(system, start, var))
 
 
 def _stage_funcs(conds, extra, t):
@@ -654,8 +622,7 @@ def _stability_stage(system, stages, extra, fdict, rng, states, broken):
     (so stages[s-1] is the stage pinning it).  Constrained towers matter: a
     dependence on a later stage can vanish exactly on the locus the earlier
     conditions cut out.  _solve_once calls it only for a functional with a
-    root in the cell's R (_reachable_roots); on any other every value of
-    both towers is the one at M_0, so this would return 0.
+    root in the cell's R (_reachable_roots); on any other it would return 0.
 
     Both towers stop at the functional's cut, the last stage whose row is
     at least the lowest row r of its roots.  Stage rows decrease, and by
@@ -688,11 +655,8 @@ def _solve_once(system, M0, stages, reach, rng):
     """One trial: ("dim", d), ("empty", None) or ("inconsistent", reason).
 
     reach is the cell's R (_reachable_roots).  A derived functional with no
-    root in R reads only pivots of roots gamma whose E_gamma coefficient no
-    conjugation by the cell's variable roots changes (exp(ad X) moves it
-    only by terms from gamma - a sum of variable roots), so it is constant
-    on every tower and its stability stage is 0 without running one; this
-    is exact, not a sampled answer.  Any other goes to _stability_stage.
+    root in R is constant on every tower, so its stability stage is 0,
+    exactly, without running one; any other goes to _stability_stage.
     Either way a functional pinned at 0 and nonzero at M_0 has no solution,
     so the cell is empty."""
     extra: list[tuple[int, dict]] = []

@@ -18,8 +18,9 @@ nilpotent one (S = 0) the first set is empty and only orbit roots remain.
 The formula reads roots as signed position pairs (rootsys.root_index):
 pi^{-1}'s signed window maps a pair entrywise, a per-system table says
 whether the image is negative (a in Phi_pi), and a per-space pair set says
-whether it lies in M_H.  Each cell is then integer lookups over Phi+, with
-Root objects built only for the orbit roots.
+whether it lies in M_H.  The orbit roots are an exact additive closure
+(cell_formula).  Each cell is then integer lookups over Phi+, with no Root
+object, matrix or random draw: the seed reaches only the oracle.
 
 Three computation paths are exposed (closed formula, tableau count in type
 A, probabilistic solver) so they can certify each other.
@@ -38,10 +39,12 @@ from .operators import (
     SemisimpleClassical,
     TypeAGeneral,
     TypeANilpotent,
+    canonical_form,
+    levi_roots,
     multidiagram_of,
 )
-from .orbit_oracle import REASONS, _oracle_data, cell_dim_oracle, orbit_roots
-from .rootsys import RootSystemId, root_index, weyl_order
+from .orbit_oracle import REASONS, cell_dim_oracle
+from .rootsys import RootSystemId, root_closure, root_index, sum_table, weyl_order
 from .tableaux import Filling, multidiagram_dimension, multidiagram_nonempty
 from .weyl import WeylElement, enumerate_weyl, signed_inverse
 
@@ -132,24 +135,44 @@ def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
 # --- the closed formula -------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _formula_data(spec, system: RootSystemId) -> tuple:
+    """supp N as signed position pairs and as positions in root_index order,
+    and whether each positive root lies in Phi_l; built once per spec."""
+    at = sum_table(system)[0]
+    support = canonical_form(spec, system).support
+    levi = levi_roots(spec, system)
+    return (tuple(root_index(system).pair[b] for b in support),
+            tuple(at[b] for b in support), tuple(a in levi for a in at))
+
+
 def cell_formula(
     spec,
     system: RootSystemId,
     H: HessenbergSpace,
     pi: WeylElement,
-    seed: int = 0,
 ) -> CellReport:
     """The one Levi formula for M = S + N: empty iff pi^{-1} maps supp N
     outside M_H, else |Phi_pi| minus the roots a of
     (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H.
 
-    Roots are signed position pairs here, so every test is a lookup of
-    pi^{-1}'s image pair; Root objects appear only when orbit roots are
-    needed."""
-    data = _oracle_data(spec, system)
+    The orbit roots are taken as the closure of supp N under adding roots
+    of Phi_pi cap Phi_l through positive roots (rootsys.root_closure), a
+    subset of Phi_l.  Every orbit root lies in it: an element of U_pi cap L
+    moves a root a only to roots a + (a sum of roots of Phi_pi cap Phi_l),
+    and S commutes with U_pi cap L.  Conversely, with u = exp(X) and
+    X = sum of t_g E_g over Phi_pi cap Phi_l, the E_a coefficient of
+    u^{-1}.N sums, over the pairs (beta in supp N, multiset of steps g)
+    with beta + (their sum) = a, the pair's monomial times a sum over the
+    orderings of its multiset.  Different pairs have different monomials,
+    so a cancellation can only happen among the orderings of one multiset.
+    That none does, so the two sets are equal, has no proof here;
+    tests/test_orbit_closure.py guards it against the exact conjugation
+    (orbit_oracle.orbit_roots)."""
+    support_pairs, support_at, levi_mask = _formula_data(spec, system)
     s = signed_inverse(pi)
     in_H = H.pairs
-    if any((s[p], s[q]) not in in_H for p, q in data.support_pairs):
+    if any((s[p], s[q]) not in in_H for p, q in support_pairs):
         return CellReport(pi, False, None, "formula")
     index = root_index(system)
     negative = index.negative
@@ -159,18 +182,14 @@ def cell_formula(
         x, y = s[p], s[q]
         if negative[x][y]:
             length += 1
-            if data.levi_mask[k]:
+            if levi_mask[k]:
                 levi_inversions.append(k)
             elif (x, y) not in in_H:
                 outside += 1
-    if data.support:
-        pos = index.positive
-        orbit = orbit_roots(spec, system, pi, seed=seed,
-                            levi_inversions=frozenset(pos[k] for k in levi_inversions))
-        # M_H contains Phi+, so an orbit root outside Phi_l with pi^{-1} a
-        # outside M_H lies in Phi_pi minus Phi_l and was counted above
-        for a in orbit & data.levi:
-            p, q = index.pair[a]
+    if support_at:  # N = 0 has no orbit roots
+        # the orbit roots lie in Phi_l, so none was counted above
+        for k in root_closure(system, support_at, levi_inversions):
+            p, q = index.positive_pairs[k]
             if (s[p], s[q]) not in in_H:
                 outside += 1
     return CellReport(pi, True, length - outside, "formula")
@@ -241,7 +260,7 @@ def cell_report(
     trials: int = 5,
 ) -> CellReport:
     if method == "formula":
-        return cell_formula(spec, system, H, pi, seed)
+        return cell_formula(spec, system, H, pi)
     if method == "tableau":
         return cell_tableau(spec, system, H, pi)
     if method == "oracle":

@@ -31,6 +31,8 @@ __all__ = [
     "euclidean",
     "RootIndex",
     "root_index",
+    "sum_table",
+    "root_closure",
     "weyl_order",
     "ResourceCapError",
 ]
@@ -353,6 +355,32 @@ def root_index(system: RootSystemId) -> RootIndex:
     return RootIndex(positive, frozenset(positive), pair, root,
                      tuple(pair[a] for a in positive),
                      tuple(tuple(row) for row in negative))
+
+
+@lru_cache(maxsize=None)
+def sum_table(system: RootSystemId) -> tuple[dict, tuple]:
+    """Each positive root's position in root_index order, and per position
+    the (j, k) pairs with positive[k] the sum of it and positive[j], for
+    every such positive sum; built once per system, on first use."""
+    positive = root_index(system).positive
+    at = {a: i for i, a in enumerate(positive)}
+    return at, tuple(tuple((j, at[a + b]) for j, b in enumerate(positive)
+                           if a + b in at) for a in positive)
+
+
+def root_closure(system: RootSystemId, start, steps) -> set[int]:
+    """The smallest set of positive-root positions holding start and closed
+    under k -> k + j for j in steps, when the sum is a positive root."""
+    sums = sum_table(system)[1]
+    steps = set(steps)
+    out = set(start)
+    todo = list(out)
+    while todo:
+        for j, k in sums[todo.pop()]:
+            if j in steps and k not in out:
+                out.add(k)
+                todo.append(k)
+    return out
 
 
 def weyl_order(system: RootSystemId) -> int:

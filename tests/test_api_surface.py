@@ -15,6 +15,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hesspave"
 
 ALLOWED = {
+    "orbit_roots": "perfbench/tracing.py binds it; tests use it as the reference",
     "generic_conjugate": "perfbench/tracing.py binds it as a span",
     "restricted_orbit_roots": "perfbench/tracing.py binds it as a span",
     "act": "perfbench/tracing.py binds WeylElement.act as a span",

@@ -3,17 +3,20 @@
 Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded from a known-good version of the package.  The matrix
 covers every operator kind in type A on four spaces, the other families on
-the Peterson (and, for B3, Borel) space, all applicable paths, and cases
-above AUTO_SYMBOLIC_RANK where the formula path uses randomized orbit roots.
-A digest changes only when an output does; refresh one only for a deliberate
-change of output.
+the Peterson (and, for B3, Borel) space, all applicable paths, and nilpotent
+cases above rank 3, recorded when the formula path took orbit roots there
+from a randomized conjugation; it now takes them from an exact closure at
+every rank, with the same digests.  The formula cases are also run with the
+conjugation engine patched to raise.  A digest changes only when an output
+does; refresh one only for a deliberate change of output.
 """
 
 import hashlib
 
 import pytest
 
-from hesspave import cli
+from hesspave import cli, orbit_oracle
+from hesspave.polynomial import Poly
 
 _A3_OPERATORS = (
     ("--regular-nilpotent",),
@@ -43,7 +46,7 @@ def _cases():
     for op in _CLASSICAL_OPERATORS:
         for method in ("formula", "oracle"):
             out.append(("B", "3", op, "borel", method))
-    # randomized orbit roots (rank above AUTO_SYMBOLIC_RANK)
+    # ranks where the formula path once used randomized orbit roots
     out += [
         ("A", "4", ("--nilpotent", "3,2"), "h=2,3,4,5,5", "formula"),
         ("A", "4", ("--general", "x:3|y:2"), "h=2,4,4,5,5", "formula"),
@@ -284,3 +287,20 @@ def test_pave_json_digest(argv, capsys):
     assert cli.main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[" ".join(argv)]
+
+
+def _conjugation(*args, **kwargs):
+    raise AssertionError("the formula path conjugated a matrix")
+
+
+def test_formula_digests_without_conjugation(capsys, monkeypatch):
+    orbit_oracle._oracle_data.cache_clear()
+    monkeypatch.setattr(orbit_oracle, "_conjugate_rows", _conjugation)
+    monkeypatch.setattr(orbit_oracle, "operator_matrix", _conjugation)
+    monkeypatch.setattr(Poly, "__mul__", _conjugation)
+    formula = [argv for argv in CASES if "formula" in argv]
+    assert len(formula) == 44
+    for argv in formula:
+        assert cli.main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[" ".join(argv)]

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from hesspave import operators, orbit_oracle
+from hesspave import operators, orbit_oracle, paving
 from hesspave.hessenberg import (
     HessenbergSpace,
     HessFunction,
@@ -198,6 +198,7 @@ def test_spec_data_is_built_once_per_spec(monkeypatch):
             if modname.startswith("hesspave") and getattr(mod, name, None) is fn:
                 monkeypatch.setattr(mod, name, counting(name, fn))
     _oracle_data.cache_clear()
+    paving._formula_data.cache_clear()
     a4 = RootSystemId("A", 4)
     b3 = RootSystemId("B", 3)
     cases = [
@@ -210,10 +211,16 @@ def test_spec_data_is_built_once_per_spec(monkeypatch):
             calls[name] = 0
         for H in spaces:
             pave(spec, system, H)
-        # one build, whatever the number of cells and spaces
+        # one formula record, whatever the number of cells and spaces, and
+        # no matrix: the formula path does not conjugate
+        assert calls == {"operator_matrix": 0, "canonical_form": 1,
+                         "levi_roots": 1}
+        for H in spaces:
+            pave(spec, system, H, method="oracle", trials=1)
+        # one oracle record
         assert calls["operator_matrix"] == 1
-        assert calls["canonical_form"] <= 2
-        assert calls["levi_roots"] <= 2
+        assert calls["canonical_form"] <= 3
+        assert calls["levi_roots"] <= 3
         data = _oracle_data(spec, system)
         assert isinstance(data.matrix, tuple) and isinstance(data.support, tuple)
         assert isinstance(data.levi, frozenset)

@@ -197,6 +197,14 @@ def test_parallel_pave_matches_serial():
     assert serial == parallel
 
 
+def test_formula_does_not_depend_on_the_seed():
+    # the seed reaches only the oracle: orbit roots are an exact closure
+    system = RootSystemId("A", 5)
+    spec = TypeANilpotent((2, 2, 1, 1))
+    H = from_h(HessFunction((3, 3, 4, 5, 6, 6)))
+    assert pave(spec, system, H, seed=0) == pave(spec, system, H, seed=7)
+
+
 def test_oracle_disagreement_carries_pi(monkeypatch):
     import hesspave.paving as paving_mod
     from hesspave.orbit_oracle import INCONSISTENT
