@@ -347,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("formula", "tableau", "oracle"),
                    default="formula")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel workers; output order is always the "
-                        "deterministic Weyl enumeration order")
+                   help="parallel workers, capped at the usable CPUs; output "
+                        "order is always the deterministic Weyl enumeration "
+                        "order")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_pave)
 

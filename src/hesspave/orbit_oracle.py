@@ -12,13 +12,11 @@
   re-attached to the stage that pins it.  Most are constant: a functional
   with no root in the cell's R, the roots whose coefficient a conjugation
   by the cell's variable roots can change (_reachable_roots), is pinned
-  before any stage, exactly.  Any other is pinned where two constrained
-  towers say: the trial's own, read off the states it recorded and
-  continued past the infeasible stage, and one fresh replay.  Both stop at
-  the functional's cut, the last stage on a row that can move it: by the
-  row lemma, a stage on row j leaves the coefficients of rows > j
-  untouched.  A cell the solver cannot certify gets an "inconsistent"
-  verdict naming its cause (REASONS).
+  before any stage, exactly.  Any other is pinned where two fresh
+  constrained towers from M_0 say.  Both stop at the functional's cut, the
+  last stage on a row that can move it: by the row lemma, a stage on row j
+  leaves the coefficients of rows > j untouched.  A cell the solver cannot
+  certify gets an "inconsistent" verdict naming its cause (REASONS).
 
 Realizations use the antidiagonal bilinear forms (symmetric for B/D, skew
 for C) so that the Borel is upper triangular.  Each root vector has a pivot
@@ -540,15 +538,11 @@ def _stage_system(system, M, vrs, fpivs):
 
 def _run_tower(system, M0, stages, extra, rng):
     """One trial: solve the cell's stages in order.  An infeasible stage t
-    returns (t, funcs, combos, states, broken): the stage's functionals, the
-    eliminated combinations with vanished linear part, the states M_0 .. M_t
-    the tower entered each stage with, and whether stage t had variables
-    (so that a replay through it would fall back to random draws)."""
-    M = dict(M0)
-    states = []
+    returns (t, funcs, combos): the stage's functionals and the eliminated
+    combinations with vanished linear part."""
+    M = M0
     total_rank = 0
     for t, (vrs, conds, _) in enumerate(stages):
-        states.append(M)
         funcs = _stage_funcs(conds, extra, t)
         if not funcs:
             if vrs:
@@ -562,7 +556,7 @@ def _run_tower(system, M0, stages, extra, rng):
                 return "infeasible", (t, funcs, [
                     [int(i == j) for j in range(len(funcs))]
                     for i, v in enumerate(b) if v
-                ], states, False)
+                ])
             continue
         # affineness probe at a random point
         xp = [rng.randrange(PRIME) for _ in vrs]
@@ -573,7 +567,7 @@ def _run_tower(system, M0, stages, extra, rng):
                 return "nonaffine", None
         sol = _solve_affine(cols, b, rng)
         if sol[0] == "bad":
-            return "infeasible", (t, funcs, sol[1], states, True)
+            return "infeasible", (t, funcs, sol[1])
         _, rank, xstar = sol
         total_rank += rank
         M = _conjugate(system, M, dict(zip(vrs, xstar)), PRIME)
@@ -583,18 +577,17 @@ def _run_tower(system, M0, stages, extra, rng):
     return "dim", sum(len(vrs) for vrs, _, _ in stages) - total_rank
 
 
-def _tower_values(system, stages, extra, pivots, rng, states, broken):
-    """The functional's value entering each of the given stages and after
-    the last, along a constrained tower: read off the given states
-    M_0 .. M_k, then continued from M_k at stage k.  Each later stage takes
-    a random solution of its stage system until one is infeasible (or from
-    the start when broken), and nonzero random draws from then on.  The
-    caller passes the stages up to the functional's cut, so the last value
-    is its value at the end of the full tower."""
-    vals = [_feval(M, pivots) for M in states]
-    M = states[-1]
-    for t in range(len(states) - 1, len(stages)):
-        vrs, conds, _ = stages[t]
+def _tower_values(system, M0, stages, extra, pivots, rng):
+    """The functional's value at M_0 and after each of the given stages,
+    along a fresh constrained tower from M_0: each stage takes a random
+    solution of its stage system until one is infeasible, and nonzero
+    random draws from then on.  The caller passes the stages up to the
+    functional's cut, so the last value is its value at the end of the
+    full tower."""
+    M = M0
+    vals = [_feval(M, pivots)]
+    broken = False
+    for t, (vrs, conds, _) in enumerate(stages):
         if not vrs:
             vals.append(vals[-1])
             continue
@@ -616,7 +609,7 @@ def _tower_values(system, stages, extra, pivots, rng, states, broken):
     return vals
 
 
-def _stability_stage(system, stages, extra, fdict, rng, states, broken):
+def _stability_stage(system, M0, stages, extra, fdict, rng):
     """Smallest s such that the functional's value is unchanged by stages
     s+1, s+2, ... along towers that satisfy the conditions enforced so far
     (so stages[s-1] is the stage pinning it).  Constrained towers matter: a
@@ -624,26 +617,21 @@ def _stability_stage(system, stages, extra, fdict, rng, states, broken):
     conditions cut out.  _solve_once calls it only for a functional with a
     root in the cell's R (_reachable_roots); on any other it would return 0.
 
-    Both towers stop at the functional's cut, the last stage whose row is
-    at least the lowest row r of its roots.  Stage rows decrease, and by
-    the row lemma (verify_adform) conjugating by row j < r leaves every
-    pivot in rows >= r untouched, so every later value equals the value at
-    the cut, exactly.
-
-    Two towers, and s is the larger of their answers.  The first is the
-    trial's own: its recorded states (the caller cuts them at the first
-    stage a functional attached since the trial ran has made stale) are
-    read as they are and continued to the cut, with random draws past the
-    infeasible stage when broken, so a dependence after that stage still
-    shows (s > t).  The second is a fresh replay from M_0."""
+    s is the larger answer of two fresh towers from M_0.  A tower draws at
+    random from its first infeasible stage on, so a dependence on stages
+    after the one that produced the functional shows as s > t.  Both
+    stop at the functional's cut, the last stage whose row is at least the
+    lowest row r of its roots.  Stage rows decrease, and by the row lemma
+    (verify_adform) conjugating by row j < r leaves every pivot in rows
+    >= r untouched, so every later value equals the value at the cut,
+    exactly."""
     table = _kernel_table(system)
     low = min(table[a][0] for a in fdict)
-    cut = sum(1 for *_, i in stages if i >= low) - 1
-    stages, states = stages[:cut + 1], states[:cut + 2]
+    stages = stages[:sum(1 for *_, i in stages if i >= low)]
     pivots = _pivots(system, fdict)
     best = 0
-    for prefix, brk in ((states, broken), (states[:1], False)):
-        vals = _tower_values(system, stages, extra, pivots, rng, prefix, brk)
+    for _ in range(2):
+        vals = _tower_values(system, M0, stages, extra, pivots, rng)
         s = len(stages)
         while s > 0 and vals[s - 1] == vals[-1]:
             s -= 1
@@ -667,8 +655,7 @@ def _solve_once(system, M0, stages, reach, rng):
             return "inconsistent", "nonaffine"
         if status != "infeasible":
             return status, payload
-        t, funcs, combos, states, broken = payload
-        attached = len(extra)
+        t, funcs, combos = payload
         progress = False
         for combo in combos:
             fd = _combine(funcs, combo)
@@ -680,14 +667,10 @@ def _solve_once(system, M0, stages, reach, rng):
             if reach.isdisjoint(fd):
                 s = 0
             else:
-                # functionals attached since the trial ran make its states
-                # stale from their stage on; the sample replays from there
-                stale = [s for s, _ in extra[attached:]]
-                sample = (states[:min(stale) + 1], False) if stale else (states, broken)
-                s = _stability_stage(system, stages, extra, fd, rng, *sample)
+                s = _stability_stage(system, M0, stages, extra, fd, rng)
             if s == 0:
                 # pinned before any variable acts; nonzero means no solutions
-                if _feval(states[0], _pivots(system, fd)):
+                if _feval(M0, _pivots(system, fd)):
                     return "empty", None
                 continue
             if s > t:
@@ -715,11 +698,12 @@ def cell_dim_oracle(
     var_set = inversion_set(pi)
     stages = _cell_stages(data.plan, var_set, complement_roots(H, pi))
     reach = _reachable_roots(system, data, var_set)
+    M0 = dict(data.residues)
     dims = set()
     empties = 0
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
-        kind, d = _solve_once(system, data.residues, stages, reach, rng)
+        kind, d = _solve_once(system, M0, stages, reach, rng)
         if kind == "inconsistent":
             return OracleVerdict(kind, reason=d)
         if kind == "empty":

@@ -29,6 +29,7 @@ A, probabilistic solver) so they can certify each other.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -280,6 +281,14 @@ def _cell_worker(args):
     return cell_report(spec, system, H, pi, method, seed, trials)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pave(
     spec,
     system: RootSystemId,
@@ -289,11 +298,14 @@ def pave(
     trials: int = 5,
     jobs: int = 1,
 ) -> PavingResult:
-    """Compute every cell over W, in enumeration order, and aggregate."""
+    """Compute every cell over W, in enumeration order, and aggregate.
+    jobs > 1 runs the cells in a process pool of at most the usable CPUs:
+    a fork-started pool launches every worker at its first task."""
     W = enumerate_weyl(system)
-    if jobs > 1:
+    workers = min(jobs, _usable_cpus())
+    if workers > 1:
         args = [(spec, system, H, pi, method, seed, trials) for pi in W]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             reports = tuple(ex.map(_cell_worker, args, chunksize=64))
     else:
         reports = tuple(

@@ -267,8 +267,8 @@ def test_cell_oracle_type_d_coupled_rows():
 @pytest.mark.xfail(strict=True, reason=(
     "known fault: the last stage (row 1) is infeasible and the derived "
     "functional's a1+a2 coefficient is a residue that depends on the tower's "
-    "state; constant on the recorded tower, it moves at stage 3 on the fresh "
-    "replay, so s = 4 > t = 3 and the oracle says late-pin"))
+    "state; it moves at stage 3, the infeasible stage, on both fresh towers, "
+    "so s = 4 > t = 3 and the oracle says late-pin"))
 def test_type_d_late_pin_known_fault():
     # verify --all-hess on D4 regular nilpotent stops here; the formula
     # gives dimension 4
@@ -358,3 +358,62 @@ def test_stage_system_functional_spanning_two_rows(system):
         for v, col in zip(row, cols):
             Mv = _conjugate(system, M, {v: 1}, PRIME)
             assert col == [(f(fd, Mv) - f(fd, M)) % PRIME for fd in funcs]
+
+
+def _random_system(rng, k, m, r, consistent):
+    """k equations in m unknowns over F_PRIME as (cols, b) for
+    sum_j cols[j] x_j = -b: the coefficient matrix is P D Q with P, Q
+    invertible (unit lower times upper triangular with nonzero diagonal)
+    and D = diag(1, ..., 1, 0, ...) of rank r, so its column space is P's
+    first r columns.  An inconsistent b adds P's column r."""
+    from hesspave.orbit_oracle import PRIME as p
+
+    def invertible(n):
+        lower = [[1 if i == j else rng.randrange(p) if i > j else 0
+                  for j in range(n)] for i in range(n)]
+        upper = [[rng.randrange(1, p) if i == j else rng.randrange(p) if i < j
+                  else 0 for j in range(n)] for i in range(n)]
+        return [[sum(lower[i][t] * upper[t][j] for t in range(n)) % p
+                 for j in range(n)] for i in range(n)]
+
+    P, Q = invertible(k), invertible(m)
+    A = [[sum(P[i][t] * Q[t][j] for t in range(r)) % p for j in range(m)]
+         for i in range(k)]
+    x0 = [rng.randrange(p) for _ in range(m)]
+    target = [sum(A[i][j] * x0[j] for j in range(m)) % p for i in range(k)]
+    if not consistent:
+        target = [(v + P[i][r]) % p for i, v in enumerate(target)]
+    cols = [[A[i][j] for i in range(k)] for j in range(m)]
+    return cols, [-v % p for v in target]
+
+
+def test_solve_affine_on_systems_of_known_rank():
+    # the oracle's one eliminator, on random systems of 1-5 equations in
+    # 1-5 unknowns: a consistent one is solved at its rank, an inconsistent
+    # one yields combinations whose linear part vanishes and whose constant
+    # does not
+    from hesspave.orbit_oracle import PRIME as p, _solve_affine
+
+    rng = random.Random("solve-affine")
+    seen = set()
+    for _ in range(600):
+        k, m = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(0, min(k, m))
+        consistent = r == k or rng.random() < 0.5
+        cols, b = _random_system(rng, k, m, r, consistent)
+        got = _solve_affine(cols, b, rng)
+        seen.add((got[0], r))
+        if consistent:
+            status, rank, x = got
+            assert status == "ok" and rank == r and len(x) == m
+            assert all((sum(cols[j][i] * x[j] for j in range(m)) + b[i]) % p == 0
+                       for i in range(k))
+        else:
+            status, combos = got
+            assert status == "bad" and combos
+            for c in combos:
+                assert len(c) == k
+                assert all(sum(ci * col[i] for i, ci in enumerate(c)) % p == 0
+                           for col in cols)
+                assert sum(ci * bi for ci, bi in zip(c, b)) % p
+    assert {(s, r) for s in ("ok", "bad") for r in range(5)} <= seen

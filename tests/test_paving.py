@@ -1,8 +1,10 @@
 import itertools
 import json
+import os
 
 import pytest
 
+from hesspave import paving
 from hesspave.hessenberg import (
     HessenbergSpace,
     HessFunction,
@@ -195,6 +197,48 @@ def test_parallel_pave_matches_serial():
     serial = pave(RegularNilpotent(), system, H, jobs=1)
     parallel = pave(RegularNilpotent(), system, H, jobs=2)
     assert serial == parallel
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker process starts."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("affinity", [True, False],
+                         ids=["sched_getaffinity", "cpu_count"])
+def test_pave_caps_the_pool_at_the_usable_cpus(monkeypatch, affinity):
+    system = RootSystemId("B", 2)
+    H = peterson_space(system)
+    serial = pave(RegularNilpotent(), system, H, jobs=1)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(paving, "ProcessPoolExecutor", _SerialPool)
+    if affinity:  # the affinity set wins over the machine's count
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert pave(RegularNilpotent(), system, H, jobs=10**6) == serial
+    assert pave(RegularNilpotent(), system, H, jobs=2) == serial
+    assert _SerialPool.sizes == [2, 2]
+    monkeypatch.setattr(paving, "_usable_cpus", lambda: 1)
+    assert pave(RegularNilpotent(), system, H, jobs=8) == serial
+    assert _SerialPool.sizes == [2, 2]  # one usable CPU: no pool at all
 
 
 def test_formula_does_not_depend_on_the_seed():

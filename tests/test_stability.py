@@ -1,15 +1,14 @@
-"""The oracle's stability test on the trial's own tower.
+"""The oracle's stability test: two fresh constrained towers from M_0.
 
-_stability_stage takes one of its two constrained towers from the states
-the trial tower recorded, continued past the infeasible stage, and replays
-only the other one.  The reference below is the two-fresh-replay version
-it replaced, kept as it was apart from reading the cell's stages and
-evaluating functionals with coeff_at.  Swapping it in must not change any
-cell's verdict, the number of derived functionals of any solve, or the
-stability values they got.  The tests below also check that stale recorded
-states are cut, that the late-pin check runs on the recorded continuation,
-that both towers stop exactly at the functional's cut (against a full-length
-copy of the tower loop), and that each reason code of an "inconsistent"
+_stability_stage runs both towers only up to the functional's cut.  The
+reference below runs them over every stage of the cell and evaluates
+functionals with coeff_at.  Swapping it in must not change any cell's
+verdict, the number of derived functionals of any solve, or the stability
+values they got, and each of the library's two towers must answer alone
+what the pair answers.  The tests below also check that the late-pin check
+sees the values a tower takes after the stage that produced the
+functional, that both towers stop exactly at the functional's cut (against
+the full-length tower), and that each reason code of an "inconsistent"
 verdict is reachable.  The library settles a functional with no root in the
 cell's R (_reachable_roots) without towers; the tower tests widen R to all
 of Phi+ so every functional still runs them, and a sweep runs the towers on
@@ -51,40 +50,41 @@ from hesspave.rootsys import RootSystemId, root_index, row_of
 from hesspave.weyl import WeylElement, enumerate_weyl, inversion_set
 
 
+def _full_tower(system, M0, stages, extra, value, rng):
+    """value(M) at M0 and after each stage of a fresh constrained tower run
+    over every stage, not stopped at the cut."""
+    M = dict(M0)
+    vals = [value(M)]
+    broken = False
+    for t, (vrs, conds, _) in enumerate(stages):
+        if not vrs:
+            vals.append(vals[-1])
+            continue
+        assign = None
+        if not broken:
+            funcs = _stage_funcs(conds, extra, t)
+            if funcs:
+                b, cols = _stage_system(system, M, vrs,
+                                        [_pivots(system, fd) for fd in funcs])
+                sol = _solve_affine(cols, b, rng)
+                if sol[0] == "ok":
+                    assign = sol[2]
+                else:
+                    broken = True
+        if assign is None:
+            assign = [rng.randrange(1, PRIME) for _ in vrs]
+        M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
+        vals.append(value(M))
+    return vals
+
+
 def _fresh_replay_stability(system, M0, stages, extra, fdict, rng):
-    """Two fresh constrained towers from M0 per derived functional."""
+    """Two full fresh constrained towers from M0 per derived functional."""
     def feval(M):
         return sum(c * coeff_at(system, M, a) for a, c in fdict.items()) % PRIME
 
-    best = 0
-    for _ in range(2):
-        M = dict(M0)
-        vals = [feval(M)]
-        broken = False
-        for t, (vrs, conds, _) in enumerate(stages):
-            if not vrs:
-                vals.append(vals[-1])
-                continue
-            assign = None
-            if not broken:
-                funcs = _stage_funcs(conds, extra, t)
-                if funcs:
-                    b, cols = _stage_system(system, M, vrs,
-                                            [_pivots(system, fd) for fd in funcs])
-                    sol = _solve_affine(cols, b, rng)
-                    if sol[0] == "ok":
-                        assign = sol[2]
-                    else:
-                        broken = True
-            if assign is None:
-                assign = [rng.randrange(1, PRIME) for _ in vrs]
-            M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
-            vals.append(feval(M))
-        s = len(stages)
-        while s > 0 and vals[s - 1] == vals[-1]:
-            s -= 1
-        best = max(best, s)
-    return best
+    return max(_pinning_stage(_full_tower(system, M0, stages, extra, feval, rng))
+               for _ in range(2))
 
 
 def _pinning_stage(vals):
@@ -110,8 +110,7 @@ CASES = [
     (RegularNilpotent(), RootSystemId("A", 3), peterson_space, False),
     (RegularNilpotent(), RootSystemId("B", 3), peterson_space, False),
     (RegularNilpotent(), RootSystemId("C", 3), peterson_space, False),
-    # attaches derived functionals, some while states recorded before them
-    # are still in use (the replay from a stale stage)
+    # attaches derived functionals
     (RegularNilpotent(), RootSystemId("D", 4), peterson_space, True),
     (RegularNilpotent(), RootSystemId("D", 4), borel_space, False),
     (TypeANilpotent((2, 1, 1)), RootSystemId("A", 3), lambda _: _a3(2, 3, 4, 4),
@@ -143,18 +142,16 @@ def _oracle_log(monkeypatch, spec, system, H, reference):
         samples.append(_pinning_stage(vals))
         return vals
 
-    def stability(system, stages, extra, fdict, rng, states, broken):
+    def stability(system, M0, stages, extra, fdict, rng):
         samples.clear()
         if reference:
-            s = _fresh_replay_stability(system, states[0], stages, extra, fdict,
-                                        rng)
+            s = _fresh_replay_stability(system, M0, stages, extra, fdict, rng)
         else:
-            s = real_stability(system, stages, extra, fdict, rng, states, broken)
-            # the recorded tower on its own answers like the fresh replay;
-            # the maximum of the two would hide a recorded sample pinning
-            # too early
-            recorded, fresh = samples
-            assert recorded == fresh == s
+            s = real_stability(system, M0, stages, extra, fdict, rng)
+            # each tower on its own answers like the pair; the maximum of
+            # the two would hide one tower pinning too early
+            first, second = samples
+            assert first == second == s
         solves[-1]["extra"] = extra
         solves[-1]["values"].append(s)
         return s
@@ -170,8 +167,8 @@ def _oracle_log(monkeypatch, spec, system, H, reference):
 
 
 @pytest.mark.parametrize("spec,system,space,attaches", CASES, ids=IDS)
-def test_recorded_tower_matches_fresh_replays(monkeypatch, spec, system, space,
-                                              attaches):
+def test_both_towers_match_the_full_fresh_replays(monkeypatch, spec, system,
+                                                  space, attaches):
     H = space(system)
     got = _oracle_log(monkeypatch, spec, system, H, reference=False)
     want = _oracle_log(monkeypatch, spec, system, H, reference=True)
@@ -181,105 +178,40 @@ def test_recorded_tower_matches_fresh_replays(monkeypatch, spec, system, space,
     assert any(n for n, _ in got[1]) == attaches
 
 
-def test_stale_recorded_states_are_cut_at_the_new_functionals_stage(monkeypatch):
-    # a functional attached after the trial ran (an earlier combination of
-    # the same infeasible stage) makes the recorded states from its stage on
-    # stale: the recorded sample must restart there, constrained
-    system = RootSystemId("D", 4)
-    H = peterson_space(system)
-    trial = {}
-    real_run = orbit_oracle._run_tower
-    real_stability = orbit_oracle._stability_stage
-
-    def run(system, M0, stages, extra, rng):
-        status, payload = real_run(system, M0, stages, extra, rng)
-        if status == "infeasible":
-            trial.update(states=payload[3], broken=payload[4], attached=len(extra))
-        return status, payload
-
-    cuts = []
-
-    def stability(system, stages, extra, fdict, rng, states, broken):
-        new = [s for s, _ in extra[trial["attached"]:]]
-        if new:
-            cuts.append((len(states), min(new) + 1, broken))
-            assert all(a is b for a, b in zip(states, trial["states"]))
-        else:
-            assert states is trial["states"] and broken == trial["broken"]
-        return real_stability(system, stages, extra, fdict, rng, states, broken)
-
-    _towers_for_every_functional(monkeypatch)
-    monkeypatch.setattr(orbit_oracle, "_run_tower", run)
-    monkeypatch.setattr(orbit_oracle, "_stability_stage", stability)
-    for pi in enumerate_weyl(system):
-        cell_dim_oracle(RegularNilpotent(), system, H, pi, trials=2, seed=3)
-    assert cuts
-    assert all(n == m and not broken for n, m, broken in cuts)
-
-
-def test_late_pin_is_checked_on_the_recorded_continuation(monkeypatch):
-    # Perturb every value the recorded tower takes past its recorded
-    # states: the functional then moves after the stage that produced it,
-    # which only the continuation past that stage can see.
+def test_late_pin_is_checked_past_the_producing_stage(monkeypatch):
+    # Perturb every value a tower takes after the stage t that produced the
+    # functional: the functional then moves after t, which only a tower
+    # continued past t can see.
     system = RootSystemId("D", 4)
     H = peterson_space(system)
     pi = WeylElement(system, (-1, -2, -3, -4))
     assert cell_dim_oracle(RegularNilpotent(), system, H, pi) == \
         orbit_oracle.OracleVerdict("dim", 4)
+    real_run = orbit_oracle._run_tower
     real_values = orbit_oracle._tower_values
-    real_feval = orbit_oracle._feval
-    recorded = []
+    produced = []
+    perturbed = []
 
-    def values(system, stages, extra, pivots, rng, states, broken):
-        if len(states) == 1:  # the fresh replay
-            return real_values(system, stages, extra, pivots, rng, states, broken)
-        recorded.append(len(states))
+    def run(*args):
+        status, payload = real_run(*args)
+        if status == "infeasible":
+            produced.append(payload[0])
+        return status, payload
 
-        def moved(M, pivots):
-            bump = 0 if any(M is S for S in states) else 1
-            return (real_feval(M, pivots) + bump) % PRIME
+    def values(*args):
+        vals = real_values(*args)
+        t = produced[-1]
+        perturbed.append(len(vals) > t + 1)
+        return vals[:t + 1] + [(v + 1) % PRIME for v in vals[t + 1:]]
 
-        monkeypatch.setattr(orbit_oracle, "_feval", moved)
-        try:
-            return real_values(system, stages, extra, pivots, rng, states, broken)
-        finally:
-            monkeypatch.setattr(orbit_oracle, "_feval", real_feval)
-
+    monkeypatch.setattr(orbit_oracle, "_run_tower", run)
     monkeypatch.setattr(orbit_oracle, "_tower_values", values)
     verdict = cell_dim_oracle(RegularNilpotent(), system, H, pi)
-    assert recorded
+    assert any(perturbed)
     assert verdict == orbit_oracle.OracleVerdict("inconsistent", reason="late-pin")
 
 
-
 # --- the cut --------------------------------------------------------------------
-
-
-def _full_tower(system, stages, extra, pivots, rng, states, broken):
-    """_tower_values' loop run to the last stage, not stopped at the cut."""
-    vals = [_feval(M, pivots) for M in states]
-    M = states[-1]
-    for t in range(len(states) - 1, len(stages)):
-        vrs, conds, _ = stages[t]
-        if not vrs:
-            vals.append(vals[-1])
-            continue
-        assign = None
-        if not broken:
-            funcs = _stage_funcs(conds, extra, t)
-            if funcs:
-                b, cols = _stage_system(system, M, vrs,
-                                        [_pivots(system, fd) for fd in funcs])
-                sol = _solve_affine(cols, b, rng)
-                if sol[0] == "ok":
-                    assign = sol[2]
-                else:
-                    broken = True
-        if assign is None:
-            assign = [rng.randrange(1, PRIME) for _ in vrs]
-        M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
-        vals.append(_feval(M, pivots))
-    return vals
 
 
 def _rng_at(rng):
@@ -313,27 +245,26 @@ def test_towers_stop_exactly_at_the_cut(monkeypatch, system, space):
     towers = []
     cuts = []
 
-    def stability(system, stages, extra, fdict, rng, states, broken):
+    def stability(system, M0, stages, extra, fdict, rng):
         low = min(row_of(a) for a in fdict)
         cut = max(t for t, (*_, i) in enumerate(stages) if i >= low)
         pivots = _pivots(system, fdict)
-        both = ((states, broken), (states[:1], False))  # recorded, fresh
         full_rng = _rng_at(rng)
-        full_s = max(_pinning_stage(_full_tower(system, stages, extra, pivots,
-                                                full_rng, prefix, brk))
-                     for prefix, brk in both)
-        towers[:] = [(stages, cut, prefix, brk) for prefix, brk in both]
-        s = real_stability(system, stages, extra, fdict, rng, states, broken)
+        full_s = max(_pinning_stage(_full_tower(
+            system, M0, stages, extra, lambda M: _feval(M, pivots), full_rng))
+            for _ in range(2))
+        towers[:] = [(stages, cut)] * 2
+        s = real_stability(system, M0, stages, extra, fdict, rng)
         assert not towers  # both towers ran
         assert s == full_s
         cuts.append((cut, len(stages)))
         return s
 
-    def values(system, stages, extra, pivots, rng, states, broken):
-        full_stages, cut, prefix, brk = towers.pop(0)
-        full = _full_tower(system, full_stages, extra, pivots, _rng_at(rng),
-                           prefix, brk)
-        vals = real_values(system, stages, extra, pivots, rng, states, broken)
+    def values(system, M0, stages, extra, pivots, rng):
+        full_stages, cut = towers.pop(0)
+        full = _full_tower(system, M0, full_stages, extra,
+                           lambda M: _feval(M, pivots), _rng_at(rng))
+        vals = real_values(system, M0, stages, extra, pivots, rng)
         assert all(v == full[cut + 1] for v in full[cut + 1:])
         assert vals == full[:cut + 2]
         return vals
@@ -385,8 +316,8 @@ def test_functionals_outside_reach_are_pinned_at_zero_by_both_towers(
         cell["R"] = R
         return positive
 
-    def stability(system, stages, extra, fdict, rng, states, broken):
-        s = real_stability(system, stages, extra, fdict, rng, states, broken)
+    def stability(system, M0, stages, extra, fdict, rng):
+        s = real_stability(system, M0, stages, extra, fdict, rng)
         (settled if cell["R"].isdisjoint(fdict) else towered).append(s)
         return s
 
@@ -488,5 +419,5 @@ def test_reason_trial_split(monkeypatch):
 def test_reason_late_pin(monkeypatch):
     # a derived functional that looks pinned only after its own stage
     monkeypatch.setattr(orbit_oracle, "_stability_stage",
-                        lambda system, stages, *a: len(stages))
+                        lambda system, M0, stages, *a: len(stages))
     assert _reason(*_d4_top()) == "late-pin"
