@@ -254,12 +254,12 @@ def _tableau_applies(spec, system: RootSystemId) -> bool:
 def cmd_verify(args) -> int:
     system = _system(args)
     spec = _operator(args, system)
+    if bool(args.all_hess) == bool(args.hess):
+        raise ConfigError("verify needs exactly one of --hess and --all-hess")
     if args.all_hess:
         spaces = enumerate_spaces(system)
-    elif args.hess:
-        spaces = (_hess(args.hess, system),)
     else:
-        raise ConfigError("verify needs --hess or --all-hess")
+        spaces = (_hess(args.hess, system),)
     use_tableau = _tableau_applies(spec, system)
     paths = ["formula", "tableau", "oracle"] if use_tableau else ["formula", "oracle"]
     W = enumerate_weyl(system)

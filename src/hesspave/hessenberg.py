@@ -16,6 +16,7 @@ from .rootsys import (
     ResourceCapError,
     Root,
     RootSystemId,
+    extremal_roots,
     positive_roots,
     root_index,
     simple_roots,
@@ -136,7 +137,7 @@ def enumerate_spaces(system: RootSystemId) -> tuple[HessenbergSpace, ...]:
     pos = index.positive  # height-ascending
     pos_set = index.positive_set
     # preds[a] = roots that must already be chosen before a may be
-    preds = {a: frozenset(a - g for g in pos_set if (a - g) in pos_set) for a in pos}
+    preds = {a: extremal_roots(system, a) for a in pos}
     spaces: list[frozenset[Root]] = []
 
     def rec(k: int, chosen: set[Root]):

@@ -19,6 +19,7 @@ from .rootsys import (
     euclidean,
     positive_roots,
     root_gt,
+    root_index,
     simple_roots,
     type_a_root,
 )
@@ -187,38 +188,15 @@ def _levi_simple_indices(spec, system: RootSystemId) -> frozenset[int]:
     raise ValueError(f"no Levi data for {type(spec).__name__}")
 
 
-def _dynkin_neighbors(system: RootSystemId, i: int) -> set[int]:
-    n = system.rank
-    out = set()
-    if system.family == "D":
-        if i < n - 1:
-            out.add(i + 1)
-        if 1 < i <= n - 1:
-            out.add(i - 1)
-        if i == n - 2:
-            out.add(n)
-        if i == n:
-            out.add(n - 2)
-    else:
-        if i > 1:
-            out.add(i - 1)
-        if i < n:
-            out.add(i + 1)
-    return out
-
-
 def _check_connected(spec: SemisimpleClassical, system: RootSystemId):
+    """Simple roots span a connected piece of the Dynkin diagram exactly
+    when their sum is a root."""
+    positive = root_index(system).positive_set
     for block in spec.levi_blocks:
         if not block:
             raise ValueError("empty levi block")
-        todo, seen = [block[0]], {block[0]}
-        bset = set(block)
-        while todo:
-            cur = todo.pop()
-            for j in _dynkin_neighbors(system, cur) & bset - seen:
-                seen.add(j)
-                todo.append(j)
-        if seen != bset:
+        total = Root(tuple(int(i in block) for i in range(1, system.rank + 1)))
+        if total not in positive:
             raise ValueError(f"levi block {block} not connected in the Dynkin diagram")
 
 

@@ -23,10 +23,10 @@ for C) so that the Borel is upper triangular.  Each root vector has a pivot
 entry in rows 1..n (or the middle row for short B roots) that no other root
 vector or diagonal element touches, so coefficient extraction is a single
 dictionary lookup.  One plain-dict table per system (_kernel_table) holds
-each positive root's row, entries and pivot for the mod-p kernel; next to
-it, built on first use, sit each root's unit X for the stage columns
-(_unit_table).  R is walked by rootsys.root_closure, the walk the formula
-path's orbit roots share.
+each positive root's row, entries and pivot for the mod-p kernel, and its
+unit X for the stage columns.  R is walked by rootsys.root_closure over
+rootsys.root_index's sum table, the walk the formula path's orbit roots
+share.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .rootsys import (
     root_index,
     row_partition,
     simple_roots,
-    sum_table,
 )
 from .weyl import WeylElement, inversion_set
 
@@ -164,15 +163,20 @@ def _mat_mul(A: dict, B: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def _kernel_table(system: RootSystemId) -> dict:
-    """Positive root -> (row, entries, pivot): its row index, E_alpha as
-    (row, col, coeff) triples, and its pivot position.  The one table the
-    conjugation kernel, the stage systems and functional evaluation read; a
-    root missing from it is outside Phi+."""
+    """Positive root -> (row, entries, pivot, unit): its row index, E_alpha
+    as (row, col, coeff) triples, its pivot position, and the _row_index of
+    E_alpha alone, the X of a stage column.  The one table the conjugation
+    kernel, the stage systems and functional evaluation read; a root
+    missing from it is outside Phi+."""
     out = {}
     for i, row in enumerate(row_partition(system).rows, start=1):
         for a in row:
             entries = root_entries(system, a)
-            out[a] = (i, tuple((r, c, x) for (r, c), x in entries), entries[0][0])
+            # no two entries of E_alpha share a row or a column
+            unit = ({r: [(c, x)] for (r, c), x in entries},
+                    {c: [(r, x)] for (r, c), x in entries})
+            out[a] = (i, tuple((r, c, x) for (r, c), x in entries),
+                      entries[0][0], unit)
     return out
 
 
@@ -194,13 +198,6 @@ def _row_index(system: RootSystemId, assignment: dict) -> tuple[dict, dict]:
             xrows.setdefault(r, []).append((c, v))
             xcols.setdefault(c, []).append((r, v))
     return xrows, xcols
-
-
-@lru_cache(maxsize=None)
-def _unit_table(system: RootSystemId) -> dict:
-    """Positive root -> the _row_index of E_alpha alone, the X of a stage
-    column; built once per system, on first use."""
-    return {a: _row_index(system, {a: 1}) for a in _kernel_table(system)}
 
 
 def _ad(out: dict, X: tuple[dict, dict], B: dict) -> dict:
@@ -269,7 +266,7 @@ def _orbit_support(system: RootSystemId, M0: dict, var_roots,
     table = _kernel_table(system)
     if mode == "symbolic":
         M = _symbolic_rows(system, M0, var_roots)
-        return frozenset(a for a, (_, _, rc) in table.items()
+        return frozenset(a for a, (_, _, rc, _) in table.items()
                          if not _is_zero(M.get(rc, 0)))
     if mode != "randomized":
         raise ValueError(f"unknown orbit mode {mode!r}")
@@ -278,7 +275,7 @@ def _orbit_support(system: RootSystemId, M0: dict, var_roots,
         rng = random.Random(f"{key}:{t}")
         M = _conjugate_rows(system, {rc: v % PRIME for rc, v in M0.items()},
                             var_roots, lambda a: rng.randrange(1, PRIME), PRIME)
-        found.update(a for a, (_, _, rc) in table.items() if M.get(rc))
+        found.update(a for a, (_, _, rc, _) in table.items() if M.get(rc))
     return frozenset(found)
 
 
@@ -491,12 +488,12 @@ def _reachable_roots(system: RootSystemId, data: _SpecData,
     [E_vk, S] = -vk(S) E_vk vanishes for vk in Phi_l.  Each conjugate is
     again a sum of M's terms and such brackets, so down any tower the
     coefficient of a root outside R keeps its value at M_0."""
-    at, sums = sum_table(system)
+    index = root_index(system)
+    at = index.at
     var = {at[v] for v in var_roots}
-    start = {k for b in data.support for j, k in sums[at[b]] if j in var}
+    start = {k for b in data.support for j, k in index.sums[at[b]] if j in var}
     start.update(at[v] for v in var_roots if v not in data.levi)
-    positive = root_index(system).positive
-    return frozenset(positive[i] for i in root_closure(system, start, var))
+    return frozenset(index.positive[i] for i in root_closure(system, start, var))
 
 
 def _stage_funcs(conds, extra, t):
@@ -515,14 +512,13 @@ def _stage_system(system, M, vrs, fpivs):
     solves stage systems without the affineness probe, so dropping it would
     change its answers."""
     table = _kernel_table(system)
-    units = _unit_table(system)
     need = {rc for fp in fpivs for rc, _ in fp}
     b = [_feval(M, fp) for fp in fpivs]
     half = pow(2, -1, PRIME)
     cols = []
     for v_root in vrs:
-        ev = table[v_root][1]
-        Z1 = _ad({}, units[v_root], M)
+        _, ev, _, unit = table[v_root]
+        Z1 = _ad({}, unit, M)
         col = {}
         for r, c in need:
             z2 = 0

@@ -45,7 +45,7 @@ from .operators import (
     multidiagram_of,
 )
 from .orbit_oracle import REASONS, cell_dim_oracle
-from .rootsys import RootSystemId, root_closure, root_index, sum_table, weyl_order
+from .rootsys import RootSystemId, root_closure, root_index, weyl_order
 from .tableaux import Filling, multidiagram_dimension, multidiagram_nonempty
 from .weyl import WeylElement, enumerate_weyl, signed_inverse
 
@@ -140,11 +140,12 @@ def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
 def _formula_data(spec, system: RootSystemId) -> tuple:
     """supp N as signed position pairs and as positions in root_index order,
     and whether each positive root lies in Phi_l; built once per spec."""
-    at = sum_table(system)[0]
+    index = root_index(system)
     support = canonical_form(spec, system).support
     levi = levi_roots(spec, system)
-    return (tuple(root_index(system).pair[b] for b in support),
-            tuple(at[b] for b in support), tuple(a in levi for a in at))
+    return (tuple(index.pair[b] for b in support),
+            tuple(index.at[b] for b in support),
+            tuple(a in levi for a in index.positive))
 
 
 def cell_formula(

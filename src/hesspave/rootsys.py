@@ -31,7 +31,6 @@ __all__ = [
     "euclidean",
     "RootIndex",
     "root_index",
-    "sum_table",
     "root_closure",
     "weyl_order",
     "ResourceCapError",
@@ -323,10 +322,14 @@ class RootIndex(NamedTuple):
     positions, smaller position first: e_i - e_j is (i, -j), e_i + e_j is
     (i, j), and e_i or 2e_i is (i, 0); the family fixes which of the last
     two exists.  A signed permutation w sends position k to sgn(k) w(|k|),
-    so it acts on a pair entrywise."""
+    so it acts on a pair entrywise.  A position is an index into
+    ``positive``: ``at`` gives each positive root's, and ``sums[i]`` lists
+    the (j, k) with positive[i] + positive[j] = positive[k]."""
 
     positive: tuple[Root, ...]  # positive_roots(system), in that order
     positive_set: frozenset[Root]
+    at: dict[Root, int]
+    sums: tuple[tuple[tuple[int, int], ...], ...]
     pair: dict[Root, tuple[int, int]]  # every root, positive and negative
     root: dict[tuple[int, int], Root]  # each pair, in either order
     positive_pairs: tuple[tuple[int, int], ...]  # the pairs of positive
@@ -352,26 +355,18 @@ def root_index(system: RootSystemId) -> RootIndex:
     for a, (p, q) in pair.items():
         root[p, q] = root[q, p] = a
         negative[p][q] = negative[q][p] = a.is_negative
-    return RootIndex(positive, frozenset(positive), pair, root,
+    at = {a: i for i, a in enumerate(positive)}
+    sums = tuple(tuple((j, at[a + b]) for j, b in enumerate(positive)
+                       if a + b in at) for a in positive)
+    return RootIndex(positive, frozenset(positive), at, sums, pair, root,
                      tuple(pair[a] for a in positive),
                      tuple(tuple(row) for row in negative))
-
-
-@lru_cache(maxsize=None)
-def sum_table(system: RootSystemId) -> tuple[dict, tuple]:
-    """Each positive root's position in root_index order, and per position
-    the (j, k) pairs with positive[k] the sum of it and positive[j], for
-    every such positive sum; built once per system, on first use."""
-    positive = root_index(system).positive
-    at = {a: i for i, a in enumerate(positive)}
-    return at, tuple(tuple((j, at[a + b]) for j, b in enumerate(positive)
-                           if a + b in at) for a in positive)
 
 
 def root_closure(system: RootSystemId, start, steps) -> set[int]:
     """The smallest set of positive-root positions holding start and closed
     under k -> k + j for j in steps, when the sum is a positive root."""
-    sums = sum_table(system)[1]
+    sums = root_index(system).sums
     steps = set(steps)
     out = set(start)
     todo = list(out)

@@ -23,7 +23,6 @@ ALLOWED = {
     "verify_adform": "tests/test_acceptance.py calls it",
     "nonoverlap_check": "tests/test_acceptance.py calls it",
     "all_hess_functions": "tests/test_acceptance.py calls it",
-    "extremal_roots": "an acceptance helper that ROADMAP item 6 keeps",
     "peterson_cells": "an acceptance helper that ROADMAP item 6 keeps",
     "identity": "tests/test_perfbench_contract.py imports it",
 }

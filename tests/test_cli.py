@@ -287,6 +287,8 @@ def test_verify_all_hess_levi_and_general(capsys, family, rank, flags):
       "--hess", "full"), "simple root index 9 out of range"),
     (("verify", "--family", "A", "--rank", "3", "--semisimple", "1,3",
       "--hess", "full"), "not connected"),
+    (("verify", "--family", "A", "--rank", "1", "--regular-nilpotent",
+      "--hess", "full", "--all-hess"), "exactly one of --hess and --all-hess"),
     (("pave", "--family", "B", "--rank", "2", "--regular-nilpotent",
       "--hess", "peterson", "--method", "tableau"), "no tableau path"),
     (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",

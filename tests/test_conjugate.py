@@ -16,7 +16,9 @@ from hesspave.orbit_oracle import (
     PRIME,
     _conjugate,
     _oracle_data,
+    _kernel_table,
     _pivots,
+    _row_index,
     _stage_system,
     cartan_matrix,
     coeff_at,
@@ -167,3 +169,13 @@ def test_oracle_data_is_built_once_and_immutable():
                         for rc, v in operator_matrix(RegularNilpotent(), system).items()}
     assert isinstance(M0, tuple) and isinstance(plan, tuple)
     assert all(isinstance(vs, tuple) and isinstance(cs, tuple) for vs, cs, _ in plan)
+
+
+@pytest.mark.parametrize("system", [RootSystemId("A", 4), RootSystemId("B", 3),
+                                    RootSystemId("C", 4), RootSystemId("D", 4)],
+                         ids=str)
+def test_kernel_table_unit_is_the_row_index_of_e_alpha(system):
+    table = _kernel_table(system)
+    assert set(table) == set(positive_roots(system))
+    for a in positive_roots(system):
+        assert table[a][3] == _row_index(system, {a: 1})

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hesspave.operators import (
@@ -116,6 +118,66 @@ def test_levi_blocks_validation():
     levi_roots(SemisimpleClassical(((2, 4),)), RootSystemId("D", 4))
     with pytest.raises(ValueError):
         levi_roots(SemisimpleClassical(((3, 4),)), RootSystemId("D", 4))
+
+
+# Dynkin diagrams as edge lists, written out independently of the library:
+# A, B and C are the chain 1 - 2 - ... - n; D_n forks at n - 2.
+CHAIN = ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+D_EDGES = {
+    3: ((1, 2), (1, 3)),
+    4: ((1, 2), (2, 3), (2, 4)),
+    5: ((1, 2), (2, 3), (3, 4), (3, 5)),
+    6: ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6)),
+}
+DYNKIN_SYSTEMS = (
+    [RootSystemId("A", n) for n in range(1, 7)]
+    + [RootSystemId(fam, n) for fam in "BC" for n in range(2, 7)]
+    + [RootSystemId("D", n) for n in range(3, 7)]
+)
+
+
+def _dynkin_connected(system, block):
+    if system.family == "D":
+        edges = D_EDGES[system.rank]
+    else:
+        edges = [(i, j) for i, j in CHAIN if j <= system.rank]
+    seen, todo = {block[0]}, [block[0]]
+    while todo:
+        i = todo.pop()
+        for e in edges:
+            if i in e and set(e) <= set(block):
+                j = e[0] + e[1] - i
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+    return seen == set(block)
+
+
+@pytest.mark.parametrize("system", DYNKIN_SYSTEMS, ids=str)
+def test_levi_block_accepted_exactly_when_dynkin_connected(system):
+    n = system.rank
+    for size in range(1, n + 1):
+        for block in itertools.combinations(range(1, n + 1), size):
+            spec = SemisimpleClassical((block,))
+            if _dynkin_connected(system, block):
+                levi_roots(spec, system)
+            else:
+                with pytest.raises(ValueError, match="not connected"):
+                    levi_roots(spec, system)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_type_d_end_nodes_are_not_adjacent(n):
+    # alpha_{n-1} and alpha_n both hang off alpha_{n-2}, not off each other
+    system = RootSystemId("D", n)
+    with pytest.raises(ValueError, match="not connected"):
+        levi_roots(SemisimpleClassical(((n - 1, n),)), system)
+    levi_roots(SemisimpleClassical(((n - 2, n - 1, n),)), system)
+
+
+def test_empty_levi_block_is_rejected():
+    with pytest.raises(ValueError, match="empty levi block"):
+        levi_roots(SemisimpleClassical(((),)), RootSystemId("A", 3))
 
 
 def test_levi_roots_examples():

@@ -21,16 +21,15 @@ from hesspave.operators import (
     levi_roots,
 )
 from hesspave.orbit_oracle import orbit_roots
-from hesspave.rootsys import RootSystemId, root_closure, root_index, sum_table
+from hesspave.rootsys import RootSystemId, root_closure, root_index
 from hesspave.weyl import enumerate_weyl, inversion_set
 
 
 def closure_orbit_roots(spec, system, pi):
-    at = sum_table(system)[0]
-    start = [at[b] for b in canonical_form(spec, system).support]
-    steps = [at[a] for a in inversion_set(pi) & levi_roots(spec, system)]
-    positive = root_index(system).positive
-    return frozenset(positive[k] for k in root_closure(system, start, steps))
+    index = root_index(system)
+    start = [index.at[b] for b in canonical_form(spec, system).support]
+    steps = [index.at[a] for a in inversion_set(pi) & levi_roots(spec, system)]
+    return frozenset(index.positive[k] for k in root_closure(system, start, steps))
 
 
 def _partitions(n, largest=None):

@@ -238,6 +238,19 @@ def test_euclidean_roundtrip(system):
     assert index.positive_set == set(positive)
 
 
+@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=str)
+def test_sum_table_matches_root_addition(system):
+    # at and sums against Root addition over every ordered pair of Phi+
+    index = root_index(system)
+    positive = positive_roots(system)
+    assert index.at == {a: i for i, a in enumerate(positive)}
+    assert len(index.sums) == len(positive)
+    for i, a in enumerate(positive):
+        expected = [(j, positive.index(a + b))
+                    for j, b in enumerate(positive) if a + b in positive]
+        assert list(index.sums[i]) == expected
+
+
 def test_euclidean_is_read_only_in_rootsys_and_operators():
     # every other module reads roots through root_index's signed pairs
     callers = set()

@@ -364,7 +364,8 @@ def test_reach_holds_every_root_a_conjugation_moves(spec, system):
         rng = random.Random(f"reach:{pi.window}")
         M = orbit_oracle._conjugate_rows(
             system, M0, var, lambda a: rng.randrange(1, PRIME), PRIME)
-        moved = {a for a, (_, _, rc) in table.items() if M.get(rc) != M0.get(rc)}
+        moved = {a for a, (_, _, rc, _) in table.items()
+                 if M.get(rc) != M0.get(rc)}
         assert moved <= R
         if data.levi == root_index(system).positive_set:
             assert moved == R
