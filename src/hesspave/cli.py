@@ -49,7 +49,7 @@ from .rootsys import (
     row_structure_kind,
     verticality_check,
 )
-from .weyl import enumerate_weyl
+from .weyl import _check_order, enumerate_weyl
 
 __all__ = ["main"]
 
@@ -213,6 +213,7 @@ def cmd_pave(args) -> int:
     spec = _operator(args, system)
     if not args.hess:
         raise ConfigError("pave needs --hess")
+    _check_order(system)
     H = _hess(args.hess, system)
     if args.method == "tableau" and not _tableau_applies(spec, system):
         raise ConfigError(f"no tableau path for {spec_label(spec)} in {system}")
@@ -256,6 +257,7 @@ def cmd_verify(args) -> int:
     spec = _operator(args, system)
     if bool(args.all_hess) == bool(args.hess):
         raise ConfigError("verify needs exactly one of --hess and --all-hess")
+    _check_order(system)
     if args.all_hess:
         spaces = enumerate_spaces(system)
     else:
@@ -347,9 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("formula", "tableau", "oracle"),
                    default="formula")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel workers, capped at the usable CPUs; output "
-                        "order is always the deterministic Weyl enumeration "
-                        "order")
+                   help="parallel workers, capped at the usable CPUs; worth "
+                        "it for --method oracle, while formula cells are too "
+                        "cheap to pay for the pool; output order is always "
+                        "the deterministic Weyl enumeration order")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_pave)
 

@@ -19,7 +19,6 @@ from .rootsys import (
     euclidean,
     positive_roots,
     root_gt,
-    root_index,
     simple_roots,
     type_a_root,
 )
@@ -191,7 +190,7 @@ def _levi_simple_indices(spec, system: RootSystemId) -> frozenset[int]:
 def _check_connected(spec: SemisimpleClassical, system: RootSystemId):
     """Simple roots span a connected piece of the Dynkin diagram exactly
     when their sum is a root."""
-    positive = root_index(system).positive_set
+    positive = positive_roots(system)
     for block in spec.levi_blocks:
         if not block:
             raise ValueError("empty levi block")

@@ -341,10 +341,6 @@ REASONS = {
 }
 
 
-EMPTY = OracleVerdict("empty")
-INCONSISTENT = OracleVerdict("inconsistent")
-
-
 class _SpecData(NamedTuple):
     """What the oracle and the reference conjugations read about M = S + N."""
 
@@ -533,9 +529,12 @@ def _stage_system(system, M, vrs, fpivs):
 
 
 def _run_tower(system, M0, stages, extra, rng):
-    """One trial: solve the cell's stages in order.  An infeasible stage t
-    returns (t, funcs, combos): the stage's functionals and the eliminated
-    combinations with vanished linear part."""
+    """One trial: solve the cell's stages in order.  Returns ("dim", d);
+    ("infeasible", (t, funcs, combos)) at an infeasible stage t, with the
+    stage's functionals and the eliminated combinations with vanished linear
+    part; or ("inconsistent", "nonaffine").  A stage without variables is a
+    system without columns: _solve_affine turns its nonzero constants into
+    unit combinations and draws nothing."""
     M = M0
     total_rank = 0
     for t, (vrs, conds, _) in enumerate(stages):
@@ -547,29 +546,24 @@ def _run_tower(system, M0, stages, extra, rng):
             continue
         fpivs = [_pivots(system, fd) for fd in funcs]
         b, cols = _stage_system(system, M, vrs, fpivs)
-        if not vrs:
-            if any(b):
-                return "infeasible", (t, funcs, [
-                    [int(i == j) for j in range(len(funcs))]
-                    for i, v in enumerate(b) if v
-                ])
-            continue
-        # affineness probe at a random point
-        xp = [rng.randrange(PRIME) for _ in vrs]
-        Mp = _conjugate(system, M, dict(zip(vrs, xp)), PRIME)
-        for idx, fp in enumerate(fpivs):
-            pred = (b[idx] + sum(cols[j][idx] * xp[j] for j in range(len(vrs)))) % PRIME
-            if _feval(Mp, fp) != pred:
-                return "nonaffine", None
+        if vrs:
+            # affineness probe at a random point
+            xp = [rng.randrange(PRIME) for _ in vrs]
+            Mp = _conjugate(system, M, dict(zip(vrs, xp)), PRIME)
+            for idx, fp in enumerate(fpivs):
+                pred = (b[idx] + sum(cols[j][idx] * xp[j] for j in range(len(vrs)))) % PRIME
+                if _feval(Mp, fp) != pred:
+                    return "inconsistent", "nonaffine"
         sol = _solve_affine(cols, b, rng)
         if sol[0] == "bad":
             return "infeasible", (t, funcs, sol[1])
         _, rank, xstar = sol
         total_rank += rank
-        M = _conjugate(system, M, dict(zip(vrs, xstar)), PRIME)
+        if vrs:
+            M = _conjugate(system, M, dict(zip(vrs, xstar)), PRIME)
     table = _kernel_table(system)
     if any(M.get(table[a][2]) for _, conds, _ in stages for a in conds):
-        return "nonaffine", None
+        return "inconsistent", "nonaffine"
     return "dim", sum(len(vrs) for vrs, _, _ in stages) - total_rank
 
 
@@ -638,25 +632,23 @@ def _stability_stage(system, M0, stages, extra, fdict, rng):
 def _solve_once(system, M0, stages, reach, rng):
     """One trial: ("dim", d), ("empty", None) or ("inconsistent", reason).
 
-    reach is the cell's R (_reachable_roots).  A derived functional with no
-    root in R is constant on every tower, so its stability stage is 0,
-    exactly, without running one; any other goes to _stability_stage.
-    Either way a functional pinned at 0 and nonzero at M_0 has no solution,
-    so the cell is empty."""
+    Each infeasible tower (_run_tower) yields derived functionals.  reach is
+    the cell's R (_reachable_roots).  A derived functional with no root in R
+    is constant on every tower, so its stability stage is 0, exactly,
+    without running one; any other goes to _stability_stage.  Either way a
+    functional pinned at 0 and nonzero at M_0 has no solution, so the cell
+    is empty; one that is 0 there (the empty combination among them) adds
+    nothing."""
     extra: list[tuple[int, dict]] = []
     seen: set[frozenset] = set()
     for _ in range(MAX_DERIVED):
         status, payload = _run_tower(system, M0, stages, extra, rng)
-        if status == "nonaffine":
-            return "inconsistent", "nonaffine"
         if status != "infeasible":
             return status, payload
         t, funcs, combos = payload
         progress = False
         for combo in combos:
             fd = _combine(funcs, combo)
-            if not fd:
-                continue
             key = frozenset(fd.items())
             if key in seen:
                 continue
@@ -687,7 +679,12 @@ def cell_dim_oracle(
     trials: int = 5,
     seed: int = 0,
 ) -> OracleVerdict:
-    """Probabilistic dimension of the cell BpiB intersected with H(M,H)."""
+    """Probabilistic dimension of the cell BpiB intersected with H(M,H).
+
+    Each of the trials runs _solve_once on its own seeded stream.  The first
+    inconsistent trial is the verdict; otherwise the trials' (kind, dim)
+    outcomes form one set, whose only member is the verdict when they all
+    agree, and a trial split when they do not."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)
@@ -695,21 +692,15 @@ def cell_dim_oracle(
     stages = _cell_stages(data.plan, var_set, complement_roots(H, pi))
     reach = _reachable_roots(system, data, var_set)
     M0 = dict(data.residues)
-    dims = set()
-    empties = 0
+    outcomes = set()
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
         kind, d = _solve_once(system, M0, stages, reach, rng)
         if kind == "inconsistent":
             return OracleVerdict(kind, reason=d)
-        if kind == "empty":
-            empties += 1
-        else:
-            dims.add(d)
-    if empties == trials:
-        return EMPTY
-    if empties == 0 and len(dims) == 1:
-        return OracleVerdict("dim", dims.pop())
+        outcomes.add((kind, d))
+    if len(outcomes) == 1:
+        return OracleVerdict(*outcomes.pop())
     return OracleVerdict("inconsistent", reason="trial-split")
 
 

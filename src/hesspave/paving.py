@@ -32,7 +32,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .hessenberg import HessenbergSpace, to_h
 from .operators import (
@@ -247,9 +247,7 @@ def cell_oracle(
     if v.kind == "inconsistent":
         raise OracleDisagreement(pi, REASONS.get(v.reason, "no reason given"),
                                  v.reason)
-    if v.kind == "empty":
-        return CellReport(pi, False, None, "oracle")
-    return CellReport(pi, True, v.dim, "oracle")
+    return CellReport(pi, v.kind == "dim", v.dim, "oracle")
 
 
 def cell_report(
@@ -277,11 +275,6 @@ class PavingResult:
     polynomial: PoincarePolynomial
 
 
-def _cell_worker(args):
-    spec, system, H, pi, method, seed, trials = args
-    return cell_report(spec, system, H, pi, method, seed, trials)
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set where the platform
     has one, else the machine's count."""
@@ -303,16 +296,14 @@ def pave(
     jobs > 1 runs the cells in a process pool of at most the usable CPUs:
     a fork-started pool launches every worker at its first task."""
     W = enumerate_weyl(system)
+    cell = partial(cell_report, spec, system, H, method=method, seed=seed,
+                   trials=trials)
     workers = min(jobs, _usable_cpus())
     if workers > 1:
-        args = [(spec, system, H, pi, method, seed, trials) for pi in W]
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            reports = tuple(ex.map(_cell_worker, args, chunksize=64))
+            reports = tuple(ex.map(cell, W, chunksize=64))
     else:
-        reports = tuple(
-            cell_report(spec, system, H, pi, method, seed, trials)
-            for pi in W
-        )
+        reports = tuple(map(cell, W))
     return PavingResult(system, reports, poincare(reports, system))
 
 

@@ -110,6 +110,14 @@ def identity(system: RootSystemId) -> WeylElement:
     return WeylElement(system, tuple(range(1, ambient_dim(system) + 1)))
 
 
+def _check_order(system: RootSystemId) -> None:
+    """The Weyl-order cap, checked from the order alone: the CLI calls it
+    before it builds the system's space, and enumerate_weyl before W."""
+    if weyl_order(system) > MAX_WEYL_ORDER:
+        raise ResourceCapError(
+            f"Weyl group of {system} exceeds {MAX_WEYL_ORDER} elements")
+
+
 def enumerate_weyl(system: RootSystemId) -> tuple[WeylElement, ...]:
     """All Weyl elements, windows in lexicographic order."""
     return _enumerate_cached(system)
@@ -117,9 +125,7 @@ def enumerate_weyl(system: RootSystemId) -> tuple[WeylElement, ...]:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(system: RootSystemId) -> tuple[WeylElement, ...]:
-    if weyl_order(system) > MAX_WEYL_ORDER:
-        raise ResourceCapError(
-            f"Weyl group of {system} exceeds {MAX_WEYL_ORDER} elements")
+    _check_order(system)
     fam = system.family
     m = ambient_dim(system)
     if fam == "A":

@@ -5,7 +5,7 @@ import pytest
 from hesspave import cli
 from hesspave.hessenberg import enumerate_spaces
 from hesspave.orbit_oracle import _symbolic_rows
-from hesspave.rootsys import ResourceCapError, RootSystemId, weyl_order
+from hesspave.rootsys import ResourceCapError, RootSystemId, root_index, weyl_order
 from hesspave.weyl import MAX_WEYL_ORDER, enumerate_weyl
 
 
@@ -178,6 +178,21 @@ def test_malformed_operator_precedes_the_cap(capsys):
     assert code == 2 and "expected 10" in err
 
 
+@pytest.mark.parametrize("command", ["pave", "verify"])
+def test_cap_precedes_the_space(capsys, command):
+    # the Weyl-order cap is checked from the order alone: a capped request
+    # builds neither the space nor the root index
+    before = root_index.cache_info().currsize
+    code, out, err = run(capsys, command, "--family", "A", "--rank", "30",
+                         "--semisimple", "1,2", "--hess", "peterson")
+    assert code == 4 and "resource cap" in err and not out
+    assert root_index.cache_info().currsize == before
+    # a malformed space on a capped system is refused by the cap too
+    code, _, err = run(capsys, command, "--family", "A", "--rank", "9",
+                       "--regular-nilpotent", "--hess", "h=1,2")
+    assert code == 4 and "resource cap" in err
+
+
 @pytest.mark.parametrize("call", [
     lambda: enumerate_weyl(RootSystemId("A", 9)),
     lambda: enumerate_spaces(RootSystemId("A", 8)),
@@ -192,10 +207,10 @@ def test_pave_oracle_jobs_disagreement(capsys, monkeypatch):
     # forked workers inherit the patch; the disagreement must reach the
     # parent as itself, not as a broken pool
     import hesspave.paving as paving_mod
-    from hesspave.orbit_oracle import INCONSISTENT
+    from hesspave.orbit_oracle import OracleVerdict
 
     monkeypatch.setattr(paving_mod, "cell_dim_oracle",
-                        lambda *a, **k: INCONSISTENT)
+                        lambda *a, **k: OracleVerdict("inconsistent"))
     code, _, err = run(capsys, "pave", "--family", "A", "--rank", "2",
                        "--regular-nilpotent", "--hess", "full",
                        "--method", "oracle", "--jobs", "2")

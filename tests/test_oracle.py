@@ -23,7 +23,6 @@ from hesspave.operators import (
     semisimple_functional,
 )
 from hesspave.orbit_oracle import (
-    EMPTY,
     OracleVerdict,
     _oracle_data,
     cell_dim_oracle,
@@ -238,7 +237,7 @@ def test_cell_oracle_detects_empty():
     system = RootSystemId("A", 2)
     s1 = WeylElement(system, (2, 1, 3))
     assert cell_dim_oracle(RegularNilpotent(), system, borel_space(system), s1) \
-        == EMPTY
+        == OracleVerdict("empty")
 
 
 def test_cell_oracle_peterson_top_cell_a2():
@@ -417,3 +416,14 @@ def test_solve_affine_on_systems_of_known_rank():
                            for col in cols)
                 assert sum(ci * bi for ci, bi in zip(c, b)) % p
     assert {(s, r) for s in ("ok", "bad") for r in range(5)} <= seen
+    # m = 0, a stage with no variables: the nonzero constants come back as
+    # unit combinations, in order, or the system is solved at rank 0, and
+    # nothing is drawn either way
+    for k in range(5):
+        for _ in range(10):
+            b = [rng.choice([0, rng.randrange(1, p)]) for _ in range(k)]
+            units = [[int(i == j) for j in range(k)] for i, v in enumerate(b) if v]
+            state = rng.getstate()
+            got = _solve_affine([], b, rng)
+            assert got == (("bad", units) if units else ("ok", 0, []))
+            assert rng.getstate() == state

@@ -251,11 +251,11 @@ def test_formula_does_not_depend_on_the_seed():
 
 def test_oracle_disagreement_carries_pi(monkeypatch):
     import hesspave.paving as paving_mod
-    from hesspave.orbit_oracle import INCONSISTENT
+    from hesspave.orbit_oracle import OracleVerdict
 
     system = RootSystemId("A", 2)
     monkeypatch.setattr(paving_mod, "cell_dim_oracle",
-                        lambda *a, **k: INCONSISTENT)
+                        lambda *a, **k: OracleVerdict("inconsistent"))
     w = WeylElement(system, (2, 1, 3))
     with pytest.raises(OracleDisagreement) as err:
         paving_mod.cell_oracle(RegularNilpotent(), system,

@@ -15,7 +15,6 @@ of Phi+ so every functional still runs them, and a sweep runs the towers on
 every functional R settles and checks that they pin it at 0.
 """
 
-import itertools
 import random
 from collections import Counter
 
@@ -37,6 +36,7 @@ from hesspave.operators import (
 )
 from hesspave.orbit_oracle import (
     PRIME,
+    OracleVerdict,
     _conjugate,
     _feval,
     _pivots,
@@ -411,10 +411,32 @@ def test_reason_max_derived(monkeypatch):
     assert _reason(*_d4_top()) == "max-derived"
 
 
-def test_reason_trial_split(monkeypatch):
-    answers = itertools.cycle([("dim", 4), ("empty", None)])
-    monkeypatch.setattr(orbit_oracle, "_solve_once", lambda *a: next(answers))
-    assert _reason(*_d4_top()) == "trial-split"
+_EMPTY, _DIM3, _DIM4 = ("empty", None), ("dim", 3), ("dim", 4)
+_SPLIT = OracleVerdict("inconsistent", reason="trial-split")
+
+
+@pytest.mark.parametrize("answers, verdict, runs", [
+    ([_EMPTY] * 5, OracleVerdict("empty"), 5),
+    ([_DIM4] * 5, OracleVerdict("dim", 4), 5),
+    ([_DIM4, _EMPTY] * 3, _SPLIT, 5),
+    ([_DIM4, _DIM3] * 3, _SPLIT, 5),
+    ([_DIM4, ("inconsistent", "no-progress"), _DIM4, _DIM4, _DIM4],
+     OracleVerdict("inconsistent", reason="no-progress"), 2),
+], ids=["all-empty", "one-dim", "dim-then-empty", "two-dims", "inconsistent"])
+def test_trial_vote(monkeypatch, answers, verdict, runs):
+    # the trials' (kind, dim) outcomes form one set: a single member is the
+    # verdict, more are a split; an inconsistent trial ends the vote at once
+    scripted = iter(answers)
+    ran = []
+
+    def solve_once(*a):
+        ran.append(a)
+        return next(scripted)
+
+    monkeypatch.setattr(orbit_oracle, "_solve_once", solve_once)
+    system, H, pi = _d4_top()
+    assert cell_dim_oracle(RegularNilpotent(), system, H, pi) == verdict
+    assert len(ran) == runs
 
 
 def test_reason_late_pin(monkeypatch):
