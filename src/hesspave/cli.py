@@ -2,13 +2,14 @@
 Hessenberg variety, and cross-verify the independent computation paths.
 
 Exit codes: 0 success, 2 configuration error, 3 verification failure,
-4 resource cap hit.
+4 resource cap hit, 141 stdout closed by its reader (say `| head`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .hessenberg import (
@@ -57,6 +58,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 EXIT_RESOURCE = 4
+EXIT_PIPE = 141  # what a shell reports for a tool that SIGPIPE ended
 
 
 class ConfigError(Exception):
@@ -320,7 +322,9 @@ def _add_paving(p):
                         "part by coefficient vectors")
     p.add_argument("--seed", type=int, default=0, help="seeds the oracle path")
     p.add_argument("--trials", type=_positive_int, default=5,
-                   help="solver trials per cell (oracle path)")
+                   help="solver trials per cell (oracle path); an exact "
+                        "emptiness proof on the first trial ends the vote, "
+                        "so such a cell runs one trial")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,13 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceCapError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # The reader stopped early, which is no fault.  stdout goes to
+        # devnull so that the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

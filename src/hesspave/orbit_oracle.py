@@ -12,7 +12,8 @@
   re-attached to the stage that pins it.  Most are constant: a functional
   with no root in the cell's R, the roots whose coefficient a conjugation
   by the cell's variable roots can change (_reachable_roots), is pinned
-  before any stage, exactly.  Any other is pinned where two fresh
+  before any stage, exactly; if it is nonzero at M_0, the cell is empty and
+  the trial vote ends.  Any other is pinned where two fresh
   constrained towers from M_0 say.  Both stop at the functional's cut, the
   last stage on a row that can move it: by the row lemma, a stage on row j
   leaves the coefficients of rows > j untouched.  A cell the solver cannot
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .hessenberg import HessenbergSpace, complement_roots
+from .hessenberg import HessenbergSpace
 from .operators import canonical_form, levi_roots, semisimple_functional
 from .polynomial import Poly
 from .rootsys import (
@@ -50,7 +51,7 @@ from .rootsys import (
     row_partition,
     simple_roots,
 )
-from .weyl import WeylElement, inversion_set
+from .weyl import WeylElement, inversion_set, signed_inverse
 
 __all__ = [
     "PRIME",
@@ -349,6 +350,12 @@ class _SpecData(NamedTuple):
     matrix: tuple  # M over the integers, ((row, col), int) pairs
     support: tuple[Root, ...]  # supp N, in canonical order
     levi: frozenset[Root]  # Phi_l, the positive roots on which S vanishes
+    # the same in root_index positions: per stage of the plan, (variable
+    # positions, condition positions); supp N's positions; and whether each
+    # positive root lies in Phi_l
+    plan_at: tuple
+    support_at: tuple[int, ...]
+    levi_mask: tuple[bool, ...]
 
 
 @lru_cache(maxsize=None)
@@ -382,7 +389,13 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
         else:
             plan.append((row, row, i))
     residues = tuple((rc, v % PRIME) for rc, v in matrix)
-    return _SpecData(residues, tuple(plan), matrix, support, levi)
+    index = root_index(system)
+    at = index.at
+    plan_at = tuple((tuple(at[a] for a in vs), tuple(at[a] for a in cs))
+                    for vs, cs, _ in plan)
+    return _SpecData(residues, tuple(plan), matrix, support, levi, plan_at,
+                     tuple(at[b] for b in support),
+                     tuple(a in levi for a in index.positive))
 
 
 def _solve_affine(cols, b, rng):
@@ -460,22 +473,24 @@ def _combine(funcs, combo):
     return {a: v for a, v in out.items() if v}
 
 
-def _cell_stages(plan, var_set, cond_set) -> list:
-    """The plan restricted to one cell: per stage, its variable roots in
-    var_set, its condition roots in cond_set and its row, in plan order.
-    The plan covers every positive root once on each side.  Lists: tuples
-    built from generators here raised the peak RSS of the pave-oracle
-    benchmark cases by about 0.4 MB."""
-    return [([a for a in vs if a in var_set], [a for a in cs if a in cond_set], i)
-            for vs, cs, i in plan]
+def _cell_stages(data: _SpecData, var, cond) -> list:
+    """The plan restricted to one cell: per stage, its variable roots whose
+    position var marks, its condition roots whose position cond marks and
+    its row, in plan order.  The plan covers every positive root once on
+    each side.  Lists: tuples built from generators here raised the peak
+    RSS of the pave-oracle benchmark cases by about 0.4 MB."""
+    return [([a for a, k in zip(vs, vk) if var[k]],
+             [a for a, k in zip(cs, ck) if cond[k]], i)
+            for (vs, cs, i), (vk, ck) in zip(data.plan, data.plan_at)]
 
 
 def _reachable_roots(system: RootSystemId, data: _SpecData,
-                     var_roots) -> frozenset[Root]:
+                     var_at) -> frozenset[Root]:
     """R, the positive roots whose coefficient a conjugation by the cell's
-    variable roots can change: those reached from supp N by adding one or
-    more variable roots, every partial sum a positive root, and every
-    variable root outside Phi_l and what it reaches the same way.
+    variable roots (their root_index positions var_at) can change: those
+    reached from supp N by adding one or more variable roots, every partial
+    sum a positive root, and every variable root outside Phi_l and what it
+    reaches the same way.
 
     exp(ad X) for X in the span of the E_v, v a variable root, adds to
     M = S + N only brackets [E_v1, [..., [E_vk, E_beta]]], in the root
@@ -485,11 +500,10 @@ def _reachable_roots(system: RootSystemId, data: _SpecData,
     again a sum of M's terms and such brackets, so down any tower the
     coefficient of a root outside R keeps its value at M_0."""
     index = root_index(system)
-    at = index.at
-    var = {at[v] for v in var_roots}
-    start = {k for b in data.support for j, k in index.sums[at[b]] if j in var}
-    start.update(at[v] for v in var_roots if v not in data.levi)
-    return frozenset(index.positive[i] for i in root_closure(system, start, var))
+    var = set(var_at)
+    start = {k for b in data.support_at for j, k in index.sums[b] if j in var}
+    start.update(k for k in var if not data.levi_mask[k])
+    return frozenset(index.positive[k] for k in root_closure(system, start, var))
 
 
 def _stage_funcs(conds, extra, t):
@@ -630,7 +644,7 @@ def _stability_stage(system, M0, stages, extra, fdict, rng):
 
 
 def _solve_once(system, M0, stages, reach, rng):
-    """One trial: ("dim", d), ("empty", None) or ("inconsistent", reason).
+    """One trial: ("dim", d), ("empty", exact) or ("inconsistent", reason).
 
     Each infeasible tower (_run_tower) yields derived functionals.  reach is
     the cell's R (_reachable_roots).  A derived functional with no root in R
@@ -638,7 +652,9 @@ def _solve_once(system, M0, stages, reach, rng):
     without running one; any other goes to _stability_stage.  Either way a
     functional pinned at 0 and nonzero at M_0 has no solution, so the cell
     is empty; one that is 0 there (the empty combination among them) adds
-    nothing."""
+    nothing.  exact tells the two proofs apart: True when the functional
+    has no root in R, so that the cell is empty whatever the draws, False
+    when its s = 0 was read off the two towers."""
     extra: list[tuple[int, dict]] = []
     seen: set[frozenset] = set()
     for _ in range(MAX_DERIVED):
@@ -652,14 +668,12 @@ def _solve_once(system, M0, stages, reach, rng):
             key = frozenset(fd.items())
             if key in seen:
                 continue
-            if reach.isdisjoint(fd):
-                s = 0
-            else:
-                s = _stability_stage(system, M0, stages, extra, fd, rng)
+            exact = reach.isdisjoint(fd)
+            s = 0 if exact else _stability_stage(system, M0, stages, extra, fd, rng)
             if s == 0:
                 # pinned before any variable acts; nonzero means no solutions
                 if _feval(M0, _pivots(system, fd)):
-                    return "empty", None
+                    return "empty", exact
                 continue
             if s > t:
                 return "inconsistent", "late-pin"
@@ -681,16 +695,30 @@ def cell_dim_oracle(
 ) -> OracleVerdict:
     """Probabilistic dimension of the cell BpiB intersected with H(M,H).
 
-    Each of the trials runs _solve_once on its own seeded stream.  The first
-    inconsistent trial is the verdict; otherwise the trials' (kind, dim)
-    outcomes form one set, whose only member is the verdict when they all
-    agree, and a trial split when they do not."""
+    Each of the trials runs _solve_once on its own seeded stream.  An exact
+    emptiness proof on the first trial (a derived functional with no root
+    in R, nonzero at M_0) is the verdict, and no other trial runs: such a
+    cell can no longer show a trial split.  Otherwise the first
+    inconsistent trial is the verdict, and the trials' (kind, dim)
+    outcomes, an exact and a towered empty alike, form one set, whose only
+    member is the verdict when they all agree, and a trial split when they
+    do not.
+
+    The cell's set-up is one walk of pi^{-1}'s signed window over the
+    positive roots' pairs, as in paving.cell_formula: a root is a variable
+    when pi^{-1} sends it negative, and carries a condition when its image
+    lies outside M_H."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)
-    var_set = inversion_set(pi)
-    stages = _cell_stages(data.plan, var_set, complement_roots(H, pi))
-    reach = _reachable_roots(system, data, var_set)
+    index = root_index(system)
+    negative = index.negative
+    in_H = H.pairs
+    s = signed_inverse(pi)
+    image = [(s[p], s[q]) for p, q in index.positive_pairs]
+    var = [negative[x][y] for x, y in image]
+    stages = _cell_stages(data, var, [xy not in in_H for xy in image])
+    reach = _reachable_roots(system, data, [k for k, v in enumerate(var) if v])
     M0 = dict(data.residues)
     outcomes = set()
     for t in range(trials):
@@ -698,6 +726,10 @@ def cell_dim_oracle(
         kind, d = _solve_once(system, M0, stages, reach, rng)
         if kind == "inconsistent":
             return OracleVerdict(kind, reason=d)
+        if kind == "empty":
+            if d and not t:
+                return OracleVerdict(kind)
+            d = None
         outcomes.add((kind, d))
     if len(outcomes) == 1:
         return OracleVerdict(*outcomes.pop())

@@ -17,6 +17,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hesspave"
 ALLOWED = {
     "orbit_roots": "perfbench/tracing.py binds it; tests use it as the reference",
     "generic_conjugate": "perfbench/tracing.py binds it as a span",
+    "complement_roots": "perfbench/tracing.py binds it as a span",
     "restricted_orbit_roots": "perfbench/tracing.py binds it as a span",
     "act": "perfbench/tracing.py binds WeylElement.act as a span",
     "unitriangular_conjugate": "tests/test_acceptance.py calls it",

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,30 @@ def test_cap_precedes_the_space(capsys, command):
     code, _, err = run(capsys, command, "--family", "A", "--rank", "9",
                        "--regular-nilpotent", "--hess", "h=1,2")
     assert code == 4 and "resource cap" in err
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_quietly(buffered):
+    # A reader that stops early (`| head`) is no fault.  A6 over the full
+    # space is above 64 KB of JSON, more than a pipe holds, so the writer
+    # meets the closed pipe; with buffered stdout the last part would meet
+    # it only at interpreter exit.  Either way: EXIT_PIPE, nothing on stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hesspave.cli", "pave", "--family", "A",
+         "--rank", "6", "--semisimple", "regular", "--hess", "full",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_PIPE
+    assert err == b""
 
 
 @pytest.mark.parametrize("call", [

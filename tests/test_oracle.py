@@ -8,6 +8,7 @@ from hesspave.hessenberg import (
     HessenbergSpace,
     HessFunction,
     borel_space,
+    enumerate_spaces,
     from_h,
     full_space,
     peterson_space,
@@ -36,7 +37,7 @@ from hesspave.orbit_oracle import (
     unitriangular_conjugate,
     verify_adform,
 )
-from hesspave.paving import pave
+from hesspave.paving import OracleDisagreement, pave
 from hesspave.polynomial import Poly
 from hesspave.rootsys import (
     Root,
@@ -278,6 +279,39 @@ def test_type_d_late_pin_known_fault():
     verdict = cell_dim_oracle(RegularNilpotent(), d4, H,
                               WeylElement(d4, (-1, -2, -4, -3)))
     assert verdict == OracleVerdict("dim", 4)
+
+
+def _oracle_cells(system, H, seed):
+    """The oracle's (nonempty, dim) per cell of the regular nilpotent on H,
+    or the code of the disagreement that stopped it."""
+    try:
+        result = pave(RegularNilpotent(), system, H, method="oracle", seed=seed)
+    except OracleDisagreement as e:
+        return e.reason
+    return [(c.nonempty, c.dim) for c in result.reports]
+
+
+@pytest.mark.slow
+def test_late_pin_counts():
+    # The README's counts: the oracle stops with late-pin on exactly 4 of
+    # the 50 D4 spaces at each of seeds 0-3 and paves every B4 and C4 space
+    # at seed 0, as the formula does.  A vote that an exact emptiness proof
+    # ends early must not hide an inconsistent trial that running every
+    # trial would see.  ROADMAP item 2 (the type-D late-pin fault) is to
+    # turn the D4 count to 0.
+    for system, seeds, stops in [(RootSystemId("D", 4), range(4), 4),
+                                 (RootSystemId("B", 4), [0], 0),
+                                 (RootSystemId("C", 4), [0], 0)]:
+        spaces = enumerate_spaces(system)
+        assert len(spaces) == (50 if system.family == "D" else 70)
+        formula = [[(c.nonempty, c.dim)
+                    for c in pave(RegularNilpotent(), system, H).reports]
+                   for H in spaces]
+        for seed in seeds:
+            got = [_oracle_cells(system, H, seed) for H in spaces]
+            assert [g for g in got if isinstance(g, str)] == ["late-pin"] * stops
+            assert all(g == f for g, f in zip(got, formula)
+                       if not isinstance(g, str))
 
 
 def test_cell_oracle_full_space_dim_is_length():

@@ -307,10 +307,11 @@ def test_functionals_outside_reach_are_pinned_at_zero_by_both_towers(
     settled = []
     towered = []
 
-    def reach(system, data, var_roots):
-        R = real_reach(system, data, var_roots)
+    def reach(system, data, var_at):
+        R = real_reach(system, data, var_at)
         assert R <= positive
         if data.levi != positive:
+            var_roots = {root_index(system).positive[k] for k in var_at}
             assert var_roots - data.levi <= R
             moves.append(bool(var_roots - data.levi))
         cell["R"] = R
@@ -360,7 +361,8 @@ def test_reach_holds_every_root_a_conjugation_moves(spec, system):
     M0 = dict(data.residues)
     for pi in enumerate_weyl(system):
         var = inversion_set(pi)
-        R = orbit_oracle._reachable_roots(system, data, var)
+        R = orbit_oracle._reachable_roots(
+            system, data, [root_index(system).at[a] for a in var])
         rng = random.Random(f"reach:{pi.window}")
         M = orbit_oracle._conjugate_rows(
             system, M0, var, lambda a: rng.randrange(1, PRIME), PRIME)
@@ -412,6 +414,10 @@ def test_reason_max_derived(monkeypatch):
 
 
 _EMPTY, _DIM3, _DIM4 = ("empty", None), ("dim", 3), ("dim", 4)
+# _solve_once's two emptiness proofs: a functional with no root in R, or one
+# the two towers pinned at 0
+_EXACT, _TOWERED = ("empty", True), ("empty", False)
+_NO_PROGRESS = ("inconsistent", "no-progress")
 _SPLIT = OracleVerdict("inconsistent", reason="trial-split")
 
 
@@ -420,12 +426,22 @@ _SPLIT = OracleVerdict("inconsistent", reason="trial-split")
     ([_DIM4] * 5, OracleVerdict("dim", 4), 5),
     ([_DIM4, _EMPTY] * 3, _SPLIT, 5),
     ([_DIM4, _DIM3] * 3, _SPLIT, 5),
-    ([_DIM4, ("inconsistent", "no-progress"), _DIM4, _DIM4, _DIM4],
+    ([_DIM4, _NO_PROGRESS, _DIM4, _DIM4, _DIM4],
      OracleVerdict("inconsistent", reason="no-progress"), 2),
-], ids=["all-empty", "one-dim", "dim-then-empty", "two-dims", "inconsistent"])
+    ([_EXACT] + [_DIM4] * 4, OracleVerdict("empty"), 1),
+    ([_TOWERED] * 5, OracleVerdict("empty"), 5),
+    ([_DIM4] + [_EXACT] * 4, _SPLIT, 5),
+    ([_EXACT, _NO_PROGRESS] + [_DIM4] * 3, OracleVerdict("empty"), 1),
+    ([_TOWERED, _EXACT, _EXACT, _EXACT, _NO_PROGRESS],
+     OracleVerdict("inconsistent", reason="no-progress"), 5),
+], ids=["all-empty", "one-dim", "dim-then-empty", "two-dims", "inconsistent",
+        "exact-empty-first", "all-towered-empty", "dim-then-exact-empty",
+        "exact-empty-then-inconsistent", "exact-empty-after-the-first"])
 def test_trial_vote(monkeypatch, answers, verdict, runs):
     # the trials' (kind, dim) outcomes form one set: a single member is the
-    # verdict, more are a split; an inconsistent trial ends the vote at once
+    # verdict, more are a split; an inconsistent trial ends the vote at once,
+    # and so does an exact emptiness proof on the first trial, while an
+    # exact and a towered empty are the same outcome
     scripted = iter(answers)
     ran = []
 
@@ -437,6 +453,49 @@ def test_trial_vote(monkeypatch, answers, verdict, runs):
     system, H, pi = _d4_top()
     assert cell_dim_oracle(RegularNilpotent(), system, H, pi) == verdict
     assert len(ran) == runs
+
+
+def test_exact_empty_runs_one_trial(monkeypatch):
+    # The real solver on every cell of D4 regular nilpotent, Peterson space:
+    # a cell whose first trial proves it empty exactly runs that trial
+    # alone, and the trials it skips, replayed on their own streams, would
+    # each have proved it empty exactly too; every other cell runs all its
+    # trials, or stops at its inconsistent one.
+    system = RootSystemId("D", 4)
+    H = peterson_space(system)
+    real_solve = orbit_oracle._solve_once
+    answers = []
+    calls = []
+
+    def solve(*args):
+        calls.append(args)
+        answers.append(real_solve(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(orbit_oracle, "_solve_once", solve)
+    trials = 5
+    runs = Counter()
+    for pi in enumerate_weyl(system):
+        answers.clear()
+        calls.clear()
+        verdict = cell_dim_oracle(RegularNilpotent(), system, H, pi,
+                                  trials=trials)
+        if answers[0] == _EXACT:
+            assert verdict == OracleVerdict("empty") and len(answers) == 1
+            M0, stages, reach = calls[0][1:4]
+            for t in range(1, trials):
+                rng = random.Random(f"cell:0:{t}:{pi.window}")
+                assert real_solve(system, M0, stages, reach, rng) == _EXACT
+            runs["exact"] += 1
+        elif answers[-1][0] == "inconsistent":
+            assert verdict == OracleVerdict("inconsistent", reason=answers[-1][1])
+            assert all(kind != "inconsistent" for kind, _ in answers[:-1])
+            runs["inconsistent"] += 1
+        else:
+            assert len(answers) == trials
+            runs[verdict.kind] += 1
+    # 2^4 nonempty cells; every empty one is proved so on its first trial
+    assert runs == {"exact": 176, "dim": 16}
 
 
 def test_reason_late_pin(monkeypatch):
