@@ -22,12 +22,16 @@
 Realizations use the antidiagonal bilinear forms (symmetric for B/D, skew
 for C) so that the Borel is upper triangular.  Each root vector has a pivot
 entry in rows 1..n (or the middle row for short B roots) that no other root
-vector or diagonal element touches, so coefficient extraction is a single
-dictionary lookup.  One plain-dict table per system (_kernel_table) holds
-each positive root's row, entries and pivot for the mod-p kernel, and its
-unit X for the stage columns.  R is walked by rootsys.root_closure over
-rootsys.root_index's sum table, the walk the formula path's orbit roots
-share.
+vector or diagonal element touches.  So a Borel element M = S + sum of
+c_alpha E_alpha enters root coordinates once (_coordinates): one coefficient
+c_alpha per root_index position, its pivot entry, with S entering as
+weights, the E_v coefficient of [E_v, S].  Both engines run on those
+coordinates, and so do the stages' functionals, keyed by position.  Since
+[E_v, E_b] = n E_g when v + b = g is a root and 0 otherwise, one table per
+system (_kernel_table) lists each positive root's row and its (b, g, n); it
+is read off the matrix commutators, each checked entry for entry, not off
+the sum table.  R is walked by rootsys.root_closure over rootsys.root_index's
+sum table, the walk the formula path's orbit roots share.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .rootsys import (
     positive_roots,
     root_closure,
     root_index,
+    row_of,
     row_partition,
     simple_roots,
 )
@@ -144,10 +149,8 @@ def _is_zero(v) -> bool:
     return v.is_zero() if isinstance(v, Poly) else not v
 
 
-def _pruned(D: dict, mod=None) -> dict:
-    """D without its zero entries, reduced mod `mod` when given."""
-    if mod:
-        return {rc: r for rc, v in D.items() if (r := v % mod)}
+def _pruned(D: dict) -> dict:
+    """D without its zero entries."""
     return {rc: v for rc, v in D.items() if not _is_zero(v)}
 
 
@@ -162,39 +165,13 @@ def _mat_mul(A: dict, B: dict) -> dict:
     return _pruned(out)
 
 
-@lru_cache(maxsize=None)
-def _kernel_table(system: RootSystemId) -> dict:
-    """Positive root -> (row, entries, pivot, unit): its row index, E_alpha
-    as (row, col, coeff) triples, its pivot position, and the _row_index of
-    E_alpha alone, the X of a stage column.  The one table the conjugation
-    kernel, the stage systems and functional evaluation read; a root
-    missing from it is outside Phi+."""
-    out = {}
-    for i, row in enumerate(row_partition(system).rows, start=1):
-        for a in row:
-            entries = root_entries(system, a)
-            # no two entries of E_alpha share a row or a column
-            unit = ({r: [(c, x)] for (r, c), x in entries},
-                    {c: [(r, x)] for (r, c), x in entries})
-            out[a] = (i, tuple((r, c, x) for (r, c), x in entries),
-                      entries[0][0], unit)
-    return out
-
-
 def _row_index(system: RootSystemId, assignment: dict) -> tuple[dict, dict]:
     """Row and column index of X = sum of x_beta E_beta over the assignment
-    {Root: scalar}: {row: [(col, value)]} and {col: [(row, value)]}.
-    Raises unless the assignment's roots are positive and lie in one row."""
-    table = _kernel_table(system)
+    {Root: scalar}: {row: [(col, value)]} and {col: [(row, value)]}."""
     xrows: dict = {}
     xcols: dict = {}
-    row = None
     for beta, x in assignment.items():
-        entry = table.get(beta)
-        if entry is None or row not in (None, entry[0]):
-            raise RuntimeError("conjugation by roots outside a single row")
-        row = entry[0]
-        for r, c, s in entry[1]:
+        for (r, c), s in root_entries(system, beta):
             v = x * s
             xrows.setdefault(r, []).append((c, v))
             xcols.setdefault(c, []).append((r, v))
@@ -213,79 +190,142 @@ def _ad(out: dict, X: tuple[dict, dict], B: dict) -> dict:
     return out
 
 
-def _conjugate(system: RootSystemId, M: dict, assignment: dict, mod=None) -> dict:
-    """exp(X) M exp(-X) for X = sum of x_beta E_beta over the assignment
-    {Root: scalar}: the adjoint action of u^{-1} = exp(X).
+# --- root coordinates ----------------------------------------------------------
 
-    The assignment's roots must lie in one row and M in the Borel; then
-    (ad X)^3 M = 0 (the row lemma, checked by verify_adform), so the action
-    is exactly M + [X, M] + 1/2 [X, [X, M]].  X is indexed once for both
-    brackets, and each bracket pass is reduced once.  The 1/2 scales only
-    the entries [X, [X, M]] leaves, which matters over Poly."""
-    X = _row_index(system, assignment)
+
+@lru_cache(maxsize=None)
+def _kernel_table(system: RootSystemId) -> dict:
+    """root_index position v -> (row, brackets) for each positive root v:
+    its row index, and {g: (b, n)} over the positive b with
+    [E_v, E_b] = n E_g, n != 0.  The one table the conjugation kernel and the
+    stage columns read; a position missing from it is outside Phi+.
+
+    It is read off the matrix realization: every commutator of two positive
+    root vectors must be exactly n E_g, entry for entry, or the build
+    raises.  It does not read RootIndex.sums, so the conjugation stays
+    independent of the table the formula's closure walks."""
+    positive = root_index(system).positive
+    vectors = [dict(root_entries(system, a)) for a in positive]
+    pivots = [root_entries(system, a)[0][0] for a in positive]
+    pivot_at = {rc: k for k, rc in enumerate(pivots)}
+    out = {}
+    for v, a in enumerate(positive):
+        X = _row_index(system, {a: 1})
+        brackets = {}
+        for b, B in enumerate(vectors):
+            Z = _pruned(_ad({}, X, B))
+            if not Z:
+                continue
+            g = [pivot_at[rc] for rc in Z if rc in pivot_at]
+            n = Z[pivots[g[0]]] if g else 0
+            if len(g) != 1 or Z != {rc: n * x for rc, x in vectors[g[0]].items()}:
+                raise RuntimeError(f"[E_{a}, E_{positive[b]}] is not a multiple "
+                                   "of a root vector")
+            brackets[g[0]] = (b, n)
+        out[v] = (row_of(a), brackets)
+    return out
+
+
+def _coordinates(system: RootSystemId, M: dict) -> tuple[tuple, tuple]:
+    """A Borel element M = S + sum of c_alpha E_alpha in root coordinates:
+    per root_index position v, the weight w_v, the E_v coefficient of
+    [E_v, S], and the coefficient c_v, M's entry at v's pivot.  E_v's pivot
+    (r, c) holds 1, so w_v = S_cc - S_rr.  Raises unless M lies in the
+    Borel: conjugation by positive root groups keeps it there, so this is
+    the one check."""
     if any(r > c for r, c in M):
         raise RuntimeError("conjugated matrix is not in the Borel")
-    XM = _pruned(_ad({}, X, M), mod)
+    pivots = [root_entries(system, a)[0][0] for a in root_index(system).positive]
+    return (tuple(M.get((c, c), 0) - M.get((r, r), 0) for r, c in pivots),
+            tuple(M.get(rc, 0) for rc in pivots))
+
+
+def _conjugate(system: RootSystemId, weights, M, assignment, mod=None) -> list:
+    """exp(X) M exp(-X) in root coordinates for X = sum of x_v E_v over the
+    assignment, (position, scalar) pairs: the adjoint action of
+    u^{-1} = exp(X) on the coefficients M of a Borel element whose Cartan
+    part, which it fixes, has the given weights.
+
+    The assignment's positions must lie in one row; then (ad X)^3 M = 0 (the
+    row lemma, checked by verify_adform), so the action is exactly
+    M + [X, M] + 1/2 [X, [X, M]], with [E_v, S] = w_v E_v and the brackets
+    of _kernel_table.  The result is reduced mod `mod` when given, once."""
+    table = _kernel_table(system)
+    entries = [table.get(v) for v, _ in assignment]
+    if None in entries or len({row for row, _ in entries}) > 1:
+        raise RuntimeError("conjugation by roots outside a single row")
+    XM = [0] * len(M)
+    for (v, x), (_, brackets) in zip(assignment, entries):
+        if weights[v]:
+            XM[v] += x * weights[v]
+        for g, (b, n) in brackets.items():
+            if M[b]:
+                XM[g] += x * n * M[b]
+    out = list(M)
     half = pow(2, -1, mod) if mod else Fraction(1, 2)
-    out = dict(M)
-    for rc, v in XM.items():
-        out[rc] = out.get(rc, 0) + v
-    for rc, v in _pruned(_ad({}, X, XM), mod).items():
-        out[rc] = out.get(rc, 0) + half * v
-    return _pruned(out, mod)
+    for (v, x), (_, brackets) in zip(assignment, entries):
+        hx = half * x
+        for g, (b, n) in brackets.items():
+            if XM[b]:
+                out[g] += hx * n * XM[b]
+    if mod:
+        return [(m + y) % mod for m, y in zip(out, XM)]
+    return [m + y for m, y in zip(out, XM)]
 
 
 # --- conjugation down the rows -------------------------------------------------
 
 
-def _conjugate_rows(system: RootSystemId, M: dict, roots, draw, mod=None) -> dict:
-    """Conjugate M by one row element per row of the given roots, rows in
-    decreasing order, with the scalar draw(root) on each root: a Poly
-    variable (generic), a Fraction, or a residue mod PRIME.  Each step is
-    the two-bracket form of _conjugate, so it has degree at most two in its
-    row's variables."""
+def _conjugate_rows(system: RootSystemId, weights, M, roots, draw,
+                    mod=None) -> list:
+    """Conjugate the coefficients M by one row element per row of the given
+    roots, rows in decreasing order, with the scalar draw(root) on each
+    root: a Poly variable (generic), a Fraction, or a residue mod PRIME.
+    Each step is the two-bracket form of _conjugate, so it has degree at
+    most two in its row's variables."""
+    at = root_index(system).at
     for row in reversed(row_partition(system).rows):
-        chosen = [a for a in row if a in roots]
+        chosen = [(at[a], draw(a)) for a in row if a in roots]
         if chosen:
-            M = _conjugate(system, M, {a: draw(a) for a in chosen}, mod)
+            M = _conjugate(system, weights, M, chosen, mod)
     return M
 
 
-def _symbolic_rows(system: RootSystemId, M0: dict, roots) -> dict:
+def _symbolic_rows(system: RootSystemId, weights, M0, roots) -> list:
     """Exact generic conjugate over Poly, within SYMBOLIC_RANK_CAP."""
     if system.rank > SYMBOLIC_RANK_CAP:
         raise ResourceCapError(
             f"symbolic conjugation capped at rank {SYMBOLIC_RANK_CAP}")
-    return _conjugate_rows(system, M0, roots, lambda a: Poly.var(f"x[{a}]"))
+    return _conjugate_rows(system, weights, M0, roots,
+                           lambda a: Poly.var(f"x[{a}]"))
 
 
-def _orbit_support(system: RootSystemId, M0: dict, var_roots,
+def _orbit_support(system: RootSystemId, weights, M0, var_roots,
                    mode: str = "symbolic", key: str = "") -> frozenset[Root]:
     """Positive roots whose coefficient in u^{-1}.M0 is not identically zero,
     u generic in the group of var_roots: exact over Poly ("symbolic"), or the
     union over two random points mod PRIME seeded by key ("randomized")."""
-    table = _kernel_table(system)
+    positive = root_index(system).positive
     if mode == "symbolic":
-        M = _symbolic_rows(system, M0, var_roots)
-        return frozenset(a for a, (_, _, rc, _) in table.items()
-                         if not _is_zero(M.get(rc, 0)))
+        M = _symbolic_rows(system, weights, M0, var_roots)
+        return frozenset(a for a, v in zip(positive, M) if not _is_zero(v))
     if mode != "randomized":
         raise ValueError(f"unknown orbit mode {mode!r}")
     found: set[Root] = set()
     for t in range(2):
         rng = random.Random(f"{key}:{t}")
-        M = _conjugate_rows(system, {rc: v % PRIME for rc, v in M0.items()},
-                            var_roots, lambda a: rng.randrange(1, PRIME), PRIME)
-        found.update(a for a, (_, _, rc, _) in table.items() if M.get(rc))
+        M = _conjugate_rows(system, weights, [v % PRIME for v in M0], var_roots,
+                            lambda a: rng.randrange(1, PRIME), PRIME)
+        found.update(a for a, v in zip(positive, M) if v)
     return frozenset(found)
 
 
 def generic_conjugate(spec, system: RootSystemId, pi: WeylElement) -> dict:
     """Exact coefficient polynomials {alpha: Poly for alpha in Phi+} of
     u^{-1}.M for generic u in U_pi."""
-    M = _symbolic_rows(system, dict(_oracle_data(spec, system).matrix),
-                       inversion_set(pi))
-    return {a: Poly() + coeff_at(system, M, a) for a in positive_roots(system)}
+    data = _oracle_data(spec, system)
+    M = _symbolic_rows(system, data.weights, data.coeffs, inversion_set(pi))
+    return {a: Poly() + v for a, v in zip(root_index(system).positive, M)}
 
 
 def orbit_roots(
@@ -303,8 +343,9 @@ def orbit_roots(
     (paving.cell_formula); this conjugation is the exact reference that
     closure is tested against."""
     data = _oracle_data(spec, system)
-    return _orbit_support(system, dict(data.matrix), inversion_set(pi) & data.levi,
-                          mode, f"orbit:{seed}:{pi.window}")
+    return _orbit_support(system, data.weights, data.coeffs,
+                          inversion_set(pi) & data.levi, mode,
+                          f"orbit:{seed}:{pi.window}")
 
 
 def restricted_orbit_roots(
@@ -315,7 +356,8 @@ def restricted_orbit_roots(
     """Exact orbit roots of N = sum of E_beta over the support, u ranging over
     the subgroup generated by var_roots: in type A, the per-block reference
     that orbit_roots of a general operator is tested against."""
-    return _orbit_support(system, _support_matrix(system, support), var_roots)
+    weights, M0 = _coordinates(system, _support_matrix(system, support))
+    return _orbit_support(system, weights, M0, var_roots)
 
 
 # --- probabilistic dimension solver -------------------------------------------
@@ -343,26 +385,27 @@ REASONS = {
 
 
 class _SpecData(NamedTuple):
-    """What the oracle and the reference conjugations read about M = S + N."""
+    """What the oracle and the reference conjugations read about M = S + N,
+    in root coordinates (_coordinates): tuples indexed by root_index
+    position."""
 
-    residues: tuple  # M mod PRIME, ((row, col), residue) pairs
-    plan: tuple  # the oracle's stages, (variable roots, condition roots, row)
-    matrix: tuple  # M over the integers, ((row, col), int) pairs
+    residues: tuple  # M's coefficients mod PRIME
+    # the oracle's stages: (variable positions, condition positions, row)
+    plan: tuple
+    coeffs: tuple  # M's coefficients over the integers
+    weights: tuple  # per position v, the E_v coefficient of [E_v, S]
     support: tuple[Root, ...]  # supp N, in canonical order
     levi: frozenset[Root]  # Phi_l, the positive roots on which S vanishes
-    # the same in root_index positions: per stage of the plan, (variable
-    # positions, condition positions); supp N's positions; and whether each
-    # positive root lies in Phi_l
-    plan_at: tuple
-    support_at: tuple[int, ...]
-    levi_mask: tuple[bool, ...]
+    support_at: tuple[int, ...]  # supp N's positions
+    levi_mask: tuple[bool, ...]  # whether each positive root lies in Phi_l
 
 
 @lru_cache(maxsize=None)
 def _oracle_data(spec, system: RootSystemId) -> _SpecData:
     """Per-spec data, built once per (spec, system) and immutable.  The
-    stage plan lists (variable roots, condition roots, row) triples in
-    solving order, roots sorted by height; rows run n, n-1, ..., 1.
+    stage plan lists (variable positions, condition positions, row) triples
+    in solving order, positions ascending, so roots sorted by height; rows
+    run n, n-1, ..., 1.
 
     Type C rows below the last get the two-stage refinement: the long root
     gamma_i (and gamma_i - alpha_i when the nilpotent part contains alpha_i
@@ -371,30 +414,28 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
     """
     rp = row_partition(system)
     n = system.rank
-    matrix = tuple(operator_matrix(spec, system).items())
+    weights, coeffs = _coordinates(system, operator_matrix(spec, system))
     support = canonical_form(spec, system).support
     levi = levi_roots(spec, system)
+    index = root_index(system)
+    at = index.at
     plan = []
     for i in range(n, 0, -1):
-        row = tuple(sorted(rp.rows[i - 1], key=lambda a: (a.height, a.coeffs)))
+        row = sorted(at[a] for a in rp.rows[i - 1])
         if system.family == "C" and i < n:
             gamma = rp.long_root[i - 1]
             alpha_i = simple_roots(system)[i - 1]
-            defer = {gamma}
+            g = at[gamma]
+            defer = {g}
             if alpha_i in support and gamma - alpha_i in levi:
-                defer.add(gamma - alpha_i)
-            plan.append((tuple(a for a in row if a not in defer),
-                         tuple(a for a in row if a != gamma), i))
-            plan.append((tuple(a for a in row if a in defer), (gamma,), i))
+                defer.add(at[gamma - alpha_i])
+            plan.append((tuple(k for k in row if k not in defer),
+                         tuple(k for k in row if k != g), i))
+            plan.append((tuple(k for k in row if k in defer), (g,), i))
         else:
-            plan.append((row, row, i))
-    residues = tuple((rc, v % PRIME) for rc, v in matrix)
-    index = root_index(system)
-    at = index.at
-    plan_at = tuple((tuple(at[a] for a in vs), tuple(at[a] for a in cs))
-                    for vs, cs, _ in plan)
-    return _SpecData(residues, tuple(plan), matrix, support, levi, plan_at,
-                     tuple(at[b] for b in support),
+            plan.append((tuple(row), tuple(row), i))
+    return _SpecData(tuple(v % PRIME for v in coeffs), tuple(plan), coeffs,
+                     weights, support, levi, tuple(at[b] for b in support),
                      tuple(a in levi for a in index.positive))
 
 
@@ -452,15 +493,9 @@ def _solve_affine(cols, b, rng):
 MAX_DERIVED = 12
 
 
-def _pivots(system, fdict) -> list:
-    """The functional {Root: coeff} as (pivot position, coeff) pairs."""
-    table = _kernel_table(system)
-    return [(table[a][2], c) for a, c in fdict.items()]
-
-
-def _feval(M, pivots):
-    """Value of a functional, given by its _pivots, at M."""
-    return sum(c * M.get(rc, 0) for rc, c in pivots) % PRIME
+def _feval(M, fdict):
+    """Value at the coefficients M of the functional {position: coeff}."""
+    return sum(c * M[k] for k, c in fdict.items()) % PRIME
 
 
 def _combine(funcs, combo):
@@ -474,23 +509,21 @@ def _combine(funcs, combo):
 
 
 def _cell_stages(data: _SpecData, var, cond) -> list:
-    """The plan restricted to one cell: per stage, its variable roots whose
-    position var marks, its condition roots whose position cond marks and
-    its row, in plan order.  The plan covers every positive root once on
-    each side.  Lists: tuples built from generators here raised the peak
-    RSS of the pave-oracle benchmark cases by about 0.4 MB."""
-    return [([a for a, k in zip(vs, vk) if var[k]],
-             [a for a, k in zip(cs, ck) if cond[k]], i)
-            for (vs, cs, i), (vk, ck) in zip(data.plan, data.plan_at)]
+    """The plan restricted to one cell: per stage, its variable positions
+    that var marks, its condition positions that cond marks and its row, in
+    plan order.  The plan covers every positive root once on each side.
+    Lists: tuples built from generators here raised the peak RSS of the
+    pave-oracle benchmark cases by about 0.4 MB."""
+    return [([k for k in vs if var[k]], [k for k in cs if cond[k]], i)
+            for vs, cs, i in data.plan]
 
 
-def _reachable_roots(system: RootSystemId, data: _SpecData,
-                     var_at) -> frozenset[Root]:
-    """R, the positive roots whose coefficient a conjugation by the cell's
-    variable roots (their root_index positions var_at) can change: those
-    reached from supp N by adding one or more variable roots, every partial
-    sum a positive root, and every variable root outside Phi_l and what it
-    reaches the same way.
+def _reachable_roots(system: RootSystemId, data: _SpecData, var_at) -> set[int]:
+    """R, as root_index positions: the positive roots whose coefficient a
+    conjugation by the cell's variable roots (their positions var_at) can
+    change.  Those are the roots reached from supp N by adding one or more
+    variable roots, every partial sum a positive root, and every variable
+    root outside Phi_l and what it reaches the same way.
 
     exp(ad X) for X in the span of the E_v, v a variable root, adds to
     M = S + N only brackets [E_v1, [..., [E_vk, E_beta]]], in the root
@@ -503,46 +536,47 @@ def _reachable_roots(system: RootSystemId, data: _SpecData,
     var = set(var_at)
     start = {k for b in data.support_at for j, k in index.sums[b] if j in var}
     start.update(k for k in var if not data.levi_mask[k])
-    return frozenset(index.positive[k] for k in root_closure(system, start, var))
+    return root_closure(system, start, var)
 
 
 def _stage_funcs(conds, extra, t):
-    funcs = [{a: 1} for a in conds]
+    funcs = [{k: 1} for k in conds]
     funcs.extend(fd for s, fd in extra if s == t)
     return funcs
 
 
-def _stage_system(system, M, vrs, fpivs):
-    """Baseline values and per-variable columns of the stage's affine system,
-    for the stage's functionals given by their _pivots.
+def _stage_system(system, weights, M, vrs, funcs):
+    """Baseline values and per-variable columns of the stage's affine system
+    for the stage's functionals {position: coeff}.
 
     Column v is f(conj(M, {v: 1})) - f(M) = f([E_v, M]) + 1/2 f([E_v, [E_v, M]]).
-    [E_v, M] is built once per variable; the second bracket is read only at
-    the functionals' pivots.  The quadratic term stays: _tower_values
-    solves stage systems without the affineness probe, so dropping it would
-    change its answers."""
+    Both brackets are read only at the functionals' positions g: with
+    [E_v, E_b] = n E_g, [E_v, M] at g is n c_b, plus w_v when g = v, and
+    [E_v, [E_v, M]] at g is n times [E_v, M] at b, where w_v cannot enter.
+    The quadratic term stays: _tower_values solves stage systems without
+    the affineness probe, so dropping it would change its answers."""
     table = _kernel_table(system)
-    need = {rc for fp in fpivs for rc, _ in fp}
-    b = [_feval(M, fp) for fp in fpivs]
+    need = {g for fd in funcs for g in fd}
+    base = [_feval(M, fd) for fd in funcs]
     half = pow(2, -1, PRIME)
     cols = []
-    for v_root in vrs:
-        _, ev, _, unit = table[v_root]
-        Z1 = _ad({}, unit, M)
+    for v in vrs:
+        brackets = table[v][1]
+        w = weights[v]
         col = {}
-        for r, c in need:
-            z2 = 0
-            for i, j, x in ev:  # [E_v, Z1] at (r, c)
-                if i == r:
-                    z2 += x * Z1.get((j, c), 0)
-                if j == c:
-                    z2 -= x * Z1.get((r, i), 0)
-            col[r, c] = Z1.get((r, c), 0) + half * z2
-        cols.append([sum(k * col[rc] for rc, k in fp) % PRIME for fp in fpivs])
-    return b, cols
+        for g in need:
+            z = w if g == v else 0
+            hit = brackets.get(g)
+            if hit:
+                b, n = hit
+                inner = brackets.get(b)  # [E_v, M] at b; b != v, as [E_v, E_v] = 0
+                z += n * (M[b] + half * (inner[1] * M[inner[0]] if inner else 0))
+            col[g] = z
+        cols.append([sum(k * col[g] for g, k in fd.items()) % PRIME for fd in funcs])
+    return base, cols
 
 
-def _run_tower(system, M0, stages, extra, rng):
+def _run_tower(system, weights, M0, stages, extra, rng):
     """One trial: solve the cell's stages in order.  Returns ("dim", d);
     ("infeasible", (t, funcs, combos)) at an infeasible stage t, with the
     stage's functionals and the eliminated combinations with vanished linear
@@ -555,18 +589,17 @@ def _run_tower(system, M0, stages, extra, rng):
         funcs = _stage_funcs(conds, extra, t)
         if not funcs:
             if vrs:
-                M = _conjugate(system, M, {a: rng.randrange(PRIME) for a in vrs},
-                               PRIME)
+                M = _conjugate(system, weights, M,
+                               [(v, rng.randrange(PRIME)) for v in vrs], PRIME)
             continue
-        fpivs = [_pivots(system, fd) for fd in funcs]
-        b, cols = _stage_system(system, M, vrs, fpivs)
+        b, cols = _stage_system(system, weights, M, vrs, funcs)
         if vrs:
             # affineness probe at a random point
             xp = [rng.randrange(PRIME) for _ in vrs]
-            Mp = _conjugate(system, M, dict(zip(vrs, xp)), PRIME)
-            for idx, fp in enumerate(fpivs):
+            Mp = _conjugate(system, weights, M, list(zip(vrs, xp)), PRIME)
+            for idx, fd in enumerate(funcs):
                 pred = (b[idx] + sum(cols[j][idx] * xp[j] for j in range(len(vrs)))) % PRIME
-                if _feval(Mp, fp) != pred:
+                if _feval(Mp, fd) != pred:
                     return "inconsistent", "nonaffine"
         sol = _solve_affine(cols, b, rng)
         if sol[0] == "bad":
@@ -574,14 +607,13 @@ def _run_tower(system, M0, stages, extra, rng):
         _, rank, xstar = sol
         total_rank += rank
         if vrs:
-            M = _conjugate(system, M, dict(zip(vrs, xstar)), PRIME)
-    table = _kernel_table(system)
-    if any(M.get(table[a][2]) for _, conds, _ in stages for a in conds):
+            M = _conjugate(system, weights, M, list(zip(vrs, xstar)), PRIME)
+    if any(M[k] for _, conds, _ in stages for k in conds):
         return "inconsistent", "nonaffine"
     return "dim", sum(len(vrs) for vrs, _, _ in stages) - total_rank
 
 
-def _tower_values(system, M0, stages, extra, pivots, rng):
+def _tower_values(system, weights, M0, stages, extra, fdict, rng):
     """The functional's value at M_0 and after each of the given stages,
     along a fresh constrained tower from M_0: each stage takes a random
     solution of its stage system until one is infeasible, and nonzero
@@ -589,7 +621,7 @@ def _tower_values(system, M0, stages, extra, pivots, rng):
     functional's cut, so the last value is its value at the end of the
     full tower."""
     M = M0
-    vals = [_feval(M, pivots)]
+    vals = [_feval(M, fdict)]
     broken = False
     for t, (vrs, conds, _) in enumerate(stages):
         if not vrs:
@@ -599,8 +631,7 @@ def _tower_values(system, M0, stages, extra, pivots, rng):
         if not broken:
             funcs = _stage_funcs(conds, extra, t)
             if funcs:
-                b, cols = _stage_system(system, M, vrs,
-                                        [_pivots(system, fd) for fd in funcs])
+                b, cols = _stage_system(system, weights, M, vrs, funcs)
                 sol = _solve_affine(cols, b, rng)
                 if sol[0] == "ok":
                     assign = sol[2]
@@ -608,12 +639,12 @@ def _tower_values(system, M0, stages, extra, pivots, rng):
                     broken = True
         if assign is None:
             assign = [rng.randrange(1, PRIME) for _ in vrs]
-        M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
-        vals.append(_feval(M, pivots))
+        M = _conjugate(system, weights, M, list(zip(vrs, assign)), PRIME)
+        vals.append(_feval(M, fdict))
     return vals
 
 
-def _stability_stage(system, M0, stages, extra, fdict, rng):
+def _stability_stage(system, weights, M0, stages, extra, fdict, rng):
     """Smallest s such that the functional's value is unchanged by stages
     s+1, s+2, ... along towers that satisfy the conditions enforced so far
     (so stages[s-1] is the stage pinning it).  Constrained towers matter: a
@@ -626,16 +657,15 @@ def _stability_stage(system, M0, stages, extra, fdict, rng):
     after the one that produced the functional shows as s > t.  Both
     stop at the functional's cut, the last stage whose row is at least the
     lowest row r of its roots.  Stage rows decrease, and by the row lemma
-    (verify_adform) conjugating by row j < r leaves every pivot in rows
-    >= r untouched, so every later value equals the value at the cut,
+    (verify_adform) conjugating by row j < r leaves the coefficients of
+    rows >= r untouched, so every later value equals the value at the cut,
     exactly."""
     table = _kernel_table(system)
-    low = min(table[a][0] for a in fdict)
+    low = min(table[k][0] for k in fdict)
     stages = stages[:sum(1 for *_, i in stages if i >= low)]
-    pivots = _pivots(system, fdict)
     best = 0
     for _ in range(2):
-        vals = _tower_values(system, M0, stages, extra, pivots, rng)
+        vals = _tower_values(system, weights, M0, stages, extra, fdict, rng)
         s = len(stages)
         while s > 0 and vals[s - 1] == vals[-1]:
             s -= 1
@@ -643,22 +673,23 @@ def _stability_stage(system, M0, stages, extra, fdict, rng):
     return best
 
 
-def _solve_once(system, M0, stages, reach, rng):
+def _solve_once(system, weights, M0, stages, reach, rng):
     """One trial: ("dim", d), ("empty", exact) or ("inconsistent", reason).
 
-    Each infeasible tower (_run_tower) yields derived functionals.  reach is
-    the cell's R (_reachable_roots).  A derived functional with no root in R
-    is constant on every tower, so its stability stage is 0, exactly,
-    without running one; any other goes to _stability_stage.  Either way a
-    functional pinned at 0 and nonzero at M_0 has no solution, so the cell
-    is empty; one that is 0 there (the empty combination among them) adds
-    nothing.  exact tells the two proofs apart: True when the functional
-    has no root in R, so that the cell is empty whatever the draws, False
-    when its s = 0 was read off the two towers."""
+    Each infeasible tower (_run_tower) yields derived functionals.  reach()
+    gives the cell's R (_reachable_roots), called at the first derived
+    functional.  A derived functional with no root in R is constant on
+    every tower, so its stability stage is 0, exactly, without running one;
+    any other goes to _stability_stage.  Either way a functional pinned at 0
+    and nonzero at M_0 has no solution, so the cell is empty; one that is 0
+    there (the empty combination among them) adds nothing.  exact tells the
+    two proofs apart: True when the functional has no root in R, so that
+    the cell is empty whatever the draws, False when its s = 0 was read off
+    the two towers."""
     extra: list[tuple[int, dict]] = []
     seen: set[frozenset] = set()
     for _ in range(MAX_DERIVED):
-        status, payload = _run_tower(system, M0, stages, extra, rng)
+        status, payload = _run_tower(system, weights, M0, stages, extra, rng)
         if status != "infeasible":
             return status, payload
         t, funcs, combos = payload
@@ -668,11 +699,12 @@ def _solve_once(system, M0, stages, reach, rng):
             key = frozenset(fd.items())
             if key in seen:
                 continue
-            exact = reach.isdisjoint(fd)
-            s = 0 if exact else _stability_stage(system, M0, stages, extra, fd, rng)
+            exact = reach().isdisjoint(fd)
+            s = 0 if exact else _stability_stage(system, weights, M0, stages,
+                                                 extra, fd, rng)
             if s == 0:
                 # pinned before any variable acts; nonzero means no solutions
-                if _feval(M0, _pivots(system, fd)):
+                if _feval(M0, fd):
                     return "empty", exact
                 continue
             if s > t:
@@ -707,7 +739,7 @@ def cell_dim_oracle(
     The cell's set-up is one walk of pi^{-1}'s signed window over the
     positive roots' pairs, as in paving.cell_formula: a root is a variable
     when pi^{-1} sends it negative, and carries a condition when its image
-    lies outside M_H."""
+    lies outside M_H.  R is built once, when a trial first needs it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)
@@ -718,12 +750,19 @@ def cell_dim_oracle(
     image = [(s[p], s[q]) for p, q in index.positive_pairs]
     var = [negative[x][y] for x, y in image]
     stages = _cell_stages(data, var, [xy not in in_H for xy in image])
-    reach = _reachable_roots(system, data, [k for k, v in enumerate(var) if v])
-    M0 = dict(data.residues)
+    R = None
+
+    def reach():
+        nonlocal R
+        if R is None:
+            R = _reachable_roots(system, data, [k for k, v in enumerate(var) if v])
+        return R
+
     outcomes = set()
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
-        kind, d = _solve_once(system, M0, stages, reach, rng)
+        kind, d = _solve_once(system, data.weights, data.residues, stages, reach,
+                              rng)
         if kind == "inconsistent":
             return OracleVerdict(kind, reason=d)
         if kind == "empty":
@@ -794,15 +833,12 @@ def nonoverlap_check(spec, system: RootSystemId, pi: WeylElement,
     """Phi_M is contained in Phi_{u^-1.M} with unchanged coefficients, for
     random u in U_pi (exact rational arithmetic)."""
     data = _oracle_data(spec, system)
-    M0 = dict(data.matrix)
-    base = {b: coeff_at(system, M0, b) for b in data.support}
     rng = random.Random(f"nonoverlap:{seed}:{system}:{pi.window}")
     for _ in range(samples):
-        M = _conjugate_rows(system, M0, inversion_set(pi),
+        M = _conjugate_rows(system, data.weights, data.coeffs, inversion_set(pi),
                             lambda a: Fraction(rng.randint(-9, 9)))
-        for b in data.support:
-            if coeff_at(system, M, b) != base[b]:
-                return False
+        if any(M[k] != data.coeffs[k] for k in data.support_at):
+            return False
     return True
 
 

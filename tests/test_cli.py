@@ -224,7 +224,7 @@ def test_closed_pipe_exits_quietly(buffered):
 @pytest.mark.parametrize("call", [
     lambda: enumerate_weyl(RootSystemId("A", 9)),
     lambda: enumerate_spaces(RootSystemId("A", 8)),
-    lambda: _symbolic_rows(RootSystemId("B", 6), {}, frozenset()),
+    lambda: _symbolic_rows(RootSystemId("B", 6), (), (), frozenset()),
 ], ids=["enumerate_weyl", "enumerate_spaces", "symbolic_rows"])
 def test_library_caps_raise_resource_cap_error(call):
     with pytest.raises(ResourceCapError):

@@ -1,9 +1,12 @@
 """The two-bracket row conjugation against the exponential definition.
 
-_conjugate computes M + [X, M] + 1/2 [X, [X, M]], which equals
-exp(X) M exp(-X) only for X in one row and M in the Borel.  The reference
-below is the definition itself, on dense matrices with a truncated
-exponential series, written without the library's sparse arithmetic.
+_conjugate computes M + [X, M] + 1/2 [X, [X, M]] in root coordinates, which
+equals exp(X) M exp(-X) only for X in one row and M in the Borel.  Its
+result, rebuilt as a full matrix (M's diagonal plus the sum of c_alpha
+E_alpha), is compared with the definition itself, on dense matrices with a
+truncated exponential series, written without the library's arithmetic.
+The bracket table the kernel reads is compared with plain matrix
+commutators and with the sum table.
 """
 
 import random
@@ -11,23 +14,34 @@ from fractions import Fraction
 
 import pytest
 
-from hesspave.operators import RegularNilpotent
+from hesspave.operators import (
+    RegularNilpotent,
+    SemisimpleClassical,
+    semisimple_functional,
+)
 from hesspave.orbit_oracle import (
     PRIME,
     _conjugate,
-    _oracle_data,
+    _coordinates,
     _kernel_table,
-    _pivots,
-    _row_index,
+    _oracle_data,
     _stage_system,
     cartan_matrix,
     coeff_at,
     matrix_dim,
     operator_matrix,
+    restricted_orbit_roots,
     root_entries,
 )
 from hesspave.polynomial import Poly
-from hesspave.rootsys import RootSystemId, euclidean, positive_roots, row_partition
+from hesspave.rootsys import (
+    RootSystemId,
+    euclidean,
+    positive_roots,
+    root_index,
+    row_of,
+    row_partition,
+)
 
 SYSTEMS = [RootSystemId("A", 3), RootSystemId("B", 3), RootSystemId("C", 3),
            RootSystemId("D", 4)]
@@ -98,6 +112,16 @@ def _random_borel(system, rng, mod):
     return {rc: _reduce(v, mod) for rc, v in M.items() if _reduce(v, mod)}
 
 
+def _rebuilt(system, M, coeffs, mod):
+    """M's diagonal plus the sum of c_alpha E_alpha over the coefficients, as
+    a sparse dict."""
+    out = {(r, c): v for (r, c), v in M.items() if r == c}
+    for a, x in zip(positive_roots(system), coeffs):
+        for rc, s in root_entries(system, a):
+            out[rc] = _reduce(out.get(rc, 0) + x * s, mod)
+    return {rc: v for rc, v in out.items() if not _zero(v)}
+
+
 def _scalar(domain, rng, name):
     if domain == "modp":
         return rng.randrange(PRIME)
@@ -112,21 +136,28 @@ def test_two_bracket_form_equals_exponential(system, domain):
     mod = PRIME if domain == "modp" else None
     rng = random.Random(f"conj:{system}:{domain}")
     rows = row_partition(system).rows
+    at = root_index(system).at
     for trial in range(3):
         M = _random_borel(system, rng, mod)
+        weights, coeffs = _coordinates(system, M)
+        assert _rebuilt(system, M, coeffs, mod) == M
         for row in rows:
             chosen = [a for a in row if rng.random() < 0.7] or [row[-1]]
             assignment = {a: _scalar(domain, rng, f"x[{a}]") for a in chosen}
-            got = _conjugate(system, M, assignment, mod)
-            assert got == reference_conjugate(system, M, assignment, mod), (trial, row)
+            got = _conjugate(system, weights, coeffs,
+                             [(at[a], x) for a, x in assignment.items()], mod)
+            assert _rebuilt(system, M, got, mod) == \
+                reference_conjugate(system, M, assignment, mod), (trial, row)
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
 def test_stage_columns_are_unit_conjugation_differences(system):
     rng = random.Random(f"cols:{system}")
     pos = positive_roots(system)
+    at = root_index(system).at
     for _ in range(3):
         M = _random_borel(system, rng, PRIME)
+        weights, coeffs = _coordinates(system, M)
         funcs = [{a: 1} for a in rng.sample(pos, 4)]
         funcs.append({a: rng.randrange(PRIME) for a in rng.sample(pos, 3)})
 
@@ -134,8 +165,9 @@ def test_stage_columns_are_unit_conjugation_differences(system):
             return sum(c * coeff_at(system, D, a) for a, c in fd.items()) % PRIME
 
         for row in row_partition(system).rows:
-            b, cols = _stage_system(system, M, list(row),
-                                    [_pivots(system, fd) for fd in funcs])
+            b, cols = _stage_system(system, weights, coeffs, [at[a] for a in row],
+                                    [{at[a]: c for a, c in fd.items()}
+                                     for fd in funcs])
             assert b == [f(fd, M) for fd in funcs]
             for v, col in zip(row, cols):
                 Mv = reference_conjugate(system, M, {v: 1}, PRIME)
@@ -145,37 +177,91 @@ def test_stage_columns_are_unit_conjugation_differences(system):
 def test_conjugate_rejects_two_rows():
     system = RootSystemId("B", 3)
     rows = row_partition(system).rows
-    M = operator_matrix(RegularNilpotent(), system)
+    at = root_index(system).at
+    data = _oracle_data(RegularNilpotent(), system)
     with pytest.raises(RuntimeError):
-        _conjugate(system, M, {rows[0][0]: 1, rows[1][0]: 1})
-    with pytest.raises(RuntimeError):
-        _conjugate(system, M, {-rows[0][0]: 1})
+        _conjugate(system, data.weights, data.coeffs,
+                   [(at[rows[0][0]], 1), (at[rows[1][0]], 1)])
+    # a position outside Phi+, Python's negative indexing included
+    for k in (-1, len(at)):
+        with pytest.raises(RuntimeError):
+            _conjugate(system, data.weights, data.coeffs, [(k, 1)])
 
 
 def test_conjugate_rejects_matrix_outside_borel():
     system = RootSystemId("C", 3)
-    row = row_partition(system).rows[0]
     M = dict(operator_matrix(RegularNilpotent(), system))
     M[3, 1] = 1
     with pytest.raises(RuntimeError):
-        _conjugate(system, M, {row[0]: 2}, PRIME)
+        _coordinates(system, M)
+    # the reference entry point that takes a support: a negative root
+    with pytest.raises(RuntimeError):
+        restricted_orbit_roots(system, (-positive_roots(system)[0],), frozenset())
 
 
 def test_oracle_data_is_built_once_and_immutable():
     system = RootSystemId("D", 4)
     M0, plan, *_ = _oracle_data(RegularNilpotent(), system)
     assert _oracle_data(RegularNilpotent(), system)[0] is M0
-    assert dict(M0) == {rc: v % PRIME
-                        for rc, v in operator_matrix(RegularNilpotent(), system).items()}
+    M = operator_matrix(RegularNilpotent(), system)
+    assert M0 == tuple(coeff_at(system, M, a) % PRIME for a in positive_roots(system))
     assert isinstance(M0, tuple) and isinstance(plan, tuple)
     assert all(isinstance(vs, tuple) and isinstance(cs, tuple) for vs, cs, _ in plan)
 
 
-@pytest.mark.parametrize("system", [RootSystemId("A", 4), RootSystemId("B", 3),
-                                    RootSystemId("C", 4), RootSystemId("D", 4)],
-                         ids=str)
-def test_kernel_table_unit_is_the_row_index_of_e_alpha(system):
+# --- the bracket table ------------------------------------------------------------
+
+
+UP_TO_RANK_6 = [RootSystemId(family, rank)
+                for family, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                for rank in range(low, 7)]
+
+
+def _commutator(system, a, b):
+    """[E_a, E_b] = E_a E_b - E_b E_a by plain sparse matrix products."""
+    A, B = root_entries(system, a), root_entries(system, b)
+    out = {}
+    for P, Q, sign in ((A, B, 1), (B, A, -1)):
+        for (i, k), x in P:
+            for (k2, j), y in Q:
+                if k == k2:
+                    out[i, j] = out.get((i, j), 0) + sign * x * y
+    return {rc: v for rc, v in out.items() if v}
+
+
+@pytest.mark.parametrize("system", UP_TO_RANK_6, ids=str)
+def test_kernel_table_brackets_are_matrix_commutators(system):
+    # Every entry (b, g, n) of v's brackets, rebuilt as n E_g, is the matrix
+    # commutator [E_v, E_b] entry for entry; every pair it leaves out
+    # commutes; and it lists exactly the pairs the sum table lists.
+    index = root_index(system)
     table = _kernel_table(system)
-    assert set(table) == set(positive_roots(system))
-    for a in positive_roots(system):
-        assert table[a][3] == _row_index(system, {a: 1})
+    assert sorted(table) == list(range(len(index.positive)))
+    for v, a in enumerate(index.positive):
+        row, brackets = table[v]
+        assert row == row_of(a)
+        listed = {b: (g, n) for g, (b, n) in brackets.items()}
+        assert len(listed) == len(brackets)
+        for b, beta in enumerate(index.positive):
+            Z = _commutator(system, a, beta)
+            if b in listed:
+                g, n = listed[b]
+                assert n and Z == {rc: n * x for rc, x
+                                   in root_entries(system, index.positive[g])}
+            else:
+                assert not Z
+        assert sorted((b, g) for b, (g, _) in listed.items()) == \
+            sorted(index.sums[v])
+
+
+@pytest.mark.parametrize("system", UP_TO_RANK_6, ids=str)
+def test_weights_are_minus_the_semisimple_functional(system):
+    # w_v, the E_v coefficient of [E_v, S], is -v(S); a regular S moves
+    # every root
+    blocks = [(), ((1,),)] + ([((1, 2),)] if system.rank > 2 else [])
+    for spec in map(SemisimpleClassical, blocks):
+        svec = semisimple_functional(spec, system)
+        weights = _oracle_data(spec, system).weights
+        assert weights == tuple(-sum(e * s for e, s in zip(euclidean(system, a), svec))
+                                for a in positive_roots(system))
+        assert all(weights) or spec.levi_blocks

@@ -296,6 +296,8 @@ def _conjugation(*args, **kwargs):
 def test_formula_digests_without_conjugation(capsys, monkeypatch):
     orbit_oracle._oracle_data.cache_clear()
     monkeypatch.setattr(orbit_oracle, "_conjugate_rows", _conjugation)
+    monkeypatch.setattr(orbit_oracle, "_conjugate", _conjugation)
+    monkeypatch.setattr(orbit_oracle, "_kernel_table", _conjugation)
     monkeypatch.setattr(orbit_oracle, "operator_matrix", _conjugation)
     monkeypatch.setattr(Poly, "__mul__", _conjugation)
     formula = [argv for argv in CASES if "formula" in argv]

@@ -1,5 +1,7 @@
+import hashlib
 import random
 import sys
+import types
 
 import pytest
 
@@ -222,7 +224,8 @@ def test_spec_data_is_built_once_per_spec(monkeypatch):
         assert calls["canonical_form"] <= 3
         assert calls["levi_roots"] <= 3
         data = _oracle_data(spec, system)
-        assert isinstance(data.matrix, tuple) and isinstance(data.support, tuple)
+        assert isinstance(data.coeffs, tuple) and isinstance(data.weights, tuple)
+        assert isinstance(data.support, tuple)
         assert isinstance(data.levi, frozenset)
 
 
@@ -314,6 +317,43 @@ def test_late_pin_counts():
                        if not isinstance(g, str))
 
 
+# SHA-256 over each cell's verdict and every value the oracle draws, in order,
+# at seed 0 on every cell: a change to the oracle's arithmetic must leave
+# every value it computes, and so every draw, as it is
+DRAW_DIGESTS = [
+    (RegularNilpotent(), RootSystemId("D", 4), peterson_space,
+     "fe9f234ae1f22f5f5bd7fcefc1b09bd1b8d359dc2f9e006534c5e7276e2556e6"),
+    # the two-stage plan
+    (RegularNilpotent(), RootSystemId("C", 3), peterson_space,
+     "8d6189136ac0c6d58753ba5702b3309a311d23d42cdbe2cf04eb943979a65c60"),
+    # S enters the kernel as weights
+    (SemisimpleClassical(((1, 2),)), RootSystemId("B", 3), borel_space,
+     "e1e4302207468807d7bd450f06f9ab977b8a18a6645a3f66d0f9ddd9c96c2848"),
+]
+
+
+@pytest.mark.parametrize("spec,system,space,digest", DRAW_DIGESTS,
+                         ids=["D4 peterson", "C3 peterson", "B3 1,2 borel"])
+def test_oracle_draws_are_pinned(monkeypatch, spec, system, space, digest):
+    draws = []
+
+    class Recording(random.Random):
+        def randrange(self, *args):
+            value = super().randrange(*args)
+            draws.append(value)
+            return value
+
+    monkeypatch.setattr(orbit_oracle, "random", types.SimpleNamespace(Random=Recording))
+    h = hashlib.sha256()
+    H = space(system)
+    for pi in enumerate_weyl(system):
+        draws.clear()
+        v = cell_dim_oracle(spec, system, H, pi)
+        h.update(f"{pi.window} {v.kind} {v.dim} {v.reason}:".encode())
+        h.update(" ".join(map(str, draws)).encode() + b"\n")
+    assert h.hexdigest() == digest
+
+
 def test_cell_oracle_full_space_dim_is_length():
     system = RootSystemId("C", 2)
     H = full_space(system)
@@ -364,32 +404,31 @@ def test_nonoverlap_under_conjugation():
                          ids=str)
 def test_stage_system_functional_spanning_two_rows(system):
     # a derived functional mixes a root of the stage's row with one of the
-    # next row down; the stage columns read the second bracket at both pivots
+    # next row down; the stage columns read the second bracket at both
+    # positions
     from hesspave.orbit_oracle import (
-        PRIME, _conjugate, _pivots, _stage_system, cartan_matrix)
-    from hesspave.rootsys import row_partition
+        PRIME, _conjugate, _coordinates, _stage_system, cartan_matrix)
+    from hesspave.rootsys import root_index, row_partition
 
     rng = random.Random(f"span:{system}")
-    M = dict(cartan_matrix(system, [rng.randrange(PRIME)
-                                    for _ in range(ambient_dim(system))]))
-    for a in positive_roots(system):
-        x = rng.randrange(PRIME)
-        for rc, s in root_entries(system, a):
-            M[rc] = (M.get(rc, 0) + x * s) % PRIME
+    weights, _ = _coordinates(system, cartan_matrix(
+        system, [rng.randrange(PRIME) for _ in range(ambient_dim(system))]))
+    M = [rng.randrange(PRIME) for _ in positive_roots(system)]
+    at = root_index(system).at
 
-    def f(fd, D):
-        return sum(c * coeff_at(system, D, a) for a, c in fd.items()) % PRIME
+    def f(fd, coeffs):
+        return sum(c * coeffs[k] for k, c in fd.items()) % PRIME
 
     rows = row_partition(system).rows
     for i in range(len(rows) - 1):
         row, below = rows[i], rows[i + 1]
-        funcs = [{row[-1]: rng.randrange(1, PRIME), below[0]: rng.randrange(1, PRIME)},
-                 {row[0]: 1, below[-1]: PRIME - 1}]
-        b, cols = _stage_system(system, M, list(row),
-                                [_pivots(system, fd) for fd in funcs])
+        funcs = [{at[row[-1]]: rng.randrange(1, PRIME),
+                  at[below[0]]: rng.randrange(1, PRIME)},
+                 {at[row[0]]: 1, at[below[-1]]: PRIME - 1}]
+        b, cols = _stage_system(system, weights, M, [at[a] for a in row], funcs)
         assert b == [f(fd, M) for fd in funcs]
         for v, col in zip(row, cols):
-            Mv = _conjugate(system, M, {v: 1}, PRIME)
+            Mv = _conjugate(system, weights, M, [(at[v], 1)], PRIME)
             assert col == [(f(fd, Mv) - f(fd, M)) % PRIME for fd in funcs]
 
 

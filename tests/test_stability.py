@@ -1,18 +1,19 @@
 """The oracle's stability test: two fresh constrained towers from M_0.
 
 _stability_stage runs both towers only up to the functional's cut.  The
-reference below runs them over every stage of the cell and evaluates
-functionals with coeff_at.  Swapping it in must not change any cell's
-verdict, the number of derived functionals of any solve, or the stability
-values they got, and each of the library's two towers must answer alone
-what the pair answers.  The tests below also check that the late-pin check
-sees the values a tower takes after the stage that produced the
-functional, that both towers stop exactly at the functional's cut (against
-the full-length tower), and that each reason code of an "inconsistent"
-verdict is reachable.  The library settles a functional with no root in the
-cell's R (_reachable_roots) without towers; the tower tests widen R to all
-of Phi+ so every functional still runs them, and a sweep runs the towers on
-every functional R settles and checks that they pin it at 0.
+reference below runs them over every stage of the cell.  Swapping it in
+must not change any cell's verdict, the number of derived functionals of
+any solve, or the stability values they got, and each of the library's two
+towers must answer alone what the pair answers.  The tests below also
+check that the late-pin check sees the values a tower takes after the
+stage that produced the functional, that both towers stop exactly at the
+functional's cut (against the full-length tower), and that each reason
+code of an "inconsistent" verdict is reachable.  The library settles a
+functional with no root in the cell's R (_reachable_roots) without towers,
+and builds R only at a cell's first derived functional; the tower tests
+widen R to all of Phi+ so every functional still runs them, and a sweep
+runs the towers on every functional R settles and checks that they pin it
+at 0.
 """
 
 import random
@@ -39,21 +40,19 @@ from hesspave.orbit_oracle import (
     OracleVerdict,
     _conjugate,
     _feval,
-    _pivots,
     _solve_affine,
     _stage_funcs,
     _stage_system,
     cell_dim_oracle,
-    coeff_at,
 )
 from hesspave.rootsys import RootSystemId, root_index, row_of
 from hesspave.weyl import WeylElement, enumerate_weyl, inversion_set
 
 
-def _full_tower(system, M0, stages, extra, value, rng):
+def _full_tower(system, weights, M0, stages, extra, value, rng):
     """value(M) at M0 and after each stage of a fresh constrained tower run
     over every stage, not stopped at the cut."""
-    M = dict(M0)
+    M = list(M0)
     vals = [value(M)]
     broken = False
     for t, (vrs, conds, _) in enumerate(stages):
@@ -64,8 +63,7 @@ def _full_tower(system, M0, stages, extra, value, rng):
         if not broken:
             funcs = _stage_funcs(conds, extra, t)
             if funcs:
-                b, cols = _stage_system(system, M, vrs,
-                                        [_pivots(system, fd) for fd in funcs])
+                b, cols = _stage_system(system, weights, M, vrs, funcs)
                 sol = _solve_affine(cols, b, rng)
                 if sol[0] == "ok":
                     assign = sol[2]
@@ -73,17 +71,18 @@ def _full_tower(system, M0, stages, extra, value, rng):
                     broken = True
         if assign is None:
             assign = [rng.randrange(1, PRIME) for _ in vrs]
-        M = _conjugate(system, M, dict(zip(vrs, assign)), PRIME)
+        M = _conjugate(system, weights, M, list(zip(vrs, assign)), PRIME)
         vals.append(value(M))
     return vals
 
 
-def _fresh_replay_stability(system, M0, stages, extra, fdict, rng):
+def _fresh_replay_stability(system, weights, M0, stages, extra, fdict, rng):
     """Two full fresh constrained towers from M0 per derived functional."""
     def feval(M):
-        return sum(c * coeff_at(system, M, a) for a, c in fdict.items()) % PRIME
+        return sum(c * M[k] for k, c in fdict.items()) % PRIME
 
-    return max(_pinning_stage(_full_tower(system, M0, stages, extra, feval, rng))
+    return max(_pinning_stage(_full_tower(system, weights, M0, stages, extra,
+                                          feval, rng))
                for _ in range(2))
 
 
@@ -102,7 +101,7 @@ def _towers_for_every_functional(monkeypatch):
     """Widen every cell's R to all of Phi+, so that no derived functional
     is settled without its towers and each one reaches _stability_stage."""
     monkeypatch.setattr(orbit_oracle, "_reachable_roots",
-                        lambda system, *a: root_index(system).positive_set)
+                        lambda system, *a: set(range(len(root_index(system).positive))))
 
 
 LEVI = TypeAGeneral((("x", (2,)), ("y", (1, 1))))
@@ -142,12 +141,13 @@ def _oracle_log(monkeypatch, spec, system, H, reference):
         samples.append(_pinning_stage(vals))
         return vals
 
-    def stability(system, M0, stages, extra, fdict, rng):
+    def stability(system, weights, M0, stages, extra, fdict, rng):
         samples.clear()
         if reference:
-            s = _fresh_replay_stability(system, M0, stages, extra, fdict, rng)
+            s = _fresh_replay_stability(system, weights, M0, stages, extra, fdict,
+                                        rng)
         else:
-            s = real_stability(system, M0, stages, extra, fdict, rng)
+            s = real_stability(system, weights, M0, stages, extra, fdict, rng)
             # each tower on its own answers like the pair; the maximum of
             # the two would hide one tower pinning too early
             first, second = samples
@@ -245,26 +245,26 @@ def test_towers_stop_exactly_at_the_cut(monkeypatch, system, space):
     towers = []
     cuts = []
 
-    def stability(system, M0, stages, extra, fdict, rng):
-        low = min(row_of(a) for a in fdict)
+    def stability(system, weights, M0, stages, extra, fdict, rng):
+        low = min(row_of(root_index(system).positive[k]) for k in fdict)
         cut = max(t for t, (*_, i) in enumerate(stages) if i >= low)
-        pivots = _pivots(system, fdict)
         full_rng = _rng_at(rng)
         full_s = max(_pinning_stage(_full_tower(
-            system, M0, stages, extra, lambda M: _feval(M, pivots), full_rng))
+            system, weights, M0, stages, extra, lambda M: _feval(M, fdict),
+            full_rng))
             for _ in range(2))
         towers[:] = [(stages, cut)] * 2
-        s = real_stability(system, M0, stages, extra, fdict, rng)
+        s = real_stability(system, weights, M0, stages, extra, fdict, rng)
         assert not towers  # both towers ran
         assert s == full_s
         cuts.append((cut, len(stages)))
         return s
 
-    def values(system, M0, stages, extra, pivots, rng):
+    def values(system, weights, M0, stages, extra, fdict, rng):
         full_stages, cut = towers.pop(0)
-        full = _full_tower(system, M0, full_stages, extra,
-                           lambda M: _feval(M, pivots), _rng_at(rng))
-        vals = real_values(system, M0, stages, extra, pivots, rng)
+        full = _full_tower(system, weights, M0, full_stages, extra,
+                           lambda M: _feval(M, fdict), _rng_at(rng))
+        vals = real_values(system, weights, M0, stages, extra, fdict, rng)
         assert all(v == full[cut + 1] for v in full[cut + 1:])
         assert vals == full[:cut + 2]
         return vals
@@ -299,7 +299,8 @@ def test_functionals_outside_reach_are_pinned_at_zero_by_both_towers(
     # moves).  On these sweeps the nilpotent specs settle 2,516 functionals
     # and tower 18; the Levi spec settles all 24 it derives, and C3
     # semisimple derives none.
-    positive = root_index(system).positive_set
+    index = root_index(system)
+    positive = set(range(len(index.positive)))
     real_reach = orbit_oracle._reachable_roots
     real_stability = orbit_oracle._stability_stage
     cell = {}
@@ -310,15 +311,15 @@ def test_functionals_outside_reach_are_pinned_at_zero_by_both_towers(
     def reach(system, data, var_at):
         R = real_reach(system, data, var_at)
         assert R <= positive
-        if data.levi != positive:
-            var_roots = {root_index(system).positive[k] for k in var_at}
-            assert var_roots - data.levi <= R
+        if data.levi != index.positive_set:
+            var_roots = {index.positive[k] for k in var_at}
+            assert {index.at[a] for a in var_roots - data.levi} <= R
             moves.append(bool(var_roots - data.levi))
         cell["R"] = R
         return positive
 
-    def stability(system, M0, stages, extra, fdict, rng):
-        s = real_stability(system, M0, stages, extra, fdict, rng)
+    def stability(system, weights, M0, stages, extra, fdict, rng):
+        s = real_stability(system, weights, M0, stages, extra, fdict, rng)
         (settled if cell["R"].isdisjoint(fdict) else towered).append(s)
         return s
 
@@ -327,6 +328,11 @@ def test_functionals_outside_reach_are_pinned_at_zero_by_both_towers(
     for H in spaces or enumerate_spaces(system):
         for pi in enumerate_weyl(system):
             cell_dim_oracle(spec, system, H, pi, trials=2, seed=3)
+    # the oracle builds R only for a cell that derives a functional (C3
+    # semisimple derives none), so build it for every cell too
+    data = orbit_oracle._oracle_data(spec, system)
+    for pi in enumerate_weyl(system):
+        reach(system, data, [index.at[a] for a in inversion_set(pi)])
     assert set(settled) <= {0}
     if spec == LEVI or isinstance(spec, SemisimpleClassical):
         assert any(moves)  # S moves: R took in the variable roots outside Phi_l
@@ -357,20 +363,47 @@ def test_reach_holds_every_root_a_conjugation_moves(spec, system):
     # of _reachable_roots).  For nilpotent specs R is no larger either, on
     # every cell here: the closure is taken through every step, not one.
     data = orbit_oracle._oracle_data(spec, system)
-    table = orbit_oracle._kernel_table(system)
-    M0 = dict(data.residues)
+    M0 = data.residues
     for pi in enumerate_weyl(system):
         var = inversion_set(pi)
         R = orbit_oracle._reachable_roots(
             system, data, [root_index(system).at[a] for a in var])
         rng = random.Random(f"reach:{pi.window}")
         M = orbit_oracle._conjugate_rows(
-            system, M0, var, lambda a: rng.randrange(1, PRIME), PRIME)
-        moved = {a for a, (_, _, rc, _) in table.items()
-                 if M.get(rc) != M0.get(rc)}
+            system, data.weights, M0, var, lambda a: rng.randrange(1, PRIME), PRIME)
+        moved = {k for k, (x, x0) in enumerate(zip(M, M0)) if x != x0}
         assert moved <= R
         if data.levi == root_index(system).positive_set:
             assert moved == R
+
+
+def test_reach_is_built_only_when_a_functional_needs_it(monkeypatch):
+    # R is built at most once per cell, and exactly for the cells where a
+    # tower came out infeasible, the source of every derived functional
+    system = RootSystemId("D", 4)
+    H = peterson_space(system)
+    real_reach = orbit_oracle._reachable_roots
+    real_run = orbit_oracle._run_tower
+    built = []
+    infeasible = []
+
+    def reach(*args):
+        built[-1] += 1
+        return real_reach(*args)
+
+    def run(*args):
+        status, payload = real_run(*args)
+        infeasible[-1] |= status == "infeasible"
+        return status, payload
+
+    monkeypatch.setattr(orbit_oracle, "_reachable_roots", reach)
+    monkeypatch.setattr(orbit_oracle, "_run_tower", run)
+    for pi in enumerate_weyl(system):
+        built.append(0)
+        infeasible.append(False)
+        cell_dim_oracle(RegularNilpotent(), system, H, pi)
+    assert built == [int(x) for x in infeasible]
+    assert 0 < sum(built) < len(built)
 
 
 # --- reason codes ---------------------------------------------------------------
@@ -392,8 +425,8 @@ def test_reason_nonaffine(monkeypatch):
     # a wrong column breaks the affineness probe's prediction
     real = orbit_oracle._stage_system
 
-    def skewed(system, M, vrs, funcs):
-        b, cols = real(system, M, vrs, funcs)
+    def skewed(system, weights, M, vrs, funcs):
+        b, cols = real(system, weights, M, vrs, funcs)
         if cols:
             cols[0][0] = (cols[0][0] + 1) % PRIME
         return b, cols
@@ -482,10 +515,10 @@ def test_exact_empty_runs_one_trial(monkeypatch):
                                   trials=trials)
         if answers[0] == _EXACT:
             assert verdict == OracleVerdict("empty") and len(answers) == 1
-            M0, stages, reach = calls[0][1:4]
+            weights, M0, stages, reach = calls[0][1:5]
             for t in range(1, trials):
                 rng = random.Random(f"cell:0:{t}:{pi.window}")
-                assert real_solve(system, M0, stages, reach, rng) == _EXACT
+                assert real_solve(system, weights, M0, stages, reach, rng) == _EXACT
             runs["exact"] += 1
         elif answers[-1][0] == "inconsistent":
             assert verdict == OracleVerdict("inconsistent", reason=answers[-1][1])
@@ -501,5 +534,5 @@ def test_exact_empty_runs_one_trial(monkeypatch):
 def test_reason_late_pin(monkeypatch):
     # a derived functional that looks pinned only after its own stage
     monkeypatch.setattr(orbit_oracle, "_stability_stage",
-                        lambda system, M0, stages, *a: len(stages))
+                        lambda system, weights, M0, stages, *a: len(stages))
     assert _reason(*_d4_top()) == "late-pin"
