@@ -49,6 +49,7 @@ from .rootsys import (
     ResourceCapError,
     Root,
     RootSystemId,
+    ambient_dim,
     positive_roots,
     root_closure,
     root_index,
@@ -125,21 +126,21 @@ def cartan_matrix(system: RootSystemId, svec) -> dict:
     return out
 
 
-def _support_matrix(system: RootSystemId, support) -> dict:
-    """Sum of E_beta over the support."""
+def _root_matrix(system: RootSystemId, assignment: dict) -> dict:
+    """X = sum of x_beta E_beta over the assignment {Root: scalar}."""
     out: dict = {}
-    for beta in support:
-        for rc, x in root_entries(system, beta):
-            out[rc] = out.get(rc, 0) + x
+    for beta, x in assignment.items():
+        for rc, s in root_entries(system, beta):
+            out[rc] = out.get(rc, 0) + x * s
     return out
 
 
 def operator_matrix(spec, system: RootSystemId) -> dict:
     """Integer matrix of the canonical M = S + N (S = 0 for nilpotent specs)."""
-    out = _support_matrix(system, canonical_form(spec, system).support)
+    out = _root_matrix(system, dict.fromkeys(canonical_form(spec, system).support, 1))
     for rc, x in cartan_matrix(system, semisimple_functional(spec, system)).items():
         out[rc] = out.get(rc, 0) + x
-    return {rc: x for rc, x in out.items() if x}
+    return _pruned(out)
 
 
 # --- sparse matrix arithmetic ------------------------------------------------
@@ -165,29 +166,12 @@ def _mat_mul(A: dict, B: dict) -> dict:
     return _pruned(out)
 
 
-def _row_index(system: RootSystemId, assignment: dict) -> tuple[dict, dict]:
-    """Row and column index of X = sum of x_beta E_beta over the assignment
-    {Root: scalar}: {row: [(col, value)]} and {col: [(row, value)]}."""
-    xrows: dict = {}
-    xcols: dict = {}
-    for beta, x in assignment.items():
-        for (r, c), s in root_entries(system, beta):
-            v = x * s
-            xrows.setdefault(r, []).append((c, v))
-            xcols.setdefault(c, []).append((r, v))
-    return xrows, xcols
-
-
-def _ad(out: dict, X: tuple[dict, dict], B: dict) -> dict:
-    """Add [X, B] = XB - BX into out, X given by its _row_index, and return
-    out.  One pass over B; nothing is reduced."""
-    xrows, xcols = X
-    for (k, c), b in B.items():
-        for r, a in xcols.get(k, ()):
-            out[r, c] = out.get((r, c), 0) + a * b
-        for j, a in xrows.get(c, ()):
-            out[k, j] = out.get((k, j), 0) - b * a
-    return out
+def _bracket(A: dict, B: dict) -> dict:
+    """[A, B] = AB - BA."""
+    out = _mat_mul(A, B)
+    for rc, v in _mat_mul(B, A).items():
+        out[rc] = out.get(rc, 0) - v
+    return _pruned(out)
 
 
 # --- root coordinates ----------------------------------------------------------
@@ -210,10 +194,9 @@ def _kernel_table(system: RootSystemId) -> dict:
     pivot_at = {rc: k for k, rc in enumerate(pivots)}
     out = {}
     for v, a in enumerate(positive):
-        X = _row_index(system, {a: 1})
         brackets = {}
         for b, B in enumerate(vectors):
-            Z = _pruned(_ad({}, X, B))
+            Z = _bracket(vectors[v], B)
             if not Z:
                 continue
             g = [pivot_at[rc] for rc in Z if rc in pivot_at]
@@ -356,7 +339,7 @@ def restricted_orbit_roots(
     """Exact orbit roots of N = sum of E_beta over the support, u ranging over
     the subgroup generated by var_roots: in type A, the per-block reference
     that orbit_roots of a general operator is tested against."""
-    weights, M0 = _coordinates(system, _support_matrix(system, support))
+    weights, M0 = _coordinates(system, _root_matrix(system, dict.fromkeys(support, 1)))
     return _orbit_support(system, weights, M0, var_roots)
 
 
@@ -389,10 +372,9 @@ class _SpecData(NamedTuple):
     in root coordinates (_coordinates): tuples indexed by root_index
     position."""
 
-    residues: tuple  # M's coefficients mod PRIME
     # the oracle's stages: (variable positions, condition positions, row)
     plan: tuple
-    coeffs: tuple  # M's coefficients over the integers
+    coeffs: tuple  # M's coefficients: 1 on supp N, else 0, so residues too
     weights: tuple  # per position v, the E_v coefficient of [E_v, S]
     support: tuple[Root, ...]  # supp N, in canonical order
     levi: frozenset[Root]  # Phi_l, the positive roots on which S vanishes
@@ -434,8 +416,8 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
             plan.append((tuple(k for k in row if k in defer), (g,), i))
         else:
             plan.append((tuple(row), tuple(row), i))
-    return _SpecData(tuple(v % PRIME for v in coeffs), tuple(plan), coeffs,
-                     weights, support, levi, tuple(at[b] for b in support),
+    return _SpecData(tuple(plan), coeffs, weights, support, levi,
+                     tuple(at[b] for b in support),
                      tuple(a in levi for a in index.positive))
 
 
@@ -448,8 +430,9 @@ def _solve_affine(cols, b, rng):
     p = PRIME
     m = len(cols)
     k = len(b)
-    rows = [[cols[j][i] for j in range(m)] + [(-b[i]) % p] for i in range(k)]
-    trace = [[int(i == j) for j in range(k)] for i in range(k)]
+    # row i: equation i, its constant, then its combination of the equations
+    rows = [[cols[j][i] for j in range(m)] + [(-b[i]) % p]
+            + [int(i == j) for j in range(k)] for i in range(k)]
     pivots = []
     r = 0
     for c in range(m):
@@ -457,18 +440,15 @@ def _solve_affine(cols, b, rng):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        trace[r], trace[piv] = trace[piv], trace[r]
         inv = pow(rows[r][c], -1, p)
         rows[r] = [(x * inv) % p for x in rows[r]]
-        trace[r] = [(x * inv) % p for x in trace[r]]
         for i in range(k):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [(a - f * bb) % p for a, bb in zip(rows[i], rows[r])]
-                trace[i] = [(a - f * bb) % p for a, bb in zip(trace[i], trace[r])]
         pivots.append(c)
         r += 1
-    combos = [trace[i] for i in range(r, k) if rows[i][m]]
+    combos = [rows[i][m + 1:] for i in range(r, k) if rows[i][m]]
     if combos:
         return "bad", combos
     x = [0] * m
@@ -761,7 +741,7 @@ def cell_dim_oracle(
     outcomes = set()
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
-        kind, d = _solve_once(system, data.weights, data.residues, stages, reach,
+        kind, d = _solve_once(system, data.weights, data.coeffs, stages, reach,
                               rng)
         if kind == "inconsistent":
             return OracleVerdict(kind, reason=d)
@@ -780,17 +760,10 @@ def cell_dim_oracle(
 
 def _borel_basis(system: RootSystemId):
     """Cartan diagonal generators followed by positive root vectors."""
-    N = matrix_dim(system)
-    out = []
-    if system.family == "A":
-        for k in range(1, N + 1):
-            out.append({(k, k): 1})
-    else:
-        for k in range(1, system.rank + 1):
-            out.append({(k, k): 1, (N + 1 - k, N + 1 - k): -1})
-    for a in positive_roots(system):
-        out.append(dict(root_entries(system, a)))
-    return out
+    d = ambient_dim(system)
+    return ([cartan_matrix(system, [int(j == k) for j in range(d)])
+             for k in range(d)]
+            + [dict(root_entries(system, a)) for a in positive_roots(system)])
 
 
 def verify_adform(system: RootSystemId, i: int, samples: int = 3,
@@ -808,13 +781,13 @@ def verify_adform(system: RootSystemId, i: int, samples: int = 3,
     later_rows = [a for j in range(i + 1, system.rank + 1)
                   for a in rp.rows[j - 1]]
     for _ in range(samples):
-        X = _row_index(
+        X = _root_matrix(
             system, {a: rng.choice([-3, -2, -1, 1, 2, 3]) for a in row}
         )
         for Y in basis:
-            Z1 = _pruned(_ad({}, X, Y))
-            Z2 = _pruned(_ad({}, X, Z1))
-            Z3 = _pruned(_ad({}, X, Z2))
+            Z1 = _bracket(X, Y)
+            Z2 = _bracket(X, Z1)
+            Z3 = _bracket(X, Z2)
             if Z3:
                 return False
             for Z in (Z1, Z2):
@@ -851,20 +824,13 @@ def unitriangular_conjugate(m: int) -> dict:
         for i in range(1, m + 1)
         for j in range(i + 1, m + 1)
     }
-    u = {(k, k): Poly.const(1) for k in range(1, m + 1)}
-    for rc, v in A.items():
-        u[rc] = v
+    eye = {(k, k): Poly.const(1) for k in range(1, m + 1)}
     # Neumann series for u^{-1} = I - A + A^2 - ...
-    uinv = {(k, k): Poly.const(1) for k in range(1, m + 1)}
-    term = {rc: v for rc, v in A.items()}
-    sign = -1
+    uinv = dict(eye)
+    term, sign = A, -1
     while term:
         for rc, v in term.items():
-            s = uinv.get(rc, Poly()) + sign * v
-            if _is_zero(s):
-                uinv.pop(rc, None)
-            else:
-                uinv[rc] = s
+            uinv[rc] = uinv.get(rc, Poly()) + sign * v
         term = _mat_mul(term, A)
         sign = -sign
-    return _mat_mul(_mat_mul(uinv, N), u)
+    return _mat_mul(_mat_mul(_pruned(uinv), N), {**eye, **A})

@@ -6,7 +6,9 @@ result, rebuilt as a full matrix (M's diagonal plus the sum of c_alpha
 E_alpha), is compared with the definition itself, on dense matrices with a
 truncated exponential series, written without the library's arithmetic.
 The bracket table the kernel reads is compared with plain matrix
-commutators and with the sum table.
+commutators and with the sum table, and the sparse toolkit under it (one
+product, one commutator, one builder of sums of root vectors, one Borel
+basis) with dense arithmetic, root coordinates and literal matrices.
 """
 
 import random
@@ -17,14 +19,19 @@ import pytest
 from hesspave.operators import (
     RegularNilpotent,
     SemisimpleClassical,
+    TypeAGeneral,
+    TypeANilpotent,
     semisimple_functional,
 )
 from hesspave.orbit_oracle import (
     PRIME,
+    _borel_basis,
+    _bracket,
     _conjugate,
     _coordinates,
     _kernel_table,
     _oracle_data,
+    _root_matrix,
     _stage_system,
     cartan_matrix,
     coeff_at,
@@ -201,8 +208,9 @@ def test_conjugate_rejects_matrix_outside_borel():
 
 def test_oracle_data_is_built_once_and_immutable():
     system = RootSystemId("D", 4)
-    M0, plan, *_ = _oracle_data(RegularNilpotent(), system)
-    assert _oracle_data(RegularNilpotent(), system)[0] is M0
+    data = _oracle_data(RegularNilpotent(), system)
+    M0, plan = data.coeffs, data.plan
+    assert _oracle_data(RegularNilpotent(), system).coeffs is M0
     M = operator_matrix(RegularNilpotent(), system)
     assert M0 == tuple(coeff_at(system, M, a) % PRIME for a in positive_roots(system))
     assert isinstance(M0, tuple) and isinstance(plan, tuple)
@@ -265,3 +273,92 @@ def test_weights_are_minus_the_semisimple_functional(system):
         assert weights == tuple(-sum(e * s for e, s in zip(euclidean(system, a), svec))
                                 for a in positive_roots(system))
         assert all(weights) or spec.levi_blocks
+
+
+@pytest.mark.parametrize("system", UP_TO_RANK_6, ids=str)
+def test_oracle_coefficients_are_the_support_indicator(system):
+    # Each pivot entry of M = S + N is touched by its own root vector only,
+    # and S is diagonal, so M's coefficients are 1 on supp N and 0
+    # elsewhere: already residues mod PRIME, which the oracle reads as is.
+    n = system.rank
+    specs = [RegularNilpotent()] + [SemisimpleClassical(blocks) for blocks in
+                                    [(), ((1,),)] + ([((1, 2),)] if n > 2 else [])]
+    if system.family == "A":
+        specs += [TypeANilpotent(((n + 2) // 2, (n + 1) // 2)),
+                  TypeANilpotent((2,) + (1,) * (n - 1)),
+                  TypeAGeneral((("x", (n,)), ("y", (1,))))]
+    for spec in specs:
+        data = _oracle_data(spec, system)
+        on = set(data.support_at)
+        assert data.coeffs == tuple(int(k in on) for k in range(len(data.coeffs)))
+
+
+def _sparse(D):
+    return {(i + 1, j + 1): v for i, row in enumerate(D) for j, v in enumerate(row)
+            if v}
+
+
+def _dense(system, A):
+    n = matrix_dim(system)
+    out = [[0] * n for _ in range(n)]
+    for (r, c), v in A.items():
+        out[r - 1][c - 1] = v
+    return out
+
+
+def _random_matrix(system, rng, borel):
+    """Random integer and Fraction entries, on or above the diagonal when
+    borel, anywhere otherwise."""
+    n = matrix_dim(system)
+    out = {}
+    for r in range(1, n + 1):
+        for c in range(r if borel else 1, n + 1):
+            if rng.random() < 0.4:
+                out[r, c] = rng.choice([rng.randint(-4, 4),
+                                        Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+    return {rc: v for rc, v in out.items() if v}
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_bracket_is_the_dense_commutator(system):
+    rng = random.Random(f"bracket:{system}")
+    for trial in range(8):
+        A = _random_matrix(system, rng, trial % 2 == 0)
+        B = _random_matrix(system, rng, trial % 4 == 0)
+        if trial % 3 == 0:
+            B = _random_borel(system, rng, None)
+        dA, dB = _dense(system, A), _dense(system, B)
+        AB, BA = _dense_mul(dA, dB, None), _dense_mul(dB, dA, None)
+        want = _sparse([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(AB, BA)])
+        got = _bracket(A, B)
+        assert got == want, trial
+        assert all(got.values())
+        # cancellation leaves nothing behind
+        assert _bracket(A, A) == {}
+        assert _bracket(got, got) == {}
+
+
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_root_matrix_reads_back_its_scalars(system):
+    # sum of x_beta E_beta has coordinate x_beta at beta and no Cartan part
+    rng = random.Random(f"root-matrix:{system}")
+    pos = positive_roots(system)
+    for _ in range(3):
+        assignment = {a: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                      for a in rng.sample(pos, 4)}
+        weights, coeffs = _coordinates(system, _root_matrix(system, assignment))
+        assert not any(weights)
+        assert coeffs == tuple(assignment.get(a, 0) for a in pos)
+
+
+def test_borel_basis_is_cartan_diagonals_then_positive_root_vectors():
+    diagonals = {
+        RootSystemId("A", 2): [{(1, 1): 1}, {(2, 2): 1}, {(3, 3): 1}],
+        RootSystemId("B", 2): [{(1, 1): 1, (5, 5): -1}, {(2, 2): 1, (4, 4): -1}],
+        RootSystemId("C", 2): [{(1, 1): 1, (4, 4): -1}, {(2, 2): 1, (3, 3): -1}],
+        RootSystemId("D", 3): [{(1, 1): 1, (6, 6): -1}, {(2, 2): 1, (5, 5): -1},
+                               {(3, 3): 1, (4, 4): -1}],
+    }
+    for system, diagonal in diagonals.items():
+        assert _borel_basis(system) == diagonal + [
+            dict(root_entries(system, a)) for a in positive_roots(system)]

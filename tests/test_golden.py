@@ -299,6 +299,7 @@ def test_formula_digests_without_conjugation(capsys, monkeypatch):
     monkeypatch.setattr(orbit_oracle, "_conjugate", _conjugation)
     monkeypatch.setattr(orbit_oracle, "_kernel_table", _conjugation)
     monkeypatch.setattr(orbit_oracle, "operator_matrix", _conjugation)
+    monkeypatch.setattr(orbit_oracle, "_mat_mul", _conjugation)
     monkeypatch.setattr(Poly, "__mul__", _conjugation)
     formula = [argv for argv in CASES if "formula" in argv]
     assert len(formula) == 44

@@ -363,7 +363,7 @@ def test_reach_holds_every_root_a_conjugation_moves(spec, system):
     # of _reachable_roots).  For nilpotent specs R is no larger either, on
     # every cell here: the closure is taken through every step, not one.
     data = orbit_oracle._oracle_data(spec, system)
-    M0 = data.residues
+    M0 = data.coeffs
     for pi in enumerate_weyl(system):
         var = inversion_set(pi)
         R = orbit_oracle._reachable_roots(
