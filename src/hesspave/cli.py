@@ -72,6 +72,13 @@ def _system(args) -> RootSystemId:
         raise ConfigError(str(e)) from None
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def _operator(args, system: RootSystemId):
     chosen = [
         name for name in ("regular_nilpotent", "nilpotent", "general", "semisimple")
@@ -83,22 +90,20 @@ def _operator(args, system: RootSystemId):
         if args.regular_nilpotent:
             return RegularNilpotent()
         if args.nilpotent:
-            mu = tuple(int(t) for t in args.nilpotent.split(","))
-            spec = TypeANilpotent(mu)
+            spec = TypeANilpotent(_ints(args.nilpotent))
         elif args.general:
             blocks = []
             for part in args.general.split("|"):
                 label, _, mus = part.partition(":")
                 if not mus:
                     raise ConfigError(f"bad eigenvalue block {part!r}")
-                blocks.append((label, tuple(int(t) for t in mus.split(","))))
+                blocks.append((label, _ints(mus)))
             spec = TypeAGeneral(tuple(blocks))
         else:
             if args.semisimple == "regular":
                 return SemisimpleClassical(())
             spec = SemisimpleClassical(tuple(
-                tuple(int(t) for t in block.split(","))
-                for block in args.semisimple.split(";")
+                _ints(block) for block in args.semisimple.split(";")
             ))
         # surface shape errors (wrong family, wrong total, bad blocks) now
         canonical_form(spec, system)
@@ -119,7 +124,7 @@ def _hess(text: str, system: RootSystemId) -> HessenbergSpace:
         if text.startswith("h="):
             if system.family != "A":
                 raise ConfigError("h=... works only with --family A")
-            h = HessFunction.parse(text[2:])
+            h = HessFunction(_ints(text[2:]))
             if h.n != system.rank + 1:
                 raise ConfigError(
                     f"h has {h.n} entries, expected {system.rank + 1}"
@@ -130,7 +135,7 @@ def _hess(text: str, system: RootSystemId) -> HessenbergSpace:
             if text != "neg=":
                 negative = set(negative_roots(system))
                 for part in text[4:].split(";"):
-                    r = Root(tuple(int(t) for t in part.split(",")))
+                    r = Root(_ints(part))
                     if r not in negative:
                         raise ConfigError(f"{part} is not a negative root of {system}")
                     roots.add(r)
@@ -144,10 +149,6 @@ def _hess_text(H: HessenbergSpace) -> str:
     if H.system.family == "A":
         return f"h={to_h(H)}"
     return str(H)
-
-
-def _window_str(pi) -> str:
-    return " ".join(str(w) for w in pi.window)
 
 
 def cmd_roots(args) -> int:
@@ -224,7 +225,7 @@ def cmd_pave(args) -> int:
                       seed=args.seed, trials=args.trials, jobs=args.jobs)
     except OracleDisagreement as e:
         code = f" ({e.reason})" if e.reason else ""
-        print(f"oracle could not certify a dimension at pi=[{_window_str(e.pi)}]"
+        print(f"oracle could not certify a dimension at pi={e.pi}"
               f"{code}", file=sys.stderr)
         return EXIT_VERIFY
     if args.format == "json":
@@ -234,13 +235,14 @@ def cmd_pave(args) -> int:
         print("window,length,nonempty,dim")
         for r in result.reports:
             dim = "" if r.dim is None else r.dim
-            print(f"{_window_str(r.pi)},{r.pi.length()},{r.nonempty},{dim}")
+            window = " ".join(str(w) for w in r.pi.window)
+            print(f"{window},{r.pi.length()},{r.nonempty},{dim}")
         return EXIT_OK
     print(f"{system} operator={spec_label(spec)} {_hess_text(H)} "
           f"method={args.method}")
     for r in result.reports:
         tail = f"dim={r.dim}" if r.nonempty else "empty"
-        print(f"pi=[{_window_str(r.pi)}] len={r.pi.length()} {tail}")
+        print(f"pi={r.pi} len={r.pi.length()} {tail}")
     print(f"poincare: {result.polynomial}")
     print(f"euler: {result.polynomial.euler_characteristic()}")
     return EXIT_OK
@@ -281,7 +283,7 @@ def cmd_verify(args) -> int:
                 outcomes.append((method, (r.nonempty, r.dim)))
             if len({o for _, o in outcomes}) != 1:
                 detail = " ".join(f"{m}={o}" for m, o in outcomes)
-                print(f"FAIL hess={label} pi=[{_window_str(pi)}] {detail}")
+                print(f"FAIL hess={label} pi={pi} {detail}")
                 return EXIT_VERIFY
         print(f"pass hess={label} ({len(W)} cells, paths: {', '.join(paths)})")
     return EXIT_OK

@@ -9,6 +9,7 @@ which is what the enumerator walks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -105,27 +106,15 @@ class HessFunction:
     def n(self) -> int:
         return len(self.values)
 
-    @classmethod
-    def parse(cls, text: str) -> "HessFunction":
-        return cls(tuple(int(t) for t in text.split(",")))
-
     def __str__(self):
         return ",".join(str(v) for v in self.values)
 
 
 def all_hess_functions(n: int):
     """All Hessenberg functions on {1..n}, lexicographic."""
-
-    def rec(i: int, lo: int, acc: list[int]):
-        if i > n:
-            yield HessFunction(tuple(acc))
-            return
-        for v in range(max(i, lo), n + 1):
-            acc.append(v)
-            yield from rec(i + 1, v, acc)
-            acc.pop()
-
-    yield from rec(1, 1, [])
+    for values in itertools.combinations_with_replacement(range(1, n + 1), n):
+        if all(v >= i for i, v in enumerate(values, start=1)):
+            yield HessFunction(values)
 
 
 @lru_cache(maxsize=None)

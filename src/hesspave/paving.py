@@ -222,17 +222,17 @@ class OracleDisagreement(RuntimeError):
     """The oracle could not certify a cell; reason is the verdict's code
     (orbit_oracle.REASONS), None when the verdict named none."""
 
-    def __init__(self, pi: WeylElement, detail: str, reason: str | None = None):
+    def __init__(self, pi: WeylElement, reason: str | None):
         # args holds the constructor's arguments so that the exception
         # pickles back from a pave(jobs > 1) worker
-        super().__init__(pi, detail, reason)
+        super().__init__(pi, reason)
         self.pi = pi
         self.reason = reason
 
     def __str__(self):
-        pi, detail, reason = self.args
-        code = f" [{reason}]" if reason else ""
-        return f"oracle inconsistent at pi={pi}: {detail}{code}"
+        detail = REASONS.get(self.reason, "no reason given")
+        code = f" [{self.reason}]" if self.reason else ""
+        return f"oracle inconsistent at pi={self.pi}: {detail}{code}"
 
 
 def cell_oracle(
@@ -245,8 +245,7 @@ def cell_oracle(
 ) -> CellReport:
     v = cell_dim_oracle(spec, system, H, pi, trials=trials, seed=seed)
     if v.kind == "inconsistent":
-        raise OracleDisagreement(pi, REASONS.get(v.reason, "no reason given"),
-                                 v.reason)
+        raise OracleDisagreement(pi, v.reason)
     return CellReport(pi, v.kind == "dim", v.dim, "oracle")
 
 

@@ -118,13 +118,9 @@ def _check_order(system: RootSystemId) -> None:
             f"Weyl group of {system} exceeds {MAX_WEYL_ORDER} elements")
 
 
+@lru_cache(maxsize=None)
 def enumerate_weyl(system: RootSystemId) -> tuple[WeylElement, ...]:
     """All Weyl elements, windows in lexicographic order."""
-    return _enumerate_cached(system)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_cached(system: RootSystemId) -> tuple[WeylElement, ...]:
     _check_order(system)
     fam = system.family
     m = ambient_dim(system)

@@ -338,6 +338,21 @@ def test_verify_all_hess_levi_and_general(capsys, family, rank, flags):
       "--hess", "neg=1,0"), "1,0 is not a negative root of A2"),
     (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
       "--hess", "neg=-1,0;-1,-1,0"), "-1,-1,0 is not a negative root"),
+    (("roots", "--family", "A", "--rank", "0"), "family A requires rank >= 1"),
+    (("pave", "--family", "A", "--rank", "2", "--general", "x",
+      "--hess", "full"), "bad eigenvalue block 'x'"),
+    (("pave", "--family", "A", "--rank", "3", "--regular-nilpotent",
+      "--hess", "h=2,2"), "h has 2 entries, expected 4"),
+    (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
+      "--hess", "foo"), "cannot parse Hessenberg input 'foo'"),
+    (("pave", "--family", "A", "--rank", "3", "--nilpotent", "2,,1",
+      "--hess", "full"), "expected comma-separated integers, got '2,,1'"),
+    (("pave", "--family", "C", "--rank", "2", "--semisimple", "1;",
+      "--hess", "full"), "expected comma-separated integers, got ''"),
+    (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
+      "--hess", "h=2,x,3"), "expected comma-separated integers, got '2,x,3'"),
+    (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
+      "--hess", "neg=a,b"), "expected comma-separated integers, got 'a,b'"),
 ])
 def test_config_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -111,12 +111,6 @@ def test_hess_function_validation():
         HessFunction((1, 2, 4))  # exceeds n
 
 
-def test_hess_function_parse():
-    assert HessFunction.parse("2,3,3") == HessFunction((2, 3, 3))
-    with pytest.raises(ValueError):
-        HessFunction.parse("2,x")
-
-
 def test_containment_matches_h_order():
     system = RootSystemId("A", 3)
     for H in enumerate_spaces(system):

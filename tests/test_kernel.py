@@ -16,8 +16,14 @@ from hesspave.hessenberg import (
     full_space,
     peterson_space,
 )
-from hesspave.operators import RegularNilpotent, SemisimpleClassical, TypeAGeneral
-from hesspave.orbit_oracle import _oracle_data, orbit_roots
+from hesspave.operators import (
+    RegularNilpotent,
+    SemisimpleClassical,
+    TypeAGeneral,
+    canonical_form,
+    levi_roots,
+)
+from hesspave.orbit_oracle import orbit_roots
 from hesspave.paving import cell_formula
 from hesspave.rootsys import RootSystemId, all_roots, euclidean, positive_roots
 from hesspave.weyl import enumerate_weyl, inversion_set
@@ -68,12 +74,11 @@ def reference_cell(spec, system, H, pi, act):
     """The Levi formula with the Euclidean action: empty iff pi^{-1} maps
     supp N outside M_H, else |Phi_pi| minus the roots a of
     (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H."""
-    data = _oracle_data(spec, system)
     inv = pi.inverse()
-    if any(act(inv, b) not in H.roots for b in data.support):
+    if any(act(inv, b) not in H.roots for b in canonical_form(spec, system).support):
         return False, None
     inv_set = frozenset(a for a in positive_roots(system) if act(inv, a).is_negative)
-    moved = (inv_set - data.levi) | orbit_roots(spec, system, pi)
+    moved = (inv_set - levi_roots(spec, system)) | orbit_roots(spec, system, pi)
     return True, len(inv_set) - sum(1 for a in moved if act(inv, a) not in H.roots)
 
 

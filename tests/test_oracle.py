@@ -225,8 +225,8 @@ def test_spec_data_is_built_once_per_spec(monkeypatch):
         assert calls["levi_roots"] <= 3
         data = _oracle_data(spec, system)
         assert isinstance(data.coeffs, tuple) and isinstance(data.weights, tuple)
-        assert isinstance(data.support, tuple)
-        assert isinstance(data.levi, frozenset)
+        assert isinstance(data.support_at, tuple)
+        assert isinstance(data.levi_mask, tuple)
 
 
 def test_cell_oracle_identity_cell():
