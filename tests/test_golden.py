@@ -1,4 +1,5 @@
-"""Golden outputs: `pave --format json` must stay byte-identical.
+"""Golden outputs: `pave --format json` and `verify --all-hess` must stay
+byte-identical.
 
 Each case runs the CLI in-process and compares the SHA-256 of its stdout
 with a digest recorded from a known-good version of the package.  The matrix
@@ -7,8 +8,9 @@ the Peterson (and, for B3, Borel) space, all applicable paths, and nilpotent
 cases above rank 3, recorded when the formula path took orbit roots there
 from a randomized conjugation; it now takes them from an exact closure at
 every rank, with the same digests.  The formula cases are also run with the
-conjugation engine patched to raise.  A digest changes only when an output
-does; refresh one only for a deliberate change of output.
+conjugation engine patched to raise.  The verify cases pin the exit code and
+stderr too.  A digest changes only when an output does; refresh one only for
+a deliberate change of output.
 """
 
 import hashlib
@@ -307,3 +309,37 @@ def test_formula_digests_without_conjugation(capsys, monkeypatch):
         assert cli.main(list(argv)) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[" ".join(argv)]
+
+
+# `verify --all-hess` at seeds 0 and 1: exit code and the SHA-256 of stdout
+# and of stderr, recorded before verify shared oracle verdicts between
+# spaces.  The D4 run stops at its late-pin FAIL line with exit 3.
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_VERIFY_RUNS = {
+    ("B", "3", ("--regular-nilpotent",)): (
+        0, "768826fda153031daaa8942b67f872d1e79e2edbc6d685ec51bdf14304568fca"),
+    ("C", "3", ("--regular-nilpotent",)): (
+        0, "f4b8fb6fb8f1f8c1c120e69b321fbf00ba21d18a6934dc325b39e955e7f81303"),
+    ("B", "3", ("--semisimple", "1,2")): (
+        0, "768826fda153031daaa8942b67f872d1e79e2edbc6d685ec51bdf14304568fca"),
+    ("A", "3", ("--nilpotent", "2,1,1")): (
+        0, "431ba4d56a7ada5baf7cf51701b995bb325783b70e398c5ec97e681acedf2946"),
+    ("A", "3", ("--general", "x:2|y:1,1")): (
+        0, "431ba4d56a7ada5baf7cf51701b995bb325783b70e398c5ec97e681acedf2946"),
+    ("D", "4", ("--regular-nilpotent",)): (
+        3, "ab43dc656669d3b7a4371af4f16ba1f27bf11ee9c34bf7fbe31b030094727fd8"),
+}
+VERIFY_DIGESTS = {
+    ("verify", "--family", fam, "--rank", rank, *op, "--all-hess", "--seed", seed):
+        (code, out, _EMPTY)
+    for (fam, rank, op), (code, out) in _VERIFY_RUNS.items()
+    for seed in ("0", "1")
+}
+
+
+@pytest.mark.parametrize("argv", VERIFY_DIGESTS, ids=lambda argv: " ".join(argv[1:]))
+def test_verify_all_hess_digest(argv, capsys):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, hashlib.sha256(captured.out.encode()).hexdigest(),
+            hashlib.sha256(captured.err.encode()).hexdigest()) == VERIFY_DIGESTS[argv]
