@@ -72,11 +72,13 @@ def _system(args) -> RootSystemId:
         raise ConfigError(str(e)) from None
 
 
-def _ints(text: str) -> tuple[int, ...]:
+def _ints(text: str, flag: str, arg: str) -> tuple[int, ...]:
+    """The integers of text, a piece of the argument arg of flag."""
     try:
         return tuple(int(t) for t in text.split(","))
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{flag} {arg!r}: expected comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _operator(args, system: RootSystemId):
@@ -90,20 +92,22 @@ def _operator(args, system: RootSystemId):
         if args.regular_nilpotent:
             return RegularNilpotent()
         if args.nilpotent:
-            spec = TypeANilpotent(_ints(args.nilpotent))
+            spec = TypeANilpotent(
+                _ints(args.nilpotent, "--nilpotent", args.nilpotent))
         elif args.general:
             blocks = []
             for part in args.general.split("|"):
                 label, _, mus = part.partition(":")
                 if not mus:
                     raise ConfigError(f"bad eigenvalue block {part!r}")
-                blocks.append((label, _ints(mus)))
+                blocks.append((label, _ints(mus, "--general", args.general)))
             spec = TypeAGeneral(tuple(blocks))
         else:
             if args.semisimple == "regular":
                 return SemisimpleClassical(())
             spec = SemisimpleClassical(tuple(
-                _ints(block) for block in args.semisimple.split(";")
+                _ints(block, "--semisimple", args.semisimple)
+                for block in args.semisimple.split(";")
             ))
         # surface shape errors (wrong family, wrong total, bad blocks) now
         canonical_form(spec, system)
@@ -124,7 +128,7 @@ def _hess(text: str, system: RootSystemId) -> HessenbergSpace:
         if text.startswith("h="):
             if system.family != "A":
                 raise ConfigError("h=... works only with --family A")
-            h = HessFunction(_ints(text[2:]))
+            h = HessFunction(_ints(text[2:], "--hess", text))
             if h.n != system.rank + 1:
                 raise ConfigError(
                     f"h has {h.n} entries, expected {system.rank + 1}"
@@ -135,7 +139,7 @@ def _hess(text: str, system: RootSystemId) -> HessenbergSpace:
             if text != "neg=":
                 negative = set(negative_roots(system))
                 for part in text[4:].split(";"):
-                    r = Root(_ints(part))
+                    r = Root(_ints(part, "--hess", text))
                     if r not in negative:
                         raise ConfigError(f"{part} is not a negative root of {system}")
                     roots.add(r)
@@ -269,6 +273,7 @@ def cmd_verify(args) -> int:
     use_tableau = _tableau_applies(spec, system)
     paths = ["formula", "tableau", "oracle"] if use_tableau else ["formula", "oracle"]
     W = enumerate_weyl(system)
+    memo: dict = {}  # oracle verdicts, shared by spaces with equal conditions
     for H in spaces:
         label = _hess_text(H)
         for pi in W:
@@ -276,7 +281,8 @@ def cmd_verify(args) -> int:
             for method in paths:
                 try:
                     r = cell_report(spec, system, H, pi, method,
-                                    seed=args.seed, trials=args.trials)
+                                    seed=args.seed, trials=args.trials,
+                                    memo=memo)
                 except OracleDisagreement as e:
                     outcomes.append((method, ("inconsistent", e.reason)))
                     continue

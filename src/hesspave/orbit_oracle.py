@@ -186,27 +186,27 @@ def _kernel_table(system: RootSystemId) -> dict:
 
     It is read off the matrix realization: every commutator of two positive
     root vectors must be exactly n E_g, entry for entry, or the build
-    raises.  It does not read RootIndex.sums, so the conjugation stays
-    independent of the table the formula's closure walks."""
+    raises.  Each unordered pair is bracketed once, and [E_b, E_v] = -n E_g
+    fills the reverse entry.  It does not read RootIndex.sums, so the
+    conjugation stays independent of the table the formula's closure walks."""
     positive = root_index(system).positive
     vectors = [dict(root_entries(system, a)) for a in positive]
     pivots = [root_entries(system, a)[0][0] for a in positive]
     pivot_at = {rc: k for k, rc in enumerate(pivots)}
-    out = {}
-    for v, a in enumerate(positive):
-        brackets = {}
-        for b, B in enumerate(vectors):
-            Z = _bracket(vectors[v], B)
+    brackets = [{} for _ in positive]
+    for v, V in enumerate(vectors):
+        for b in range(v + 1, len(vectors)):
+            Z = _bracket(V, vectors[b])
             if not Z:
                 continue
             g = [pivot_at[rc] for rc in Z if rc in pivot_at]
             n = Z[pivots[g[0]]] if g else 0
             if len(g) != 1 or Z != {rc: n * x for rc, x in vectors[g[0]].items()}:
-                raise RuntimeError(f"[E_{a}, E_{positive[b]}] is not a multiple "
-                                   "of a root vector")
-            brackets[g[0]] = (b, n)
-        out[v] = (row_of(a), brackets)
-    return out
+                raise RuntimeError(f"[E_{positive[v]}, E_{positive[b]}] is not a "
+                                   "multiple of a root vector")
+            brackets[v][g[0]] = (b, n)
+            brackets[b][g[0]] = (v, -n)
+    return {v: (row_of(a), brackets[v]) for v, a in enumerate(positive)}
 
 
 def _coordinates(system: RootSystemId, M: dict) -> tuple[tuple, tuple]:
@@ -695,45 +695,15 @@ def _solve_once(system, weights, M0, stages, reach, rng):
     return "inconsistent", "max-derived"
 
 
-def cell_dim_oracle(
-    spec,
-    system: RootSystemId,
-    H: HessenbergSpace,
-    pi: WeylElement,
-    trials: int = 5,
-    seed: int = 0,
-) -> OracleVerdict:
-    """Probabilistic dimension of the cell BpiB intersected with H(M,H).
-
-    Each of the trials runs _solve_once on its own seeded stream.  An exact
-    emptiness proof on the first trial (a derived functional with no root
-    in R, nonzero at M_0) is the verdict, and no other trial runs: such a
-    cell can no longer show a trial split.  Otherwise the first
-    inconsistent trial is the verdict, and the trials' (kind, dim)
-    outcomes, an exact and a towered empty alike, form one set, whose only
-    member is the verdict when they all agree, and a trial split when they
-    do not.
-
-    The cell's set-up is one walk of pi^{-1}'s signed window over the
-    positive roots' pairs, as in paving.cell_formula: a root is a variable
-    when pi^{-1} sends it negative, and carries a condition when its image
-    lies outside M_H.  R is built once, when a trial first needs it."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    data = _oracle_data(spec, system)
-    index = root_index(system)
-    negative = index.negative
-    in_H = H.pairs
-    s = signed_inverse(pi)
-    image = [(s[p], s[q]) for p, q in index.positive_pairs]
-    var = [negative[x][y] for x, y in image]
-    stages = _cell_stages(data, var, [xy not in in_H for xy in image])
+def _vote(system, data, var, cond, window, trials, seed) -> OracleVerdict:
+    """The trial vote of cell_dim_oracle on the cell's variable and
+    condition flags."""
+    stages = _cell_stages(data, var, cond)
     reach = cache(lambda: _reachable_roots(
         system, data, [k for k, v in enumerate(var) if v]))
-
     outcomes = set()
     for t in range(trials):
-        rng = random.Random(f"cell:{seed}:{t}:{pi.window}")
+        rng = random.Random(f"cell:{seed}:{t}:{window}")
         kind, d = _solve_once(system, data.weights, data.coeffs, stages, reach,
                               rng)
         if kind == "inconsistent":
@@ -746,6 +716,56 @@ def cell_dim_oracle(
     if len(outcomes) == 1:
         return OracleVerdict(*outcomes.pop())
     return OracleVerdict("inconsistent", reason="trial-split")
+
+
+def cell_dim_oracle(
+    spec,
+    system: RootSystemId,
+    H: HessenbergSpace,
+    pi: WeylElement,
+    trials: int = 5,
+    seed: int = 0,
+    *,
+    memo: dict | None = None,
+) -> OracleVerdict:
+    """Probabilistic dimension of the cell BpiB intersected with H(M,H).
+
+    The cell's set-up is one walk of pi^{-1}'s signed window over the
+    positive roots' pairs, as in paving.cell_formula: a root is a variable
+    when pi^{-1} sends it negative, and carries a condition when its image
+    lies outside M_H.  So the verdict is decided by the spec, the system,
+    pi, the condition positions, trials and seed, and H enters only through
+    the conditions.  With a memo dict, a verdict found there under that key
+    is returned as it is, and a new one is stored there: spaces that give pi
+    the same conditions share one vote.
+
+    The vote runs each of the trials' _solve_once on its own stream, seeded
+    by (seed, trial, pi).  An exact emptiness proof on the first trial (a
+    derived functional with no root in R, nonzero at M_0) is the verdict,
+    and no other trial runs: such a cell can no longer show a trial split.
+    Otherwise the first inconsistent trial is the verdict, and the trials'
+    (kind, dim) outcomes, an exact and a towered empty alike, form one set,
+    whose only member is the verdict when they all agree, and a trial split
+    when they do not.  R is built once, when a trial first needs it."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    data = _oracle_data(spec, system)
+    index = root_index(system)
+    negative = index.negative
+    in_H = H.pairs
+    s = signed_inverse(pi)
+    image = [(s[p], s[q]) for p, q in index.positive_pairs]
+    var = [negative[x][y] for x, y in image]
+    cond = [xy not in in_H for xy in image]
+    if memo is None:
+        return _vote(system, data, var, cond, pi.window, trials, seed)
+    key = (spec, system, pi.window,
+           tuple(k for k, c in enumerate(cond) if c), trials, seed)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = _vote(system, data, var, cond, pi.window,
+                                    trials, seed)
+    return verdict
 
 
 # --- structural verification --------------------------------------------------

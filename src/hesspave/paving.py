@@ -242,8 +242,13 @@ def cell_oracle(
     pi: WeylElement,
     trials: int = 5,
     seed: int = 0,
+    *,
+    memo: dict | None = None,
 ) -> CellReport:
-    v = cell_dim_oracle(spec, system, H, pi, trials=trials, seed=seed)
+    """The oracle's verdict as a CellReport; raises OracleDisagreement on an
+    inconsistent one, whether memo held it or not."""
+    v = cell_dim_oracle(spec, system, H, pi, trials=trials, seed=seed,
+                        memo=memo)
     if v.kind == "inconsistent":
         raise OracleDisagreement(pi, v.reason)
     return CellReport(pi, v.kind == "dim", v.dim, "oracle")
@@ -257,13 +262,17 @@ def cell_report(
     method: str = "formula",
     seed: int = 0,
     trials: int = 5,
+    *,
+    memo: dict | None = None,
 ) -> CellReport:
+    """The cell by one path; memo reaches only the oracle (cell_dim_oracle)."""
     if method == "formula":
         return cell_formula(spec, system, H, pi)
     if method == "tableau":
         return cell_tableau(spec, system, H, pi)
     if method == "oracle":
-        return cell_oracle(spec, system, H, pi, trials=trials, seed=seed)
+        return cell_oracle(spec, system, H, pi, trials=trials, seed=seed,
+                           memo=memo)
     raise ValueError(f"unknown method {method!r}")
 
 

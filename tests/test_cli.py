@@ -346,13 +346,20 @@ def test_verify_all_hess_levi_and_general(capsys, family, rank, flags):
     (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
       "--hess", "foo"), "cannot parse Hessenberg input 'foo'"),
     (("pave", "--family", "A", "--rank", "3", "--nilpotent", "2,,1",
-      "--hess", "full"), "expected comma-separated integers, got '2,,1'"),
+      "--hess", "full"),
+     "--nilpotent '2,,1': expected comma-separated integers, got '2,,1'"),
+    (("pave", "--family", "A", "--rank", "2", "--general", "x:a|y:1,1",
+      "--hess", "full"),
+     "--general 'x:a|y:1,1': expected comma-separated integers, got 'a'"),
     (("pave", "--family", "C", "--rank", "2", "--semisimple", "1;",
-      "--hess", "full"), "expected comma-separated integers, got ''"),
+      "--hess", "full"),
+     "--semisimple '1;': expected comma-separated integers, got ''"),
     (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
-      "--hess", "h=2,x,3"), "expected comma-separated integers, got '2,x,3'"),
+      "--hess", "h=2,x,3"),
+     "--hess 'h=2,x,3': expected comma-separated integers, got '2,x,3'"),
     (("pave", "--family", "A", "--rank", "2", "--regular-nilpotent",
-      "--hess", "neg=a,b"), "expected comma-separated integers, got 'a,b'"),
+      "--hess", "neg=a,b"),
+     "--hess 'neg=a,b': expected comma-separated integers, got 'a,b'"),
 ])
 def test_config_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -11,6 +11,7 @@ product, one commutator, one builder of sums of root vectors, one Borel
 basis) with dense arithmetic, root coordinates and literal matrices.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -260,6 +261,16 @@ def test_kernel_table_brackets_are_matrix_commutators(system):
                 assert not Z
         assert sorted((b, g) for b, (g, _) in listed.items()) == \
             sorted(index.sums[v])
+
+
+def test_kernel_tables_are_pinned():
+    # The tables of A1-A6, B2-B6, C2-C6 and D3-D6, dict order included,
+    # as built when every ordered pair was bracketed on its own.
+    digest = hashlib.sha256()
+    for system in UP_TO_RANK_6:
+        digest.update(repr(_kernel_table(system)).encode())
+    assert digest.hexdigest() == \
+        "fd70b898f3fdad55281082c2988a4a5a5b22397b95d194913b0f524f83fe8dad"
 
 
 @pytest.mark.parametrize("system", UP_TO_RANK_6, ids=str)
