@@ -739,14 +739,15 @@ def cell_dim_oracle(
     is returned as it is, and a new one is stored there: spaces that give pi
     the same conditions share one vote.
 
-    The vote runs each of the trials' _solve_once on its own stream, seeded
-    by (seed, trial, pi).  An exact emptiness proof on the first trial (a
-    derived functional with no root in R, nonzero at M_0) is the verdict,
-    and no other trial runs: such a cell can no longer show a trial split.
-    Otherwise the first inconsistent trial is the verdict, and the trials'
-    (kind, dim) outcomes, an exact and a towered empty alike, form one set,
-    whose only member is the verdict when they all agree, and a trial split
-    when they do not.  R is built once, when a trial first needs it."""
+    The vote runs _solve_once once per trial, each on its own stream,
+    seeded by (seed, trial, pi).  An exact emptiness proof on the first
+    trial (a derived functional with no root in R, nonzero at M_0) is the
+    verdict, and no other trial runs: such a cell can no longer show a
+    trial split.  Otherwise the first inconsistent trial is the verdict,
+    and the trials' (kind, dim) outcomes, an exact and a towered empty
+    alike, form one set, whose only member is the verdict when they all
+    agree, and a trial split when they do not.  R is built once, when a
+    trial first needs it."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)
@@ -761,11 +762,9 @@ def cell_dim_oracle(
         return _vote(system, data, var, cond, pi.window, trials, seed)
     key = (spec, system, pi.window,
            tuple(k for k, c in enumerate(cond) if c), trials, seed)
-    verdict = memo.get(key)
-    if verdict is None:
-        verdict = memo[key] = _vote(system, data, var, cond, pi.window,
-                                    trials, seed)
-    return verdict
+    if key not in memo:
+        memo[key] = _vote(system, data, var, cond, pi.window, trials, seed)
+    return memo[key]
 
 
 # --- structural verification --------------------------------------------------
