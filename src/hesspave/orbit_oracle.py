@@ -2,19 +2,20 @@
 
 * conjugation u^{-1}.M down the rows of U_pi, one walk over any scalar
   domain (Poly variables, Fractions, residues mod PRIME) whose every row step
-  is the exact two-bracket form M + [X, M] + 1/2 [X, [X, M]] (the row lemma
-  (ad X)^3 = 0 on the Borel).  Zero-testing its polynomial coefficients
-  gives the orbit roots Phi_{(U_pi cap L) . M}, the exact reference for the
-  formula path's additive closure; random evaluation cross-checks it.
+  adds to M the exact two-bracket delta [X, M] + 1/2 [X, [X, M]] of one
+  kernel, _adjoint (the row lemma: (ad X)^3 = 0 on the Borel).
+  Zero-testing its polynomial coefficients gives the orbit roots
+  Phi_{(U_pi cap L) . M}, the exact reference for the formula path's
+  additive closure; random evaluation cross-checks it.
 * a seeded probabilistic row-by-row affine solver over a large prime field
   that certifies cell dimensions independently of any closed formula.  A
   stage that comes out infeasible yields derived functionals; each is
   re-attached to the stage that pins it.  Most are constant: a functional
   with no root in the cell's R, the roots whose coefficient a conjugation
-  by the cell's variable roots can change (_reachable_roots), is pinned
-  before any stage, exactly; if it is nonzero at M_0, the cell is empty and
-  the trial vote ends.  Any other is pinned where two fresh
-  constrained towers from M_0 say.  Both stop at the functional's cut, the
+  by the cell's variable roots can change (_reachable_roots, built once per
+  vote), is pinned before any stage, exactly; if it is nonzero at M_0, the
+  cell is empty and the trial vote ends.  Any other is pinned where two
+  fresh constrained towers from M_0 say.  Both stop at the functional's cut, the
   last stage on a row that can move it: by the row lemma, a stage on row j
   leaves the coefficients of rows > j untouched.  A cell the solver cannot
   certify gets an "inconsistent" verdict naming its cause (REASONS).
@@ -30,8 +31,11 @@ coordinates, and so do the stages' functionals, keyed by position.  Since
 [E_v, E_b] = n E_g when v + b = g is a root and 0 otherwise, one table per
 system (_kernel_table) lists each positive root's row and its (b, g, n); it
 is read off the matrix commutators, each checked entry for entry, not off
-the sum table.  R is walked by rootsys.root_closure over rootsys.root_index's
-sum table, the walk the formula path's orbit roots share.
+the sum table.  Only _adjoint reads its brackets: a row step adds its
+delta to M, and a stage system's column for a variable v is the stage's
+functionals at the delta of X = E_v.  R is walked by rootsys.root_closure
+over rootsys.root_index's sum table, the walk the formula path's orbit roots
+share.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .hessenberg import HessenbergSpace
@@ -146,13 +150,9 @@ def operator_matrix(spec, system: RootSystemId) -> dict:
 # --- sparse matrix arithmetic ------------------------------------------------
 
 
-def _is_zero(v) -> bool:
-    return v.is_zero() if isinstance(v, Poly) else not v
-
-
 def _pruned(D: dict) -> dict:
     """D without its zero entries."""
-    return {rc: v for rc, v in D.items() if not _is_zero(v)}
+    return {rc: v for rc, v in D.items() if v}
 
 
 def _mat_mul(A: dict, B: dict) -> dict:
@@ -223,37 +223,43 @@ def _coordinates(system: RootSystemId, M: dict) -> tuple[tuple, tuple]:
             tuple(M.get(rc, 0) for rc in pivots))
 
 
-def _conjugate(system: RootSystemId, weights, M, assignment, mod=None) -> list:
-    """exp(X) M exp(-X) in root coordinates for X = sum of x_v E_v over the
-    assignment, (position, scalar) pairs: the adjoint action of
-    u^{-1} = exp(X) on the coefficients M of a Borel element whose Cartan
-    part, which it fixes, has the given weights.
-
-    The assignment's positions must lie in one row; then (ad X)^3 M = 0 (the
-    row lemma, checked by verify_adform), so the action is exactly
-    M + [X, M] + 1/2 [X, [X, M]], with [E_v, S] = w_v E_v and the brackets
-    of _kernel_table.  The result is reduced mod `mod` when given, once."""
+def _adjoint(system: RootSystemId, weights, M, assignment, half) -> dict:
+    """[X, M] + 1/2 [X, [X, M]] as a sparse {position: value}, for X = sum of
+    x_v E_v over the assignment's (position, scalar) pairs, M the coefficients
+    of a Borel element whose Cartan part has the given weights
+    ([E_v, S] = w_v E_v), and half the domain's 1/2.  The positions must lie
+    in one row; then (ad X)^3 M = 0 (the row lemma, checked by verify_adform),
+    so M plus this delta is exactly exp(X) M exp(-X)."""
     table = _kernel_table(system)
     entries = [table.get(v) for v, _ in assignment]
     if None in entries or len({row for row, _ in entries}) > 1:
         raise RuntimeError("conjugation by roots outside a single row")
-    XM = [0] * len(M)
+    XM: dict = {}
     for (v, x), (_, brackets) in zip(assignment, entries):
         if weights[v]:
-            XM[v] += x * weights[v]
+            XM[v] = XM.get(v, 0) + x * weights[v]
         for g, (b, n) in brackets.items():
             if M[b]:
-                XM[g] += x * n * M[b]
-    out = list(M)
-    half = pow(2, -1, mod) if mod else Fraction(1, 2)
+                XM[g] = XM.get(g, 0) + x * n * M[b]
+    out = dict(XM)
     for (v, x), (_, brackets) in zip(assignment, entries):
         hx = half * x
         for g, (b, n) in brackets.items():
-            if XM[b]:
-                out[g] += hx * n * XM[b]
-    if mod:
-        return [(m + y) % mod for m, y in zip(out, XM)]
-    return [m + y for m, y in zip(out, XM)]
+            if XM.get(b):
+                out[g] = out.get(g, 0) + hx * n * XM[b]
+    return out
+
+
+def _conjugate(system: RootSystemId, weights, M, assignment, mod=None) -> list:
+    """exp(X) M exp(-X), the action of u^{-1} = exp(X), as M plus _adjoint's
+    delta.  Under mod only the positions the delta touches are reduced,
+    exact since every caller passes residues (M_0 is 0/1, each step returns
+    residues, _orbit_support reduces its M_0 first)."""
+    half = pow(2, -1, mod) if mod else Fraction(1, 2)
+    out = list(M)
+    for g, y in _adjoint(system, weights, M, assignment, half).items():
+        out[g] = (out[g] + y) % mod if mod else out[g] + y
+    return out
 
 
 # --- conjugation down the rows -------------------------------------------------
@@ -291,7 +297,7 @@ def _orbit_support(system: RootSystemId, weights, M0, var_roots,
     positive = root_index(system).positive
     if mode == "symbolic":
         M = _symbolic_rows(system, weights, M0, var_roots)
-        return frozenset(a for a, v in zip(positive, M) if not _is_zero(v))
+        return frozenset(a for a, v in zip(positive, M) if v)
     if mode != "randomized":
         raise ValueError(f"unknown orbit mode {mode!r}")
     found: set[Root] = set()
@@ -523,35 +529,22 @@ def _stage_funcs(conds, extra, t):
     return funcs
 
 
+def _fdelta(system, weights, M, assignment, funcs):
+    """f(conj(M)) - f(M) mod PRIME for each functional f {position: coeff}
+    of funcs: f at _adjoint's delta."""
+    delta = _adjoint(system, weights, M, assignment, (PRIME + 1) // 2)
+    return [sum(c * delta.get(k, 0) for k, c in fd.items()) % PRIME for fd in funcs]
+
+
 def _stage_system(system, weights, M, vrs, funcs):
     """Baseline values and per-variable columns of the stage's affine system
     for the stage's functionals {position: coeff}.
 
-    Column v is f(conj(M, {v: 1})) - f(M) = f([E_v, M]) + 1/2 f([E_v, [E_v, M]]).
-    Both brackets are read only at the functionals' positions g: with
-    [E_v, E_b] = n E_g, [E_v, M] at g is n c_b, plus w_v when g = v, and
-    [E_v, [E_v, M]] at g is n times [E_v, M] at b, where w_v cannot enter.
-    The quadratic term stays: _tower_values solves stage systems without
-    the affineness probe, so dropping it would change its answers."""
-    table = _kernel_table(system)
-    need = {g for fd in funcs for g in fd}
-    base = [_feval(M, fd) for fd in funcs]
-    half = pow(2, -1, PRIME)
-    cols = []
-    for v in vrs:
-        brackets = table[v][1]
-        w = weights[v]
-        col = {}
-        for g in need:
-            z = w if g == v else 0
-            hit = brackets.get(g)
-            if hit:
-                b, n = hit
-                inner = brackets.get(b)  # [E_v, M] at b; b != v, as [E_v, E_v] = 0
-                z += n * (M[b] + half * (inner[1] * M[inner[0]] if inner else 0))
-            col[g] = z
-        cols.append([sum(k * col[g] for g, k in fd.items()) % PRIME for fd in funcs])
-    return base, cols
+    Column v is f(conj(M, {v: 1})) - f(M), quadratic term included:
+    _tower_values solves stage systems without the affineness probe, so
+    dropping it would change its answers."""
+    return ([_feval(M, fd) for fd in funcs],
+            [_fdelta(system, weights, M, [(v, 1)], funcs) for v in vrs])
 
 
 def _run_tower(system, weights, M0, stages, extra, rng):
@@ -572,13 +565,12 @@ def _run_tower(system, weights, M0, stages, extra, rng):
             continue
         b, cols = _stage_system(system, weights, M, vrs, funcs)
         if vrs:
-            # affineness probe at a random point
+            # affineness probe at a random point: each f moves by its row
+            # of the columns times the point
             xp = [rng.randrange(PRIME) for _ in vrs]
-            Mp = _conjugate(system, weights, M, list(zip(vrs, xp)), PRIME)
-            for idx, fd in enumerate(funcs):
-                pred = (b[idx] + sum(cols[j][idx] * xp[j] for j in range(len(vrs)))) % PRIME
-                if _feval(Mp, fd) != pred:
-                    return "inconsistent", "nonaffine"
+            if _fdelta(system, weights, M, list(zip(vrs, xp)), funcs) != [
+                    sum(c * x for c, x in zip(row, xp)) % PRIME for row in zip(*cols)]:
+                return "inconsistent", "nonaffine"
         sol = _solve_affine(cols, b, rng)
         if sol[0] == "bad":
             return "infeasible", (t, funcs, sol[1])
@@ -654,11 +646,10 @@ def _stability_stage(system, weights, M0, stages, extra, fdict, rng):
 def _solve_once(system, weights, M0, stages, reach, rng):
     """One trial: ("dim", d), ("empty", exact) or ("inconsistent", reason).
 
-    Each infeasible tower (_run_tower) yields derived functionals.  reach()
-    gives the cell's R (_reachable_roots), called at the first derived
-    functional.  A derived functional with no root in R is constant on
-    every tower, so its stability stage is 0, exactly, without running one;
-    any other goes to _stability_stage.  Either way a functional pinned at 0
+    Each infeasible tower (_run_tower) yields derived functionals.  reach
+    is the cell's R (_reachable_roots).  A derived functional with no root
+    in R is constant on every tower, so its stability stage is 0, exactly,
+    without running one; any other goes to _stability_stage.  Either way a functional pinned at 0
     and nonzero at M_0 has no solution, so the cell is empty; one that is 0
     there (the empty combination among them) adds nothing.  exact tells the
     two proofs apart: True when the functional has no root in R, so that
@@ -677,7 +668,7 @@ def _solve_once(system, weights, M0, stages, reach, rng):
             key = frozenset(fd.items())
             if key in seen:
                 continue
-            exact = reach().isdisjoint(fd)
+            exact = reach.isdisjoint(fd)
             s = 0 if exact else _stability_stage(system, weights, M0, stages,
                                                  extra, fd, rng)
             if s == 0:
@@ -699,8 +690,7 @@ def _vote(system, data, var, cond, window, trials, seed) -> OracleVerdict:
     """The trial vote of cell_dim_oracle on the cell's variable and
     condition flags."""
     stages = _cell_stages(data, var, cond)
-    reach = cache(lambda: _reachable_roots(
-        system, data, [k for k, v in enumerate(var) if v]))
+    reach = _reachable_roots(system, data, [k for k, v in enumerate(var) if v])
     outcomes = set()
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{window}")
@@ -746,8 +736,8 @@ def cell_dim_oracle(
     trial split.  Otherwise the first inconsistent trial is the verdict,
     and the trials' (kind, dim) outcomes, an exact and a towered empty
     alike, form one set, whose only member is the verdict when they all
-    agree, and a trial split when they do not.  R is built once, when a
-    trial first needs it."""
+    agree, and a trial split when they do not.  R is built once per vote,
+    before the trials."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)

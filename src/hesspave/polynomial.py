@@ -35,8 +35,8 @@ class Poly:
     def var(cls, name) -> "Poly":
         return cls({((name, 1),): Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other):
         if isinstance(other, Poly):

@@ -1,17 +1,20 @@
 """The two-bracket row conjugation against the exponential definition.
 
-_conjugate computes M + [X, M] + 1/2 [X, [X, M]] in root coordinates, which
-equals exp(X) M exp(-X) only for X in one row and M in the Borel.  Its
-result, rebuilt as a full matrix (M's diagonal plus the sum of c_alpha
+_adjoint computes [X, M] + 1/2 [X, [X, M]] in root coordinates, and M plus
+it equals exp(X) M exp(-X) only for X in one row and M in the Borel.  That
+sum, through _conjugate and added up here from _adjoint's delta, rebuilt as a full matrix (M's diagonal plus the sum of c_alpha
 E_alpha), is compared with the definition itself, on dense matrices with a
 truncated exponential series, written without the library's arithmetic.
 The bracket table the kernel reads is compared with plain matrix
-commutators and with the sum table, and the sparse toolkit under it (one
-product, one commutator, one builder of sums of root vectors, one Borel
-basis) with dense arithmetic, root coordinates and literal matrices.
+commutators and with the sum table, and _adjoint is its one reader of
+bracket entries.  The sparse toolkit under it (one product, one commutator,
+one builder of sums of root vectors, one Borel basis) is compared with dense
+arithmetic, root coordinates and literal matrices.
 """
 
+import ast
 import hashlib
+import inspect
 import random
 from fractions import Fraction
 
@@ -24,8 +27,10 @@ from hesspave.operators import (
     TypeANilpotent,
     semisimple_functional,
 )
+from hesspave import orbit_oracle
 from hesspave.orbit_oracle import (
     PRIME,
+    _adjoint,
     _borel_basis,
     _bracket,
     _conjugate,
@@ -57,7 +62,7 @@ DOMAINS = ["fraction", "modp", "poly"]
 
 
 def _zero(v):
-    return v.is_zero() if isinstance(v, Poly) else not v
+    return not v
 
 
 def _reduce(v, mod):
@@ -152,10 +157,14 @@ def test_two_bracket_form_equals_exponential(system, domain):
         for row in rows:
             chosen = [a for a in row if rng.random() < 0.7] or [row[-1]]
             assignment = {a: _scalar(domain, rng, f"x[{a}]") for a in chosen}
-            got = _conjugate(system, weights, coeffs,
-                             [(at[a], x) for a, x in assignment.items()], mod)
-            assert _rebuilt(system, M, got, mod) == \
-                reference_conjugate(system, M, assignment, mod), (trial, row)
+            pairs = [(at[a], x) for a, x in assignment.items()]
+            want = reference_conjugate(system, M, assignment, mod)
+            got = _conjugate(system, weights, coeffs, pairs, mod)
+            assert _rebuilt(system, M, got, mod) == want, (trial, row)
+            delta = _adjoint(system, weights, coeffs, pairs,
+                             pow(2, -1, mod) if mod else Fraction(1, 2))
+            summed = [c + delta.get(k, 0) for k, c in enumerate(coeffs)]
+            assert _rebuilt(system, M, summed, mod) == want, (trial, row)
 
 
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
@@ -182,6 +191,35 @@ def test_stage_columns_are_unit_conjugation_differences(system):
                 assert col == [(f(fd, Mv) - f(fd, M)) % PRIME for fd in funcs]
 
 
+def _calls(node, name):
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == name for n in ast.walk(node))
+
+
+def test_adjoint_is_the_one_reader_of_bracket_entries():
+    # Of the functions in orbit_oracle, only _adjoint and _stability_stage
+    # look _kernel_table up, and _stability_stage reads only rows, as
+    # table[k][0]; _conjugate, the stage columns and the affineness probe
+    # go through _adjoint.
+    tree = ast.parse(inspect.getsource(orbit_oracle))
+    funcs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    readers = {name for name, f in funcs.items() if _calls(f, "_kernel_table")}
+    assert readers == {"_adjoint", "_stability_stage"}
+    stability = funcs["_stability_stage"]
+    loads = [n for n in ast.walk(stability)
+             if isinstance(n, ast.Name) and n.id == "table"
+             and isinstance(n.ctx, ast.Load)]
+    rows = [n for n in ast.walk(stability)
+            if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Subscript)
+            and isinstance(n.value.value, ast.Name) and n.value.value.id == "table"
+            and isinstance(n.slice, ast.Constant) and n.slice.value == 0]
+    assert loads and len(rows) == len(loads)
+    assert _calls(funcs["_conjugate"], "_adjoint")
+    assert _calls(funcs["_fdelta"], "_adjoint")
+    for name in ("_stage_system", "_run_tower"):
+        assert _calls(funcs[name], "_fdelta"), name
+
+
 def test_conjugate_rejects_two_rows():
     system = RootSystemId("B", 3)
     rows = row_partition(system).rows
@@ -194,6 +232,10 @@ def test_conjugate_rejects_two_rows():
     for k in (-1, len(at)):
         with pytest.raises(RuntimeError):
             _conjugate(system, data.weights, data.coeffs, [(k, 1)])
+    # the guard is the kernel's own
+    with pytest.raises(RuntimeError):
+        _adjoint(system, data.weights, data.coeffs,
+                 [(at[rows[0][0]], 1), (at[rows[1][0]], 1)], Fraction(1, 2))
 
 
 def test_conjugate_rejects_matrix_outside_borel():

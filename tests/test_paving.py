@@ -336,3 +336,20 @@ def test_paths_accept_list_windows_and_set_spaces(method):
         expected = cell_report(spec, system, H, pi, method)
         assert cell_report(spec, system, H, listed, method) == expected
         assert cell_report(spec, system, loose, pi, method) == expected
+
+
+@pytest.mark.parametrize("method", ["formula", "tableau", "oracle"])
+def test_a_space_or_element_of_another_system_is_refused(method):
+    # Unchecked, the formula and oracle paths pave A3 over B3's Peterson
+    # space to the polynomial 0, and the tableau path fails for an
+    # unrelated reason; cell_report, which pave goes through, names both.
+    A3, B3 = RootSystemId("A", 3), RootSystemId("B", 3)
+    spec = RegularNilpotent()
+    with pytest.raises(ValueError, match="space of B3 in a cell of A3"):
+        pave(spec, A3, peterson_space(B3), method=method)
+    with pytest.raises(ValueError, match="Weyl element of B3 in a cell of A3"):
+        cell_report(spec, A3, peterson_space(A3), identity(B3), method)
+    # an equal system built apart is the same system
+    expected = cell_report(spec, A3, peterson_space(A3), identity(A3), method)
+    assert cell_report(spec, A3, peterson_space(RootSystemId("A", 3)),
+                       identity(RootSystemId("A", 3)), method) == expected

@@ -10,7 +10,7 @@ stage that produced the functional, that both towers stop exactly at the
 functional's cut (against the full-length tower), and that each reason
 code of an "inconsistent" verdict is reachable.  The library settles a
 functional with no root in the cell's R (_reachable_roots) without towers,
-and builds R only at a cell's first derived functional; the tower tests
+and builds R once per vote, before its trials; the tower tests
 widen R to all of Phi+ so every functional still runs them, and a sweep
 runs the towers on every functional R settles and checks that they pin it
 at 0.
@@ -328,11 +328,6 @@ def test_functionals_outside_reach_are_pinned_at_zero_by_both_towers(
     for H in spaces or enumerate_spaces(system):
         for pi in enumerate_weyl(system):
             cell_dim_oracle(spec, system, H, pi, trials=2, seed=3)
-    # the oracle builds R only for a cell that derives a functional (C3
-    # semisimple derives none), so build it for every cell too
-    data = orbit_oracle._oracle_data(spec, system)
-    for pi in enumerate_weyl(system):
-        reach(system, data, [index.at[a] for a in inversion_set(pi)])
     assert set(settled) <= {0}
     if spec == LEVI or isinstance(spec, SemisimpleClassical):
         assert any(moves)  # S moves: R took in the variable roots outside Phi_l
@@ -377,33 +372,32 @@ def test_reach_holds_every_root_a_conjugation_moves(spec, system):
             assert moved == R
 
 
-def test_reach_is_built_only_when_a_functional_needs_it(monkeypatch):
-    # R is built at most once per cell, and exactly for the cells where a
-    # tower came out infeasible, the source of every derived functional
+def test_reach_is_built_once_per_vote(monkeypatch):
+    # R is built exactly once per vote, before its first trial, on cells
+    # whose towers derive functionals and on cells whose towers derive none
     system = RootSystemId("D", 4)
     H = peterson_space(system)
     real_reach = orbit_oracle._reachable_roots
     real_run = orbit_oracle._run_tower
-    built = []
-    infeasible = []
+    events = []
 
     def reach(*args):
-        built[-1] += 1
+        events[-1].append("R")
         return real_reach(*args)
 
     def run(*args):
         status, payload = real_run(*args)
-        infeasible[-1] |= status == "infeasible"
+        events[-1].append(status)
         return status, payload
 
     monkeypatch.setattr(orbit_oracle, "_reachable_roots", reach)
     monkeypatch.setattr(orbit_oracle, "_run_tower", run)
     for pi in enumerate_weyl(system):
-        built.append(0)
-        infeasible.append(False)
+        events.append([])
         cell_dim_oracle(RegularNilpotent(), system, H, pi)
-    assert built == [int(x) for x in infeasible]
-    assert 0 < sum(built) < len(built)
+    assert all(cell[0] == "R" and cell.count("R") == 1 for cell in events)
+    derives = sum("infeasible" in cell for cell in events)
+    assert 0 < derives < len(events)
 
 
 # --- reason codes ---------------------------------------------------------------
