@@ -75,13 +75,13 @@ class WeylElement:
     def act(self, alpha: Root) -> Root:
         index = root_index(self.system)
         p, q = index.pair[alpha]
-        s = signed_inverse(self.inverse())
+        s = _signed_window(self.window)
         return index.root[s[p], s[q]]
 
     def length(self) -> int:
-        """|Phi_pi|: the positive roots pi sends negative, counted as the
-        ones pi^{-1} does (|Phi_pi| = |Phi_pi^{-1}|)."""
-        s = signed_inverse(self)
+        """|Phi_pi|: the positive roots pi sends negative (as many as pi^{-1}
+        does), counted on the window."""
+        s = _signed_window(self.window)
         index = root_index(self.system)
         negative = index.negative
         return sum([negative[s[p]][s[q]] for p, q in index.positive_pairs])
@@ -90,12 +90,16 @@ class WeylElement:
         return "[" + " ".join(str(w) for w in self.window) + "]"
 
 
+def _signed_window(window: tuple[int, ...]) -> list[int]:
+    """The window extended to signed positions: entry k, for -m <= k <= m
+    with Python's negative indexing, is sgn(k) w(|k|), and entry 0 is 0.
+    The element sends the root with pair (p, q) to the one with (s[p], s[q])."""
+    return [0, *window, *[-w for w in reversed(window)]]
+
+
 def signed_inverse(pi: WeylElement) -> list[int]:
-    """pi^{-1}'s window extended to signed positions: entry k, for
-    -m <= k <= m with Python's negative indexing, is sgn(k) pi^{-1}(|k|),
-    and entry 0 is 0, so pi^{-1} sends the root with pair (p, q) to the one
-    with (s[p], s[q]).  Read off pi's window: pi sends position i to w(i),
-    so pi^{-1} sends w(i) to i and -w(i) to -i."""
+    """_signed_window of pi^{-1}, read off pi's window: pi sends position i
+    to w(i), so pi^{-1} sends w(i) to i and -w(i) to -i."""
     s = [0] * (2 * len(pi.window) + 1)
     for i, w in enumerate(pi.window, start=1):
         s[w], s[-w] = i, -i
