@@ -266,11 +266,12 @@ def cell_report(
     memo: dict | None = None,
 ) -> CellReport:
     """The cell by one path; memo reaches only the oracle (cell_dim_oracle).
-    H and pi must belong to system: no path could tell otherwise."""
-    if not H.system is pi.system is system:
-        for part, other in (("space", H.system), ("Weyl element", pi.system)):
-            if other != system:
-                raise ValueError(f"{part} of {other} in a cell of {system}")
+    H and pi must belong to system: the formula and the oracle read them
+    through system's root index and would answer silently wrong."""
+    if H.system is not system and H.system != system:
+        raise ValueError(f"space of {H.system} in a cell of {system}")
+    if pi.system is not system and pi.system != system:
+        raise ValueError(f"Weyl element of {pi.system} in a cell of {system}")
     if method == "formula":
         return cell_formula(spec, system, H, pi)
     if method == "tableau":
