@@ -12,10 +12,10 @@
   stage that comes out infeasible yields derived functionals; each is
   re-attached to the stage that pins it.  Most are constant: a functional
   with no root in the cell's R, the roots whose coefficient a conjugation
-  by the cell's variable roots can change (_reachable_roots, built once per
-  vote), is pinned before any stage, exactly; if it is nonzero at M_0, the
-  cell is empty and the trial vote ends.  Any other is pinned where two
-  fresh constrained towers from M_0 say.  Both stop at the functional's cut, the
+  by the cell's variable roots can change (_reachable_roots), is pinned
+  before any stage, exactly; if it is nonzero at M_0, the cell is empty and
+  the trial vote ends.  Any other is pinned where two fresh
+  constrained towers from M_0 say.  Both stop at the functional's cut, the
   last stage on a row that can move it: by the row lemma, a stage on row j
   leaves the coefficients of rows > j untouched.  A cell the solver cannot
   certify gets an "inconsistent" verdict naming its cause (REASONS).
@@ -31,11 +31,10 @@ coordinates, and so do the stages' functionals, keyed by position.  Since
 [E_v, E_b] = n E_g when v + b = g is a root and 0 otherwise, one table per
 system (_kernel_table) lists each positive root's row and its (b, g, n); it
 is read off the matrix commutators, each checked entry for entry, not off
-the sum table.  Only _adjoint reads its brackets: a row step adds its
-delta to M, and a stage system's column for a variable v is the stage's
-functionals at the delta of X = E_v.  R is walked by rootsys.root_closure
-over rootsys.root_index's sum table, the walk the formula path's orbit roots
-share.
+the sum table.  Only _adjoint reads its brackets: a row step adds its delta
+to M, and a stage's column for a variable v is its functionals at the delta
+of X = E_v.  R is walked by rootsys.root_closure over rootsys.root_index's
+sum table, the walk the formula path's orbit roots share.
 """
 
 from __future__ import annotations
@@ -568,8 +567,9 @@ def _run_tower(system, weights, M0, stages, extra, rng):
             # affineness probe at a random point: each f moves by its row
             # of the columns times the point
             xp = [rng.randrange(PRIME) for _ in vrs]
-            if _fdelta(system, weights, M, list(zip(vrs, xp)), funcs) != [
-                    sum(c * x for c, x in zip(row, xp)) % PRIME for row in zip(*cols)]:
+            moved = [sum(c * x for c, x in zip(row, xp)) % PRIME
+                     for row in zip(*cols)]
+            if _fdelta(system, weights, M, list(zip(vrs, xp)), funcs) != moved:
                 return "inconsistent", "nonaffine"
         sol = _solve_affine(cols, b, rng)
         if sol[0] == "bad":
@@ -649,12 +649,12 @@ def _solve_once(system, weights, M0, stages, reach, rng):
     Each infeasible tower (_run_tower) yields derived functionals.  reach
     is the cell's R (_reachable_roots).  A derived functional with no root
     in R is constant on every tower, so its stability stage is 0, exactly,
-    without running one; any other goes to _stability_stage.  Either way a functional pinned at 0
-    and nonzero at M_0 has no solution, so the cell is empty; one that is 0
-    there (the empty combination among them) adds nothing.  exact tells the
-    two proofs apart: True when the functional has no root in R, so that
-    the cell is empty whatever the draws, False when its s = 0 was read off
-    the two towers."""
+    without running one; any other goes to _stability_stage.  Either way a
+    functional pinned at 0 and nonzero at M_0 has no solution, so the cell
+    is empty; one that is 0 there (the empty combination among them) adds
+    nothing.  exact tells the two proofs apart: True when the functional has
+    no root in R, so that the cell is empty whatever the draws, False when
+    its s = 0 was read off the two towers."""
     extra: list[tuple[int, dict]] = []
     seen: set[frozenset] = set()
     for _ in range(MAX_DERIVED):

@@ -32,7 +32,8 @@ __all__ = [
 
 # Refuse to materialize groups past this size; full pavings iterate all of W
 # and keep every cell's report, about 0.4 KB per cell (A8 semisimple on the
-# full space: 362,880 cells, 5.7 s and 159 MB peak RSS on a 2-vCPU VM).
+# full space: 362,880 cells, 14-19 s and 161 MB peak RSS with --format text,
+# 15 s and 790 MB with --format json, on a 2-vCPU VM).
 # The cap stays until A9 and D8 pavings are measured.
 MAX_WEYL_ORDER = 10**6
 

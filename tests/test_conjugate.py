@@ -2,9 +2,10 @@
 
 _adjoint computes [X, M] + 1/2 [X, [X, M]] in root coordinates, and M plus
 it equals exp(X) M exp(-X) only for X in one row and M in the Borel.  That
-sum, through _conjugate and added up here from _adjoint's delta, rebuilt as a full matrix (M's diagonal plus the sum of c_alpha
-E_alpha), is compared with the definition itself, on dense matrices with a
-truncated exponential series, written without the library's arithmetic.
+sum, through _conjugate and added up here from _adjoint's delta, rebuilt as
+a full matrix (M's diagonal plus the sum of c_alpha E_alpha), is compared
+with the definition itself, on dense matrices with a truncated exponential
+series, written without the library's arithmetic.
 The bracket table the kernel reads is compared with plain matrix
 commutators and with the sum table, and _adjoint is its one reader of
 bracket entries.  The sparse toolkit under it (one product, one commutator,
