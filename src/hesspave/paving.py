@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -121,7 +120,7 @@ def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
     windows = set()
     counts: dict[int, int] = {}
     for r in reports:
-        if r.pi.system != system:
+        if r.pi.system is not system and r.pi.system != system:
             raise ValueError(f"report for {r.pi.system} in a paving of {system}")
         if r.pi.window in windows:
             raise ValueError("duplicate Weyl element in reports")
@@ -308,12 +307,16 @@ def pave(
 ) -> PavingResult:
     """Compute every cell over W, in enumeration order, and aggregate.
     jobs > 1 runs the cells in a process pool of at most the usable CPUs:
-    a fork-started pool launches every worker at its first task."""
+    a fork-started pool launches every worker at its first task.  The pool
+    machinery (concurrent.futures, multiprocessing) is imported only when a
+    pool starts, so a serial paving never loads it."""
     W = enumerate_weyl(system)
     cell = partial(cell_report, spec, system, H, method=method, seed=seed,
                    trials=trials)
     workers = min(jobs, _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as ex:
             reports = tuple(ex.map(cell, W, chunksize=64))
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .rootsys import (
     ResourceCapError,
@@ -82,6 +82,12 @@ class WeylElement:
     def length(self) -> int:
         """|Phi_pi|: the positive roots pi sends negative (as many as pi^{-1}
         does), counted on the window."""
+        return self._length
+
+    @cached_property
+    def _length(self) -> int:
+        """length(), counted on first use and kept on the element: every
+        nonempty CellReport checks its dim against it."""
         s = _signed_window(self.window)
         index = root_index(self.system)
         negative = index.negative

@@ -1,10 +1,13 @@
 import itertools
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hesspave import paving
+from hesspave import paving, weyl
 from hesspave.hessenberg import (
     HessenbergSpace,
     HessFunction,
@@ -44,6 +47,37 @@ def test_cell_report_invariants():
         CellReport(e, False, 0, "x")
     with pytest.raises(ValueError):
         CellReport(e, True, 1, "x")  # identity has no inversions
+
+
+def test_cell_report_bounds_dim_by_the_length():
+    system = RootSystemId("B", 3)
+    pi = WeylElement(system, (-3, 1, -2))  # built here, so nothing cached yet
+    for _ in range(2):  # the first length() counts, the second reads it back
+        for dim in (pi.length() + 1, -1):
+            with pytest.raises(ValueError, match="outside"):
+                CellReport(pi, True, dim, "x")
+        assert CellReport(pi, True, pi.length(), "x").dim == pi.length() > 0
+        assert CellReport(pi, True, 0, "x").dim == 0
+
+
+def test_pave_counts_each_length_once(monkeypatch):
+    """Two pavings over one W count every element's |Phi_pi| once between
+    them: the count is kept on the element."""
+    system = RootSystemId("A", 3)
+    W = tuple(WeylElement(system, w.window) for w in enumerate_weyl(system))
+    monkeypatch.setattr(paving, "enumerate_weyl", lambda s: W)
+    windows = []
+    signed_window = weyl._signed_window
+
+    def counting(window):
+        windows.append(window)
+        return signed_window(window)
+
+    monkeypatch.setattr(weyl, "_signed_window", counting)
+    spec = SemisimpleClassical(())
+    for H in (full_space(system), peterson_space(system)):
+        assert len(pave(spec, system, H).reports) == len(W)
+    assert sorted(windows) == sorted(pi.window for pi in W)
 
 
 def test_polynomial_validation_and_accessors():
@@ -225,7 +259,7 @@ def test_pave_caps_the_pool_at_the_usable_cpus(monkeypatch, affinity):
     H = peterson_space(system)
     serial = pave(RegularNilpotent(), system, H, jobs=1)
     monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr(paving, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     if affinity:  # the affinity set wins over the machine's count
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
@@ -239,6 +273,18 @@ def test_pave_caps_the_pool_at_the_usable_cpus(monkeypatch, affinity):
     monkeypatch.setattr(paving, "_usable_cpus", lambda: 1)
     assert pave(RegularNilpotent(), system, H, jobs=8) == serial
     assert _SerialPool.sizes == [2, 2]  # one usable CPU: no pool at all
+
+
+def test_importing_the_package_loads_no_pool():
+    """The pool machinery loads only when pave starts a pool; a fresh
+    interpreter that imports the package and its CLI has none of it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(paving.__file__).parents[1]))
+    code = ("import sys, hesspave, hesspave.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_formula_does_not_depend_on_the_seed():
