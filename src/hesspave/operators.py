@@ -22,7 +22,7 @@ from .rootsys import (
     simple_roots,
     type_a_root,
 )
-from .tableaux import Diagram, MultiDiagram, vertical_pairs
+from .tableaux import Diagram, MultiDiagram
 
 __all__ = [
     "RegularNilpotent",
@@ -33,8 +33,6 @@ __all__ = [
     "canonical_form",
     "semisimple_functional",
     "levi_roots",
-    "blocks_of",
-    "block_ranges",
     "multidiagram_of",
 ]
 
@@ -93,80 +91,53 @@ class CanonicalNilpotent:
                     raise ValueError(f"overlapping support: {a} > {b}")
 
 
-def _check_family_a(spec, system: RootSystemId, total: int):
+def multidiagram_of(spec, system: RootSystemId) -> MultiDiagram:
+    """The operator's boxes 1..rank+1: one diagram per eigenvalue, largest
+    first and equal sizes in input order."""
+    if isinstance(spec, RegularNilpotent):
+        if system.family != "A":
+            raise ValueError("regular nilpotent diagram needs a type-A system")
+        return MultiDiagram((Diagram((system.rank + 1,)),))
+    if isinstance(spec, SemisimpleClassical):
+        if system.family != "A" or spec.levi_blocks:
+            raise ValueError("diagram exists only for regular semisimple in type A")
+        return MultiDiagram((Diagram((1,)),) * (system.rank + 1))
+    if isinstance(spec, TypeANilpotent):
+        mus = (spec.mu,)
+    elif isinstance(spec, TypeAGeneral):
+        mus = tuple(mu for _, mu in spec.blocks)
+    else:
+        raise ValueError(f"no diagram for {type(spec).__name__}")
     if system.family != "A":
         raise ValueError(f"{type(spec).__name__} requires family A")
+    total = sum(map(sum, mus))
     if total != system.rank + 1:
         raise ValueError(
             f"partition sizes sum to {total}, expected {system.rank + 1} for {system}"
         )
-
-
-def blocks_of(spec: TypeAGeneral) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """Blocks sorted by size descending, equal sizes in input order."""
-    return tuple(
-        sorted(spec.blocks, key=lambda b: -sum(b[1]))
-    )
-
-
-def block_ranges(spec: TypeAGeneral) -> tuple[tuple[int, int], ...]:
-    """Half-open global index ranges (lo, hi), largest block first at 1."""
-    out, off = [], 0
-    for _, mu in blocks_of(spec):
-        out.append((off + 1, off + sum(mu) + 1))
-        off += sum(mu)
-    return tuple(out)
-
-
-def multidiagram_of(spec, system: RootSystemId | None = None) -> MultiDiagram:
-    if isinstance(spec, RegularNilpotent):
-        if system is None or system.family != "A":
-            raise ValueError("regular nilpotent diagram needs a type-A system")
-        return MultiDiagram((Diagram((system.rank + 1,)),))
-    if isinstance(spec, SemisimpleClassical):
-        if system is None or system.family != "A" or spec.levi_blocks:
-            raise ValueError("diagram exists only for regular semisimple in type A")
-        return MultiDiagram((Diagram((1,)),) * (system.rank + 1))
-    if isinstance(spec, TypeANilpotent):
-        return MultiDiagram((Diagram(spec.mu),))
-    if isinstance(spec, TypeAGeneral):
-        return MultiDiagram(tuple(Diagram(mu) for _, mu in blocks_of(spec)))
-    raise ValueError(f"no diagram for {type(spec).__name__}")
-
-
-def _diagram_support(system: RootSystemId, mu: tuple[int, ...], offset: int):
-    d = Diagram(mu)
-    return [
-        type_a_root(system.rank, offset + j, offset + k)
-        for j, k in vertical_pairs(d)
-    ]
+    return MultiDiagram(tuple(map(Diagram, sorted(mus, key=sum, reverse=True))))
 
 
 def canonical_form(spec, system: RootSystemId) -> CanonicalNilpotent:
     """Support of the canonical nilpotent part of the operator."""
     if isinstance(spec, RegularNilpotent):
         return CanonicalNilpotent(system, simple_roots(system))
-    if isinstance(spec, TypeANilpotent):
-        _check_family_a(spec, system, sum(spec.mu))
-        return CanonicalNilpotent(
-            system, tuple(_diagram_support(system, spec.mu, 0))
-        )
-    if isinstance(spec, TypeAGeneral):
-        _check_family_a(spec, system, sum(sum(mu) for _, mu in spec.blocks))
-        support = []
-        for (lo, _), (_, mu) in zip(block_ranges(spec), blocks_of(spec)):
-            support.extend(_diagram_support(system, mu, lo - 1))
-        return CanonicalNilpotent(system, tuple(support))
+    if isinstance(spec, (TypeANilpotent, TypeAGeneral)):
+        up = multidiagram_of(spec, system).up
+        return CanonicalNilpotent(system, tuple(
+            type_a_root(system.rank, j, k) for j, k in up.items() if k is not None
+        ))
     if isinstance(spec, SemisimpleClassical):
         return CanonicalNilpotent(system, ())
     raise ValueError(f"unknown operator spec {spec!r}")
 
 
 def _levi_simple_indices(spec, system: RootSystemId) -> frozenset[int]:
-    """Simple roots on which S vanishes: all of them for a nilpotent spec
-    (S = 0, so the Levi is the whole group)."""
+    """Simple roots on which S vanishes: all of them for a regular nilpotent
+    (S = 0, so the Levi is the whole group); in type A, alpha_j when boxes
+    j and j+1 lie in the same diagram."""
     n = system.rank
-    if isinstance(spec, (RegularNilpotent, TypeANilpotent)):
+    if isinstance(spec, RegularNilpotent):
         return frozenset(range(1, n + 1))
     if isinstance(spec, SemisimpleClassical):
         seen: set[int] = set()
@@ -179,11 +150,9 @@ def _levi_simple_indices(spec, system: RootSystemId) -> frozenset[int]:
                 seen.add(i)
         _check_connected(spec, system)
         return frozenset(seen)
-    if isinstance(spec, TypeAGeneral):
-        idx = set()
-        for lo, hi in block_ranges(spec):
-            idx.update(range(lo, hi - 1))
-        return frozenset(idx)
+    if isinstance(spec, (TypeANilpotent, TypeAGeneral)):
+        which = multidiagram_of(spec, system).diagram_of
+        return frozenset(j for j in range(1, n + 1) if which[j] == which[j + 1])
     raise ValueError(f"no Levi data for {type(spec).__name__}")
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "Diagram",
     "Filling",
     "MultiDiagram",
-    "vertical_pairs",
     "peterson_cells",
     "compositions",
     "multidiagram_nonempty",
@@ -35,7 +34,7 @@ def _check_partition(mu: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class Diagram:
-    """Columns of heights mu, with the bottom-right-to-top-left box indexing."""
+    """Columns of heights mu; MultiDiagram.up numbers the boxes."""
 
     mu: tuple[int, ...]
 
@@ -45,36 +44,6 @@ class Diagram:
     @property
     def n(self) -> int:
         return sum(self.mu)
-
-    @property
-    def rows(self) -> int:
-        return self.mu[0]
-
-    def row_length(self, r: int) -> int:
-        """Number of boxes in row r (rows counted from the bottom, 1-based)."""
-        return sum(1 for p in self.mu if p >= r)
-
-    @cached_property
-    def box_index(self) -> dict[tuple[int, int], int]:
-        """(row, column) -> box index, columns 1-based from the left."""
-        out = {}
-        i = 0
-        for r in range(1, self.rows + 1):
-            for c in range(self.row_length(r), 0, -1):
-                i += 1
-                out[(r, c)] = i
-        return out
-
-
-def vertical_pairs(d: Diagram) -> tuple[tuple[int, int], ...]:
-    """(lower box, upper box) for every vertically adjacent pair."""
-    out = []
-    for (r, c), j in d.box_index.items():
-        k = d.box_index.get((r + 1, c))
-        if k is not None:
-            out.append((j, k))
-    out.sort()
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -129,29 +98,24 @@ class MultiDiagram:
         return sum(d.n for d in self.diagrams)
 
     @cached_property
-    def offsets(self) -> tuple[int, ...]:
-        out, acc = [], 0
-        for d in self.diagrams:
-            out.append(acc)
-            acc += d.n
-        return tuple(out)
-
-    @cached_property
     def diagram_of(self) -> dict[int, int]:
         """global box index -> position in self.diagrams."""
-        out = {}
-        for j, (d, off) in enumerate(zip(self.diagrams, self.offsets)):
-            for i in range(1, d.n + 1):
-                out[off + i] = j
-        return out
+        which = [j for j, d in enumerate(self.diagrams) for _ in range(d.n)]
+        return dict(enumerate(which, start=1))
 
     @cached_property
     def up(self) -> dict[int, int | None]:
-        """global box index -> the box directly above it in its diagram, or None."""
-        out: dict[int, int | None] = dict.fromkeys(range(1, self.n + 1))
-        for d, off in zip(self.diagrams, self.offsets):
-            for j, k in vertical_pairs(d):
-                out[off + j] = off + k
+        """global box index -> the box directly above it in its diagram, or
+        None.  Each diagram numbers its boxes after the previous one's, bottom
+        row first and each row right to left, so the box above box i in row r
+        is i + (length of row r + 1) when row r + 1 reaches its column."""
+        out: dict[int, int | None] = {}
+        for d in self.diagrams:
+            lengths = [sum(p >= r for p in d.mu) for r in range(1, d.mu[0] + 2)]
+            for length, above in zip(lengths, lengths[1:]):
+                for c in range(length, 0, -1):
+                    i = len(out) + 1
+                    out[i] = i + above if c <= above else None
         return out
 
 

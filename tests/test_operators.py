@@ -8,8 +8,6 @@ from hesspave.operators import (
     SemisimpleClassical,
     TypeAGeneral,
     TypeANilpotent,
-    block_ranges,
-    blocks_of,
     canonical_form,
     levi_roots,
     multidiagram_of,
@@ -26,6 +24,17 @@ from hesspave.rootsys import (
 
 def r(*coeffs):
     return Root(tuple(coeffs))
+
+
+def block_ranges(blocks):
+    """Half-open box ranges (lo, hi) of the eigenvalue blocks, written out
+    from their sizes alone: largest block first from box 1, equal sizes in
+    input order."""
+    out, lo = [], 1
+    for size in sorted((sum(mu) for _, mu in blocks), reverse=True):
+        out.append((lo, lo + size))
+        lo += size
+    return tuple(out)
 
 
 def test_regular_nilpotent_support_is_simple_roots():
@@ -78,20 +87,58 @@ def test_nonoverlap_validation():
 
 
 def test_general_blocks_sorted_and_ranged():
+    from hesspave.tableaux import Diagram
+
     spec = TypeAGeneral((("x", (2,)), ("y", (2, 1))))
-    assert blocks_of(spec) == (("y", (2, 1)), ("x", (2,)))
-    assert block_ranges(spec) == ((1, 4), (4, 6))
+    md = multidiagram_of(spec, RootSystemId("A", 4))
+    assert md.diagrams == (Diagram((2, 1)), Diagram((2,)))
+    assert md.diagram_of == {1: 0, 2: 0, 3: 0, 4: 1, 5: 1}
+    assert block_ranges(spec.blocks) == ((1, 4), (4, 6))
     with pytest.raises(ValueError):
         TypeAGeneral((("x", (2,)), ("x", (1,))))
 
 
-def test_general_support():
-    spec = TypeAGeneral((("x", (2,)), ("y", (2, 1))))
+@pytest.mark.parametrize("blocks,support,levi,functional", [
+    # (2, 1) on boxes 1-3 (3 above 2), then (2,) on boxes 4-5
+    ((("x", (2,)), ("y", (2, 1))),
+     (r(0, 1, 0, 0), r(0, 0, 0, 1)),
+     {r(1, 0, 0, 0), r(0, 1, 0, 0), r(1, 1, 0, 0), r(0, 0, 0, 1)},
+     (2, 2, 2, -3, -3)),
+    # equal sizes keep their input order: y on boxes 1-2, z on 3-4, x on 5
+    ((("x", (1,)), ("y", (2,)), ("z", (2,))),
+     (r(1, 0, 0, 0), r(0, 0, 1, 0)),
+     {r(1, 0, 0, 0), r(0, 0, 1, 0)},
+     (3, 3, -1, -1, -4)),
+], ids=["x:2|y:2,1", "x:1|y:2|z:2"])
+def test_general_support(blocks, support, levi, functional):
+    spec = TypeAGeneral(blocks)
     system = RootSystemId("A", 4)
-    cf = canonical_form(spec, system)
-    # one vertical pair per block: (2, 1) and (2,) each contribute one
-    assert len(cf.support) == 2
-    assert all(a in set(positive_roots(system)) for a in cf.support)
+    assert canonical_form(spec, system).support == support
+    assert levi_roots(spec, system) == frozenset(levi)
+    assert semisimple_functional(spec, system) == functional
+
+
+@pytest.mark.parametrize("system,message", [
+    (RootSystemId("B", 3), "TypeAGeneral requires family A"),
+    (RootSystemId("A", 4), "partition sizes sum to 3, expected 5 for A4"),
+], ids=["B3", "A4"])
+def test_general_spec_checks_the_system(system, message):
+    spec = TypeAGeneral((("x", (2,)), ("y", (1,))))
+    for fn in (canonical_form, levi_roots, semisimple_functional,
+               multidiagram_of):
+        with pytest.raises(ValueError) as info:
+            fn(spec, system)
+        assert str(info.value) == message, fn.__name__
+
+
+@pytest.mark.parametrize("system,message", [
+    (RootSystemId("B", 2), "TypeANilpotent requires family A"),
+    (RootSystemId("A", 3), "partition sizes sum to 3, expected 4 for A3"),
+], ids=["B2", "A3"])
+def test_nilpotent_diagram_checks_the_system(system, message):
+    with pytest.raises(ValueError) as info:
+        multidiagram_of(TypeANilpotent((2, 1)), system)
+    assert str(info.value) == message
 
 
 def test_multidiagram_shapes():
@@ -211,7 +258,7 @@ def test_general_functional_constant_on_blocks():
     spec = TypeAGeneral((("x", (2, 1)), ("y", (2,))))
     system = RootSystemId("A", 4)
     s = semisimple_functional(spec, system)
-    (lo1, hi1), (lo2, hi2) = block_ranges(spec)
+    (lo1, hi1), (lo2, hi2) = block_ranges(spec.blocks)
     assert len({s[k - 1] for k in range(lo1, hi1)}) == 1
     assert len({s[k - 1] for k in range(lo2, hi2)}) == 1
     assert s[lo1 - 1] != s[lo2 - 1]
@@ -222,7 +269,7 @@ def test_general_functional_decreasing_across_blocks():
     system = RootSystemId("A", 5)
     s = semisimple_functional(spec, system)
     values = []
-    for lo, hi in block_ranges(spec):
+    for lo, hi in block_ranges(spec.blocks):
         assert len({s[k - 1] for k in range(lo, hi)}) == 1
         values.append(s[lo - 1])
     assert values == sorted(values, reverse=True) and len(set(values)) == 3

@@ -11,27 +11,24 @@ from hesspave.tableaux import (
     multidiagram_dimension,
     multidiagram_nonempty,
     peterson_cells,
-    vertical_pairs,
 )
 
 
+def up_of(mu):
+    return MultiDiagram((Diagram(mu),)).up
+
+
 def test_indexing_321():
-    d = Diagram((3, 2, 1))
-    # top row first: 6 / 5 4 / 3 2 1
-    assert d.box_index == {(1, 1): 3, (1, 2): 2, (1, 3): 1,
-                           (2, 1): 5, (2, 2): 4, (3, 1): 6}
-
-
-def test_vertical_pairs_321():
-    assert set(vertical_pairs(Diagram((3, 2, 1)))) == {(3, 5), (5, 6), (2, 4)}
+    # top row first: 6 / 5 4 / 3 2 1, so 2 is below 4, 3 below 5, 5 below 6
+    assert up_of((3, 2, 1)) == {1: None, 2: 4, 3: 5, 4: None, 5: 6, 6: None}
 
 
 def test_single_row_has_no_pairs():
-    assert vertical_pairs(Diagram((1, 1, 1, 1))) == ()
+    assert up_of((1, 1, 1, 1)) == dict.fromkeys(range(1, 5))
 
 
 def test_single_column_pairs():
-    assert vertical_pairs(Diagram((4,))) == ((1, 2), (2, 3), (3, 4))
+    assert up_of((4,)) == {1: 2, 2: 3, 3: 4, 4: None}
 
 
 def test_partition_validation():
@@ -108,11 +105,10 @@ def test_multidiagram_ordering():
         MultiDiagram((Diagram((1,)), Diagram((2,))))
 
 
-def test_multidiagram_offsets_and_up():
+def test_multidiagram_boxes_and_up():
     md = MultiDiagram((Diagram((2, 1)), Diagram((2,)), Diagram((2,))))
-    assert md.offsets == (0, 3, 5)
     assert md.n == 7 and vars(md)["n"] == 7  # summed once, then cached
-    assert md.diagram_of[1] == 0 and md.diagram_of[4] == 1 and md.diagram_of[7] == 2
+    assert md.diagram_of == {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 2, 7: 2}
     # the diagrams side by side, first one rightmost:  7   5     3
     #                                                  6   4   2 1
     assert md.up == {1: None, 2: 3, 3: None, 4: 5, 5: None, 6: 7, 7: None}
