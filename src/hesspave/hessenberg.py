@@ -67,13 +67,18 @@ class HessenbergSpace:
                     )
 
     @cached_property
-    def pairs(self) -> frozenset[tuple[int, int]]:
-        """The signed position pairs of M_H, each in both orders, so that
-        pi^{-1} a in M_H is one lookup of the image pair."""
-        pair = root_index(self.system).pair
-        return frozenset(
-            pq for a in self.roots for pq in (pair[a], pair[a][::-1])
-        )
+    def kind(self) -> tuple[tuple[int, ...], ...]:
+        """kind[x][y], for signed positions indexed as root_index's
+        negative: 0 when (x, y) is the pair of a positive root, 1 of a
+        negative root in M_H, 2 of a negative root outside it.  So whether
+        pi^{-1} sends a negative, and into M_H or not, is one lookup of the
+        image pair (M_H holds every positive root)."""
+        index = root_index(self.system)
+        kind = [[0] * len(row) for row in index.negative]
+        for a, (p, q) in index.pair.items():
+            if a.is_negative:
+                kind[p][q] = kind[q][p] = 1 if a in self.roots else 2
+        return tuple(map(tuple, kind))
 
     def negative_part(self) -> frozenset[Root]:
         return frozenset(a for a in self.roots if a.is_negative)
@@ -189,10 +194,10 @@ def full_space(system: RootSystemId) -> HessenbergSpace:
 def complement_roots(H: HessenbergSpace, pi: WeylElement) -> frozenset[Root]:
     """C_{pi.H} = Phi+ minus pi(M_H)."""
     s = signed_inverse(pi)
-    pairs = H.pairs
+    kind = H.kind
     index = root_index(H.system)
     return frozenset(
         a
         for a, (p, q) in zip(index.positive, index.positive_pairs)
-        if (s[p], s[q]) not in pairs
+        if kind[s[p]][s[q]] == 2
     )

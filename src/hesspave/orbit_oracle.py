@@ -721,13 +721,14 @@ def cell_dim_oracle(
     """Probabilistic dimension of the cell BpiB intersected with H(M,H).
 
     The cell's set-up is one walk of pi^{-1}'s signed window over the
-    positive roots' pairs, as in paving.cell_formula: a root is a variable
-    when pi^{-1} sends it negative, and carries a condition when its image
-    lies outside M_H.  So the verdict is decided by the spec, the system,
-    pi, the condition positions, trials and seed, and H enters only through
-    the conditions.  With a memo dict, a verdict found there under that key
-    is returned as it is, and a new one is stored there: spaces that give pi
-    the same conditions share one vote.
+    positive roots' pairs into the space's image table (HessenbergSpace.kind),
+    as in paving.cell_formula: a root is a variable when pi^{-1} sends it
+    negative, and carries a condition when its image lies outside M_H.  So
+    the verdict is decided by the spec, the system, pi, the condition
+    positions, trials and seed, and H enters only through the conditions.
+    With a memo dict, a verdict found there under that key is returned as
+    it is, and a new one is stored there: spaces that give pi the same
+    conditions share one vote.
 
     The vote runs _solve_once once per trial, each on its own stream,
     seeded by (seed, trial, pi).  An exact emptiness proof on the first
@@ -741,13 +742,11 @@ def cell_dim_oracle(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)
-    index = root_index(system)
-    negative = index.negative
-    in_H = H.pairs
+    kind = H.kind
     s = signed_inverse(pi)
-    image = [(s[p], s[q]) for p, q in index.positive_pairs]
-    var = [negative[x][y] for x, y in image]
-    cond = [xy not in in_H for xy in image]
+    codes = [kind[s[p]][s[q]] for p, q in root_index(system).positive_pairs]
+    var = [c != 0 for c in codes]
+    cond = [c == 2 for c in codes]
     if memo is None:
         return _vote(system, data, var, cond, pi.window, trials, seed)
     key = (spec, system, pi.window,

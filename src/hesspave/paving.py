@@ -16,11 +16,12 @@ Mari-Procesi-Shayman count #{a in Phi_pi : pi^{-1} a in M_H}; for a
 nilpotent one (S = 0) the first set is empty and only orbit roots remain.
 
 The formula reads roots as signed position pairs (rootsys.root_index):
-pi^{-1}'s signed window maps a pair entrywise, a per-system table says
-whether the image is negative (a in Phi_pi), and a per-space pair set says
-whether it lies in M_H.  The orbit roots are an exact additive closure
-(cell_formula).  Each cell is then integer lookups over Phi+, with no Root
-object, matrix or random draw: the seed reaches only the oracle.
+pi^{-1}'s signed window maps a pair entrywise, and one per-space image
+table (HessenbergSpace.kind) says whether the image is negative (a in
+Phi_pi) and, if so, whether it lies in M_H.  The orbit roots are an exact
+additive closure (cell_formula).  Each cell is then integer lookups over
+Phi+, with no Root object, matrix or random draw: the seed reaches only the
+oracle.
 
 Three computation paths are exposed (closed formula, tableau count in type
 A, probabilistic solver) so they can certify each other.
@@ -120,7 +121,7 @@ def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
     windows = set()
     counts: dict[int, int] = {}
     for r in reports:
-        if r.pi.system is not system and r.pi.system != system:
+        if r.pi.system is not system:
             raise ValueError(f"report for {r.pi.system} in a paving of {system}")
         if r.pi.window in windows:
             raise ValueError("duplicate Weyl element in reports")
@@ -137,14 +138,16 @@ def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
 
 @lru_cache(maxsize=None)
 def _formula_data(spec, system: RootSystemId) -> tuple:
-    """supp N as signed position pairs and as positions in root_index order,
-    and whether each positive root lies in Phi_l; built once per spec."""
+    """supp N as positions in root_index order and as signed position
+    pairs, Phi_l as positions, and every positive root's pair; built once
+    per spec."""
     index = root_index(system)
     support = canonical_form(spec, system).support
     levi = levi_roots(spec, system)
-    return (tuple(index.pair[b] for b in support),
-            tuple(index.at[b] for b in support),
-            tuple(a in levi for a in index.positive))
+    return (tuple(index.at[b] for b in support),
+            tuple(index.pair[b] for b in support),
+            tuple(k for k, a in enumerate(index.positive) if a in levi),
+            index.positive_pairs)
 
 
 def cell_formula(
@@ -156,6 +159,10 @@ def cell_formula(
     """The one Levi formula for M = S + N: empty iff pi^{-1} maps supp N
     outside M_H, else |Phi_pi| minus the roots a of
     (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H.
+
+    Each positive root's code in H.kind says both at once: nonzero when
+    pi^{-1} sends it negative (a in Phi_pi), 2 when the image lies outside
+    M_H.
 
     The orbit roots are taken as the closure of supp N under adding roots
     of Phi_pi cap Phi_l through positive roots (rootsys.root_closure), a
@@ -170,30 +177,21 @@ def cell_formula(
     That none does, so the two sets are equal, has no proof here;
     tests/test_orbit_closure.py guards it against the exact conjugation
     (orbit_oracle.orbit_roots)."""
-    support_pairs, support_at, levi_mask = _formula_data(spec, system)
+    support, support_pairs, levi, pairs = _formula_data(spec, system)
     s = signed_inverse(pi)
-    in_H = H.pairs
-    if any((s[p], s[q]) not in in_H for p, q in support_pairs):
+    kind = H.kind
+    if 2 in [kind[s[p]][s[q]] for p, q in support_pairs]:
         return CellReport(pi, False, None, "formula")
-    index = root_index(system)
-    negative = index.negative
-    length = outside = 0
-    levi_inversions = []
-    for k, (p, q) in enumerate(index.positive_pairs):
-        x, y = s[p], s[q]
-        if negative[x][y]:
-            length += 1
-            if levi_mask[k]:
-                levi_inversions.append(k)
-            elif (x, y) not in in_H:
-                outside += 1
-    if support_at:  # N = 0 has no orbit roots
-        # the orbit roots lie in Phi_l, so none was counted above
-        for k in root_closure(system, support_at, levi_inversions):
-            p, q = index.positive_pairs[k]
-            if (s[p], s[q]) not in in_H:
-                outside += 1
-    return CellReport(pi, True, length - outside, "formula")
+    codes = [kind[s[p]][s[q]] for p, q in pairs]
+    levi_codes = [codes[k] for k in levi]
+    # the 2s off the Levi; the orbit roots lie in Phi_l, so none is among them
+    outside = codes.count(2) - levi_codes.count(2)
+    if support:  # N = 0 has no orbit roots
+        inversions = [k for k, c in zip(levi, levi_codes) if c]
+        closure = root_closure(system, support, inversions)
+        outside += [codes[k] for k in closure].count(2)
+    return CellReport(pi, True, len(codes) - codes.count(0) - outside,
+                      "formula")
 
 
 def cell_tableau(
@@ -267,9 +265,9 @@ def cell_report(
     """The cell by one path; memo reaches only the oracle (cell_dim_oracle).
     H and pi must belong to system: the formula and the oracle read them
     through system's root index and would answer silently wrong."""
-    if H.system is not system and H.system != system:
+    if H.system is not system:
         raise ValueError(f"space of {H.system} in a cell of {system}")
-    if pi.system is not system and pi.system != system:
+    if pi.system is not system:
         raise ValueError(f"Weyl element of {pi.system} in a cell of {system}")
     if method == "formula":
         return cell_formula(spec, system, H, pi)

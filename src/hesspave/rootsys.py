@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _RANK_MIN = {"A": 1, "B": 2, "C": 2, "D": 3}
+_SYSTEMS: dict[tuple[str, int], "RootSystemId"] = {}
 
 
 class ResourceCapError(ValueError):
@@ -44,20 +45,34 @@ class ResourceCapError(ValueError):
     space enumeration rank, symbolic conjugation rank)."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class RootSystemId:
-    """A classical family together with its rank."""
+    """A classical family together with its rank, built once per (family,
+    rank): every construction, pickle and copy returns that one object, so
+    the per-system caches hash and compare it by identity."""
 
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in _RANK_MIN:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.rank < _RANK_MIN[self.family]:
-            raise ValueError(
-                f"family {self.family} requires rank >= {_RANK_MIN[self.family]}"
-            )
+    __hash__ = object.__hash__
+
+    def __new__(cls, family: str, rank: int):
+        if type(family) is not str or family not in _RANK_MIN:
+            raise ValueError(f"unknown family {family!r}")
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an int, got {rank!r}")
+        if rank < _RANK_MIN[family]:
+            raise ValueError(f"family {family} requires rank >= {_RANK_MIN[family]}")
+        self = _SYSTEMS.get((family, rank))
+        if self is None:
+            self = object.__new__(cls)
+            object.__setattr__(self, "family", family)
+            object.__setattr__(self, "rank", rank)
+            self = _SYSTEMS.setdefault((family, rank), self)
+        return self
+
+    def __reduce__(self):
+        return RootSystemId, (self.family, self.rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"

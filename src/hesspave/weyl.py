@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .rootsys import (
     ResourceCapError,
@@ -81,17 +81,16 @@ class WeylElement:
 
     def length(self) -> int:
         """|Phi_pi|: the positive roots pi sends negative (as many as pi^{-1}
-        does), counted on the window."""
-        return self._length
-
-    @cached_property
-    def _length(self) -> int:
-        """length(), counted on first use and kept on the element: every
-        nonempty CellReport checks its dim against it."""
-        s = _signed_window(self.window)
-        index = root_index(self.system)
-        negative = index.negative
-        return sum([negative[s[p]][s[q]] for p, q in index.positive_pairs])
+        does), counted on the window on first use and kept on the element:
+        every nonempty CellReport checks its dim against it."""
+        n = self.__dict__.get("_length")
+        if n is None:
+            s = _signed_window(self.window)
+            index = root_index(self.system)
+            negative = index.negative
+            n = sum([negative[s[p]][s[q]] for p, q in index.positive_pairs])
+            object.__setattr__(self, "_length", n)
+        return n
 
     def __str__(self):
         return "[" + " ".join(str(w) for w in self.window) + "]"

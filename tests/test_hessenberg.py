@@ -12,7 +12,14 @@ from hesspave.hessenberg import (
     peterson_space,
     to_h,
 )
-from hesspave.rootsys import Root, RootSystemId, negative_roots, positive_roots
+from hesspave.rootsys import (
+    Root,
+    RootSystemId,
+    all_roots,
+    negative_roots,
+    positive_roots,
+    root_index,
+)
 from hesspave.weyl import WeylElement
 
 
@@ -118,6 +125,24 @@ def test_containment_matches_h_order():
             contained = set(H.roots) <= set(K.roots)
             h_le = all(x <= y for x, y in zip(to_h(H).values, to_h(K).values))
             assert contained == h_le
+
+
+@pytest.mark.parametrize("system", [
+    RootSystemId("A", 3), RootSystemId("B", 3),
+    RootSystemId("C", 3), RootSystemId("D", 4),
+], ids=str)
+def test_kind_table_matches_the_roots(system):
+    pair = root_index(system).pair
+    for H in enumerate_spaces(system):
+        for a in all_roots(system):
+            expected = 0 if not a.is_negative else 1 if a in H.roots else 2
+            p, q = pair[a]
+            assert H.kind[p][q] == H.kind[q][p] == expected, (str(H), str(a))
+
+
+@pytest.mark.parametrize("h", [(1, 2, 3), (2, 3, 3), (3, 4, 5, 5, 5)])
+def test_from_h_builds_in_the_callers_system(h):
+    assert from_h(HessFunction(h)).system is RootSystemId("A", len(h) - 1)
 
 
 def test_complement_roots_example():

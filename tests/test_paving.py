@@ -233,6 +233,15 @@ def test_parallel_pave_matches_serial():
     assert serial == parallel
 
 
+def test_pooled_pave_returns_the_callers_system(monkeypatch):
+    # the reports come back pickled from two real workers
+    monkeypatch.setattr(paving, "_usable_cpus", lambda: 2)
+    system = RootSystemId("C", 2)
+    result = pave(RegularNilpotent(), system, peterson_space(system), jobs=2)
+    assert result.system is system
+    assert all(r.pi.system is system for r in result.reports)
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records max_workers and maps in
     this process, so no worker process starts."""

@@ -1,6 +1,10 @@
 import ast
+import copy
+import dataclasses
 import itertools
 import pathlib
+import pickle
+import re
 
 import pytest
 
@@ -67,6 +71,44 @@ def test_rank_bounds():
         RootSystemId("B", 1)
     with pytest.raises(ValueError):
         RootSystemId("E", 6)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 3.0), ("A", True), ("A", "3"), ("A", None), ("a", 3), (["A"], 3),
+], ids=repr)
+def test_family_and_rank_are_checked_by_type(family, rank):
+    # before, A3.0 was built and failed later in positive_roots, ATrue hashed
+    # and compared equal to A1, and "3" raised TypeError
+    named = f"{re.escape(repr(family))}|{re.escape(repr(rank))}"
+    with pytest.raises(ValueError, match=named):
+        RootSystemId(family, rank)
+
+
+def test_a_refused_system_leaves_nothing_behind():
+    # C11 is built nowhere else, so C11.0 would be the first (C, 11) seen
+    for bad in (11.0, "11"):
+        with pytest.raises(ValueError):
+            RootSystemId("C", bad)
+    c11 = RootSystemId("C", 11)
+    assert type(c11.rank) is int and str(c11) == "C11"
+    with pytest.raises(ValueError):
+        RootSystemId("A", True)
+    assert type(RootSystemId("A", 1).rank) is int
+
+
+def test_each_system_is_one_object():
+    b3 = RootSystemId("B", 3)
+    assert b3 is RootSystemId("B", 3) is RootSystemId(family="B", rank=3)
+    assert b3 is not RootSystemId("C", 3)
+    assert pickle.loads(pickle.dumps(b3)) is b3
+    assert copy.copy(b3) is b3
+    assert copy.deepcopy(b3) is b3
+    assert dataclasses.replace(b3) is b3
+    assert dataclasses.replace(b3, rank=4) is RootSystemId("B", 4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b3.rank = 4
+    assert sorted([RootSystemId("C", 2), b3, RootSystemId("B", 2)]) == [
+        RootSystemId("B", 2), b3, RootSystemId("C", 2)]
 
 
 def test_a3_rows():
