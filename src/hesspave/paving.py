@@ -33,6 +33,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 
 from .hessenberg import HessenbergSpace, to_h
 from .operators import (
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellReport:
     pi: WeylElement
     nonempty: bool
@@ -115,19 +116,21 @@ class PoincarePolynomial:
 
 
 def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
-    """Aggregate CellReports covering W exactly once.  Every WeylElement
-    checks its window when built, so |W| distinct windows of the system are
-    all of W."""
-    windows = set()
+    """Aggregate CellReports covering W exactly once, in one pass over any
+    iterable.  Every WeylElement checks its window when built, so |W|
+    distinct windows of the system are all of W.  A repeat shows as equal
+    neighbours once the windows are sorted (linear on pave's order)."""
+    windows = []
     counts: dict[int, int] = {}
     for r in reports:
         if r.pi.system is not system:
             raise ValueError(f"report for {r.pi.system} in a paving of {system}")
-        if r.pi.window in windows:
-            raise ValueError("duplicate Weyl element in reports")
-        windows.add(r.pi.window)
+        windows.append(r.pi.window)
         if r.nonempty:
             counts[2 * r.dim] = counts.get(2 * r.dim, 0) + 1
+    windows.sort()
+    if any(map(tuple.__eq__, windows, islice(windows, 1, None))):
+        raise ValueError("duplicate Weyl element in reports")
     if len(windows) != weyl_order(system):
         raise ValueError("reports do not cover the Weyl group")
     return PoincarePolynomial(tuple(sorted(counts.items())))

@@ -10,7 +10,7 @@ the action, inversion sets and lengths are integer lookups on a window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .rootsys import (
@@ -31,19 +31,21 @@ __all__ = [
 ]
 
 # Refuse to materialize groups past this size; full pavings iterate all of W
-# and keep every cell's report, about 0.4 KB per cell (A8 semisimple on the
-# full space: 362,880 cells, 14-19 s and 161 MB peak RSS with --format text,
-# 15 s and 790 MB with --format json, on a 2-vCPU VM).
+# and keep every cell's report, about 0.24 KB per cell (A8 semisimple on the
+# full space: 362,880 cells, 7-8 s and 108-110 MB peak RSS with --format text,
+# 13 s and 738 MB with --format json, on a 2-vCPU VM).
 # The cap stays until A9 and D8 pavings are measured.
 MAX_WEYL_ORDER = 10**6
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class WeylElement:
     """A Weyl group element as its window (w(1), ..., w(m))."""
 
     system: RootSystemId
     window: tuple[int, ...]
+    _length: int | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if type(self.window) is not tuple:  # windows hash as cache keys
@@ -66,6 +68,9 @@ class WeylElement:
         return WeylElement(self.system, tuple(inv))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
+        if other.system is not self.system:
+            raise ValueError(
+                f"product of elements of {self.system} and {other.system}")
         # (self * other)(i) = self(other(i))
         win = []
         for w in other.window:
@@ -81,9 +86,11 @@ class WeylElement:
 
     def length(self) -> int:
         """|Phi_pi|: the positive roots pi sends negative (as many as pi^{-1}
-        does), counted on the window on first use and kept on the element:
-        every nonempty CellReport checks its dim against it."""
-        n = self.__dict__.get("_length")
+        does), counted on the window on first use and kept in the element's
+        _length slot: every nonempty CellReport checks its dim against it.
+        The count is the element's own walk, not the formula's, so that the
+        bound checks every path independently."""
+        n = self._length
         if n is None:
             s = _signed_window(self.window)
             index = root_index(self.system)

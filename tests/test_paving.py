@@ -1,8 +1,12 @@
+import copy
+import dataclasses
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -97,8 +101,8 @@ def test_poincare_requires_exact_coverage():
     assert str(poincare(reports, system)) == "1 + 2x^2 + 2x^4 + x^6"
     with pytest.raises(ValueError):
         poincare(reports[:-1], system)
-    with pytest.raises(ValueError):
-        poincare(reports + [reports[0]], system)
+    with pytest.raises(ValueError, match="duplicate"):
+        poincare(reports + [reports[0]], system)  # the first window, last
 
 
 def test_poincare_cover_check_is_exact_and_order_free():
@@ -114,6 +118,58 @@ def test_poincare_cover_check_is_exact_and_order_free():
     b3_top = WeylElement(RootSystemId("B", 3), reports[-1].pi.window)
     with pytest.raises(ValueError, match="B3"):
         poincare(reports[:-1] + [CellReport(b3_top, False, None, "t")], system)
+
+
+
+def test_poincare_reads_a_one_shot_iterator():
+    system = RootSystemId("B", 2)
+    reports = [CellReport(w, True, w.length(), "t") for w in enumerate_weyl(system)]
+    assert poincare(iter(reports), system) == poincare(reports, system)
+
+
+def test_poincare_keeps_no_set_of_windows():
+    """The cover check sorts a list of the windows: aggregating A6's 5,040
+    reports peaks far below a 5,040-entry set (about 640 KiB)."""
+    system = RootSystemId("A", 6)
+    reports = [CellReport(w, True, w.length(), "t") for w in enumerate_weyl(system)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        p = poincare(reports, system)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert p.euler_characteristic() == 5040
+    assert peak <= 128 * 1024
+
+
+ROUND_TRIPS = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+}
+
+
+@pytest.mark.parametrize("how", ROUND_TRIPS)
+@pytest.mark.parametrize("counted", [False, True])
+def test_records_are_slotted_and_round_trip(how, counted):
+    """Neither per-cell record keeps an instance dict, and each comes back
+    equal, in the one interned system, with or without a counted length."""
+    system = RootSystemId("D", 4)
+    pi = WeylElement(system, (-4, 2, -1, 3))
+    n = WeylElement(system, pi.window).length()
+    if counted:
+        pi.length()
+    r = CellReport(pi, False, None, "formula")
+    assert not hasattr(pi, "__dict__") and not hasattr(r, "__dict__")
+    back = ROUND_TRIPS[how](pi)
+    assert back == pi and hash(back) == hash(pi) and back.system is system
+    assert back.length() == n
+    back = ROUND_TRIPS[how](r)
+    assert back == r and hash(back) == hash(r) and back.pi.system is system
+    assert back.pi.length() == n
 
 
 def test_tableau_data_is_built_once_per_spec_and_space(monkeypatch):

@@ -130,3 +130,28 @@ def test_longest_element_length():
 def test_str_window():
     w = WeylElement(RootSystemId("B", 2), (-2, 1))
     assert str(w) == "[-2 1]"
+
+
+def test_product_of_elements_of_two_systems_is_refused():
+    b4 = WeylElement(RootSystemId("B", 4), (-1, 2, 3, 4))
+    for family, window in (("C", (1, 2, 4, 3)), ("D", (1, 2, 4, 3))):
+        other = WeylElement(RootSystemId(family, 4), window)
+        for u, v in ((other, b4), (b4, other)):
+            with pytest.raises(ValueError, match=f"{u.system}.*{v.system}"):
+                u * v
+
+
+def test_a_counted_length_is_invisible():
+    """The element keeps no instance dict; its counted length sits in a slot
+    that equality, hashing, ordering and printing all ignore."""
+    system = RootSystemId("C", 3)
+    counted = WeylElement(system, (2, -3, 1))
+    assert not hasattr(counted, "__dict__")
+    n = counted.length()
+    fresh = WeylElement(system, (2, -3, 1))
+    assert counted == fresh and hash(counted) == hash(fresh)
+    assert not counted < fresh and not fresh < counted
+    assert counted <= fresh <= counted
+    assert repr(counted) == repr(fresh) and str(counted) == str(fresh)
+    assert fresh.length() == n == 3
+
