@@ -33,8 +33,12 @@ system (_kernel_table) lists each positive root's row and its (b, g, n); it
 is read off the matrix commutators, each checked entry for entry, not off
 the sum table.  Only _adjoint reads its brackets: a row step adds its delta
 to M, and a stage's column for a variable v is its functionals at the delta
-of X = E_v.  R is walked by rootsys.root_closure over rootsys.root_index's
-sum table, the walk the formula path's orbit roots share.
+of X = E_v, computed only at the positions they read.  A stage opened at
+M_0 with only its unit conditions has the same system in every cell that
+shares its variables and conditions, so it is built once (_opening), with
+its combos when infeasible, and shared by every cell, trial and tower.  R
+is walked by rootsys.root_closure over rootsys.root_index's sum table, the
+walk the formula path's orbit roots share; a memo keeps one R per pi.
 """
 
 from __future__ import annotations
@@ -222,17 +226,42 @@ def _coordinates(system: RootSystemId, M: dict) -> tuple[tuple, tuple]:
             tuple(M.get(rc, 0) for rc in pivots))
 
 
-def _adjoint(system: RootSystemId, weights, M, assignment, half) -> dict:
+def _adjoint(system: RootSystemId, weights, M, assignment, half,
+             at=None) -> dict:
     """[X, M] + 1/2 [X, [X, M]] as a sparse {position: value}, for X = sum of
     x_v E_v over the assignment's (position, scalar) pairs, M the coefficients
     of a Borel element whose Cartan part has the given weights
     ([E_v, S] = w_v E_v), and half the domain's 1/2.  The positions must lie
     in one row; then (ad X)^3 M = 0 (the row lemma, checked by verify_adform),
-    so M plus this delta is exactly exp(X) M exp(-X)."""
+    so M plus this delta is exactly exp(X) M exp(-X).
+
+    Given positions at and a single-variable assignment, the delta is
+    computed only at those positions: at g, [X, M] is x w_v when g = v plus
+    x n M[b] for [E_v, E_b] = n E_g, and [X, [X, M]] is x n [X, M] at that
+    b, where b != v leaves no weight term.  Any other assignment gets the
+    whole delta."""
     table = _kernel_table(system)
     entries = [table.get(v) for v, _ in assignment]
     if None in entries or len({row for row, _ in entries}) > 1:
         raise RuntimeError("conjugation by roots outside a single row")
+    if at is not None and len(assignment) == 1:
+        (v, x), = assignment
+        brackets = entries[0][1]
+        w = x * weights[v]
+        out = {}
+        for g in at:
+            y = w if g == v else 0
+            e = brackets.get(g)
+            if e:
+                b, n = e
+                if M[b]:
+                    y += x * n * M[b]
+                e = brackets.get(b)
+                if e and M[e[0]]:
+                    y += half * x * n * x * e[1] * M[e[0]]
+            if y:
+                out[g] = y
+        return out
     XM: dict = {}
     for (v, x), (_, brackets) in zip(assignment, entries):
         if weights[v]:
@@ -429,7 +458,8 @@ def _solve_affine(cols, b, rng):
 
     Returns ("ok", rank, random solution) on success or ("bad", combos)
     when infeasible, where each combo is a row-combination vector over the
-    input equations whose linear part vanished but whose constant did not."""
+    input equations whose linear part vanished but whose constant did not.
+    With rng None a feasible system draws nothing and has no solution."""
     p = PRIME
     m = len(cols)
     k = len(b)
@@ -454,6 +484,8 @@ def _solve_affine(cols, b, rng):
     combos = [rows[i][m + 1:] for i in range(r, k) if rows[i][m]]
     if combos:
         return "bad", combos
+    if rng is None:
+        return "ok", r, None
     x = [0] * m
     for c in range(m):
         if c not in pivots:
@@ -528,10 +560,11 @@ def _stage_funcs(conds, extra, t):
     return funcs
 
 
-def _fdelta(system, weights, M, assignment, funcs):
+def _fdelta(system, weights, M, assignment, funcs, at=None):
     """f(conj(M)) - f(M) mod PRIME for each functional f {position: coeff}
-    of funcs: f at _adjoint's delta."""
-    delta = _adjoint(system, weights, M, assignment, (PRIME + 1) // 2)
+    of funcs: f at _adjoint's delta, restricted to the positions at when
+    they are given (all that funcs read)."""
+    delta = _adjoint(system, weights, M, assignment, (PRIME + 1) // 2, at)
     return [sum(c * delta.get(k, 0) for k, c in fd.items()) % PRIME for fd in funcs]
 
 
@@ -541,9 +574,33 @@ def _stage_system(system, weights, M, vrs, funcs):
 
     Column v is f(conj(M, {v: 1})) - f(M), quadratic term included:
     _tower_values solves stage systems without the affineness probe, so
-    dropping it would change its answers."""
+    dropping it would change its answers.  Each column's delta is computed
+    only at the positions the functionals read."""
+    at = {k for fd in funcs for k in fd}
     return ([_feval(M, fd) for fd in funcs],
-            [_fdelta(system, weights, M, [(v, 1)], funcs) for v in vrs])
+            [_fdelta(system, weights, M, [(v, 1)], funcs, at) for v in vrs])
+
+
+@lru_cache(maxsize=4096)
+def _opening(system, weights, M0, vrs, conds):
+    """A stage system built once and shared: the baseline values and columns
+    at M_0 of a stage whose functionals are its unit conditions alone, and
+    the combos of _solve_affine when it is infeasible, else None.  An
+    infeasible solve draws nothing, so its combos hold on every stream; a
+    feasible system is solved again on each tower's own stream.  Every cell,
+    trial and tower of a spec that opens with such a stage reads it."""
+    b, cols = _stage_system(system, weights, M0, vrs, [{k: 1} for k in conds])
+    sol = _solve_affine(cols, b, None)
+    return b, cols, sol[1] if sol[0] == "bad" else None
+
+
+def _open_stage(system, weights, M, M0, vrs, conds, funcs):
+    """(b, cols, combos) of a stage at M with functionals funcs: the shared
+    _opening while M is M_0 and funcs are the unit conditions alone, else a
+    fresh _stage_system, combos None, left for the caller to solve."""
+    if M is M0 and len(funcs) == len(conds):
+        return _opening(system, weights, M0, tuple(vrs), tuple(conds))
+    return (*_stage_system(system, weights, M, vrs, funcs), None)
 
 
 def _run_tower(system, weights, M0, stages, extra, rng):
@@ -562,7 +619,7 @@ def _run_tower(system, weights, M0, stages, extra, rng):
                 M = _conjugate(system, weights, M,
                                [(v, rng.randrange(PRIME)) for v in vrs], PRIME)
             continue
-        b, cols = _stage_system(system, weights, M, vrs, funcs)
+        b, cols, combos = _open_stage(system, weights, M, M0, vrs, conds, funcs)
         if vrs:
             # affineness probe at a random point: each f moves by its row
             # of the columns times the point
@@ -571,7 +628,7 @@ def _run_tower(system, weights, M0, stages, extra, rng):
                      for row in zip(*cols)]
             if _fdelta(system, weights, M, list(zip(vrs, xp)), funcs) != moved:
                 return "inconsistent", "nonaffine"
-        sol = _solve_affine(cols, b, rng)
+        sol = ("bad", combos) if combos else _solve_affine(cols, b, rng)
         if sol[0] == "bad":
             return "infeasible", (t, funcs, sol[1])
         _, rank, xstar = sol
@@ -601,8 +658,9 @@ def _tower_values(system, weights, M0, stages, extra, fdict, rng):
         if not broken:
             funcs = _stage_funcs(conds, extra, t)
             if funcs:
-                b, cols = _stage_system(system, weights, M, vrs, funcs)
-                sol = _solve_affine(cols, b, rng)
+                b, cols, combos = _open_stage(system, weights, M, M0, vrs, conds,
+                                              funcs)
+                sol = ("bad", combos) if combos else _solve_affine(cols, b, rng)
                 if sol[0] == "ok":
                     assign = sol[2]
                 else:
@@ -686,11 +744,10 @@ def _solve_once(system, weights, M0, stages, reach, rng):
     return "inconsistent", "max-derived"
 
 
-def _vote(system, data, var, cond, window, trials, seed) -> OracleVerdict:
+def _vote(system, data, var, cond, reach, window, trials, seed) -> OracleVerdict:
     """The trial vote of cell_dim_oracle on the cell's variable and
-    condition flags."""
+    condition flags and its R."""
     stages = _cell_stages(data, var, cond)
-    reach = _reachable_roots(system, data, [k for k, v in enumerate(var) if v])
     outcomes = set()
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{window}")
@@ -728,7 +785,8 @@ def cell_dim_oracle(
     positions, trials and seed, and H enters only through the conditions.
     With a memo dict, a verdict found there under that key is returned as
     it is, and a new one is stored there: spaces that give pi the same
-    conditions share one vote.
+    conditions share one vote.  The cell's R depends only on pi, so the
+    memo also keeps it under (spec, system, pi's window), one per pi.
 
     The vote runs _solve_once once per trial, each on its own stream,
     seeded by (seed, trial, pi).  An exact emptiness proof on the first
@@ -737,8 +795,8 @@ def cell_dim_oracle(
     trial split.  Otherwise the first inconsistent trial is the verdict,
     and the trials' (kind, dim) outcomes, an exact and a towered empty
     alike, form one set, whose only member is the verdict when they all
-    agree, and a trial split when they do not.  R is built once per vote,
-    before the trials."""
+    agree, and a trial split when they do not.  R is built before the
+    trials, once per vote, or once per pi with a memo."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     data = _oracle_data(spec, system)
@@ -747,12 +805,18 @@ def cell_dim_oracle(
     codes = [kind[s[p]][s[q]] for p, q in root_index(system).positive_pairs]
     var = [c != 0 for c in codes]
     cond = [c == 2 for c in codes]
+    var_at = [k for k, v in enumerate(var) if v]
     if memo is None:
-        return _vote(system, data, var, cond, pi.window, trials, seed)
+        return _vote(system, data, var, cond, _reachable_roots(system, data, var_at),
+                     pi.window, trials, seed)
     key = (spec, system, pi.window,
            tuple(k for k, c in enumerate(cond) if c), trials, seed)
     if key not in memo:
-        memo[key] = _vote(system, data, var, cond, pi.window, trials, seed)
+        reach_key = (spec, system, pi.window)
+        if reach_key not in memo:
+            memo[reach_key] = _reachable_roots(system, data, var_at)
+        memo[key] = _vote(system, data, var, cond, memo[reach_key], pi.window,
+                          trials, seed)
     return memo[key]
 
 

@@ -168,6 +168,40 @@ def test_two_bracket_form_equals_exponential(system, domain):
             assert _rebuilt(system, M, summed, mod) == want, (trial, row)
 
 
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("system", SYSTEMS, ids=str)
+def test_restricted_delta_is_the_whole_delta_at_its_positions(system, domain):
+    # Given positions, a single-variable delta is computed only there and
+    # equals the whole delta at each of them, zeros included; positions
+    # the whole delta touches and positions it does not are both drawn.  A
+    # two-variable assignment gets the whole delta whatever the positions.
+    mod = PRIME if domain == "modp" else None
+    half = pow(2, -1, mod) if mod else Fraction(1, 2)
+    rng = random.Random(f"restricted:{system}:{domain}")
+    n = len(root_index(system).positive)
+    at = root_index(system).at
+    checked = 0
+    for trial in range(3):
+        weights, coeffs = _coordinates(system, _random_borel(system, rng, mod))
+        for v in range(n):
+            x = _scalar(domain, rng, f"x[{v}]")
+            whole = _adjoint(system, weights, coeffs, [(v, x)], half)
+            for size in (0, 1, n // 2, n):
+                positions = set(rng.sample(range(n), size))
+                got = _adjoint(system, weights, coeffs, [(v, x)], half, positions)
+                assert set(got) <= positions
+                for k in positions:
+                    assert not whole.get(k, 0) - got.get(k, 0), (trial, v, k)
+                checked += len(positions & set(whole))
+        for row in row_partition(system).rows:
+            if len(row) < 2:
+                continue
+            pairs = [(at[a], _scalar(domain, rng, f"x[{a}]")) for a in row[:2]]
+            assert _adjoint(system, weights, coeffs, pairs, half, {0}) == \
+                _adjoint(system, weights, coeffs, pairs, half)
+    assert checked
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
 def test_stage_columns_are_unit_conjugation_differences(system):
     rng = random.Random(f"cols:{system}")

@@ -338,11 +338,17 @@ DRAW_DIGESTS = [
     # S enters the kernel as weights
     (SemisimpleClassical(((1, 2),)), RootSystemId("B", 3), borel_space,
      "e1e4302207468807d7bd450f06f9ab977b8a18a6645a3f66d0f9ddd9c96c2848"),
+    # the pave-oracle benchmark's other two cases
+    (RegularNilpotent(), RootSystemId("A", 5), peterson_space,
+     "ccc3c3541548cb858f0ad0b4d91c805af057065857d6c2a4b0034862cc605b51"),
+    (RegularNilpotent(), RootSystemId("C", 4), peterson_space,
+     "bbf774c6d7997627c56e6e42a100361d5a2cdb93e8f01b185fab12e7ad40337b"),
 ]
 
 
 @pytest.mark.parametrize("spec,system,space,digest", DRAW_DIGESTS,
-                         ids=["D4 peterson", "C3 peterson", "B3 1,2 borel"])
+                         ids=["D4 peterson", "C3 peterson", "B3 1,2 borel",
+                              "A5 peterson", "C4 peterson"])
 def test_oracle_draws_are_pinned(monkeypatch, spec, system, space, digest):
     draws = []
 
@@ -361,6 +367,129 @@ def test_oracle_draws_are_pinned(monkeypatch, spec, system, space, digest):
         h.update(f"{pi.window} {v.kind} {v.dim} {v.reason}:".encode())
         h.update(" ".join(map(str, draws)).encode() + b"\n")
     assert h.hexdigest() == digest
+
+
+# --- the shared openings -----------------------------------------------------------
+
+
+def _checked_openings(monkeypatch, skew=False):
+    """Check every stage system the towers open against a fresh one: at the
+    stage's own M and functionals, _open_stage must return _stage_system's
+    values and columns, and combos only for a system _solve_affine finds
+    infeasible, with its combos.  Returns the uses of the shared _opening,
+    for the caller to check against a fresh _stage_system and _solve_affine
+    at the spec's M_0, and the stages opened at M_0 with a derived
+    functional attached.  With skew, _opening builds at M_0 with one
+    coefficient changed, bypassing its cache."""
+    real_open, real_opening = orbit_oracle._open_stage, orbit_oracle._opening
+    uses, attached = [], []
+
+    def opening(system, weights, M0, vrs, conds):
+        if skew:
+            M0 = (M0[0] + 1,) + M0[1:]
+            return real_opening.__wrapped__(system, weights, M0, vrs, conds)
+        got = real_opening(system, weights, M0, vrs, conds)
+        uses.append((system, weights, M0, vrs, conds, got))
+        return got
+
+    def open_stage(system, weights, M, M0, vrs, conds, funcs):
+        if M is M0 and len(funcs) > len(conds):
+            attached.append(vrs)
+        b, cols, combos = real_open(system, weights, M, M0, vrs, conds, funcs)
+        assert (b, cols) == orbit_oracle._stage_system(system, weights, M, vrs,
+                                                        funcs)
+        sol = orbit_oracle._solve_affine(cols, b, random.Random(0))
+        assert combos in (None, sol[1] if sol[0] == "bad" else None)
+        return b, cols, combos
+
+    monkeypatch.setattr(orbit_oracle, "_opening", opening)
+    monkeypatch.setattr(orbit_oracle, "_open_stage", open_stage)
+    return uses, attached
+
+
+def _peterson_only(system):
+    return [peterson_space(system)]
+
+
+def _d4_attaching(system):
+    # a D4 space whose towers attach derived functionals to stages they
+    # open at M_0
+    neg = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0),
+           (0, 1, 1, 0), (0, 1, 0, 1), (0, 1, 1, 1)]
+    return [HessenbergSpace(system, frozenset(positive_roots(system))
+                            | {-Root(c) for c in neg})]
+
+
+OPENING_CASES = [
+    (RootSystemId("A", 5), _peterson_only, False),
+    (RootSystemId("C", 4), _peterson_only, False),
+    (RootSystemId("D", 4), _peterson_only, False),
+    (RootSystemId("B", 3), enumerate_spaces, False),
+    (RootSystemId("D", 4), _d4_attaching, True),
+]
+
+
+@pytest.mark.parametrize("system,spaces,attaches", OPENING_CASES,
+                         ids=["A5 peterson", "C4 peterson", "D4 peterson", "B3 all",
+                              "D4 attaching"])
+def test_shared_openings_equal_fresh_stage_systems(monkeypatch, system, spaces,
+                                                   attaches):
+    # every cell of the pave-oracle cases and of B3 --all-hess (with
+    # verify's memo), regular nilpotent, and a D4 space where stages at M_0
+    # carry derived functionals and so are opened fresh
+    spec = RegularNilpotent()
+    data = _oracle_data(spec, system)
+    uses, attached = _checked_openings(monkeypatch)
+    memo = {}
+    for H in spaces(system):
+        for pi in enumerate_weyl(system):
+            cell_dim_oracle(spec, system, H, pi, memo=memo)
+    keys = {use[:5] for use in uses}
+    assert uses and len(keys) < len(uses)  # shared across cells
+    assert bool(attached) == attaches
+    for system_, weights, M0, vrs, conds, (b, cols, combos) in uses:
+        assert system_ is system and weights == data.weights
+        assert M0 is data.coeffs
+        funcs = [{k: 1} for k in conds]
+        assert (b, cols) == orbit_oracle._stage_system(system, weights, M0,
+                                                        list(vrs), funcs)
+        sol = orbit_oracle._solve_affine(cols, b, random.Random(0))
+        assert combos == (sol[1] if sol[0] == "bad" else None)
+
+
+def test_an_opening_built_off_m0_fails_loudly(monkeypatch):
+    system = RootSystemId("D", 4)
+    H = peterson_space(system)
+    _checked_openings(monkeypatch, skew=True)
+    with pytest.raises(AssertionError):
+        for pi in enumerate_weyl(system):
+            cell_dim_oracle(RegularNilpotent(), system, H, pi)
+
+
+def test_feasibility_without_a_stream_draws_nothing():
+    # _opening solves with rng None: a feasible system reports its rank and
+    # no solution, an infeasible one its combos, as with a stream
+    from hesspave.orbit_oracle import _solve_affine
+
+    class NoDraws:
+        def randrange(self, *args):
+            raise AssertionError("drew")
+
+    rng = random.Random("no-draws")
+    statuses = set()
+    for _ in range(100):
+        k, m = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(0, min(k, m))
+        cols, b = _random_system(rng, k, m, r, r == k or rng.random() < 0.5)
+        with_rng = _solve_affine(cols, b, random.Random(1))
+        without = _solve_affine(cols, b, None)
+        statuses.add(with_rng[0])
+        if with_rng[0] == "bad":
+            assert without == with_rng
+            assert _solve_affine(cols, b, NoDraws()) == with_rng
+        else:
+            assert without == ("ok", with_rng[1], None)
+    assert statuses == {"ok", "bad"}
 
 
 def test_cell_oracle_full_space_dim_is_length():

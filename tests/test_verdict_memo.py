@@ -5,10 +5,14 @@ Phi_pi that pi^{-1} sends outside M_H, and the oracle seeds its trials by
 (seed, trial, pi).  verify --all-hess hands one memo dict to every
 cell_dim_oracle call of the run; these tests count its votes, compare every
 memoized verdict with a fresh call, and check that the key tells seeds,
-trial counts and specs apart.
+trial counts and specs apart.  The memo also keeps each cell's R
+(_reachable_roots), one per (spec, system, pi), since a cell's variables
+depend only on pi; a verify run builds R once per pi, not once per vote.
 """
 
 import pytest
+
+import hashlib
 
 from hesspave import cli, orbit_oracle, paving
 from hesspave.hessenberg import HessenbergSpace, borel_space, enumerate_spaces
@@ -24,6 +28,10 @@ def _condition_set(H, pi):
     and H's root set, not from the oracle's position tables."""
     inv = pi.inverse()
     return frozenset(a for a in inversion_set(pi) if inv.act(a) not in H.roots)
+
+
+def _verdicts(memo):
+    return [v for v in memo.values() if isinstance(v, OracleVerdict)]
 
 
 def test_verify_votes_once_per_condition_set(monkeypatch, capsys):
@@ -85,7 +93,8 @@ def test_memo_key_tells_seeds_and_trials_apart(monkeypatch):
     assert fresh[2] == OracleVerdict("inconsistent", reason="trial-split")
     for kw, want in zip(runs, fresh):
         assert cell_dim_oracle(spec, system, H, pi, memo=memo, **kw) == want
-    assert len(memo) == len(runs)
+    assert len(_verdicts(memo)) == len(runs)
+    assert len(memo) == len(runs) + 1  # and the one pi's R
 
 
 def test_memo_key_tells_specs_apart():
@@ -98,7 +107,8 @@ def test_memo_key_tells_specs_apart():
                            memo=memo) == OracleVerdict("empty")
     assert cell_dim_oracle(SemisimpleClassical(()), system, H, pi,
                            memo=memo) == OracleVerdict("dim", 0)
-    assert len(memo) == 2
+    assert len(_verdicts(memo)) == 2
+    assert len(memo) == 4  # and an R per spec
 
 
 def test_memoized_inconsistent_verdict_raises_every_time():
@@ -113,4 +123,35 @@ def test_memoized_inconsistent_verdict_raises_every_time():
         with pytest.raises(OracleDisagreement) as err:
             cell_oracle(RegularNilpotent(), d4, H, pi, memo=memo)
         assert err.value.reason == "late-pin"
-    assert list(memo.values()) == [OracleVerdict("inconsistent", reason="late-pin")]
+    assert _verdicts(memo) == [OracleVerdict("inconsistent", reason="late-pin")]
+    assert len(memo) == 2  # and the cell's R
+
+
+# verify-sweep's two runs: (argv, Weyl group order, SHA-256 of stdout as in
+# tests/test_golden.py)
+SWEEP = [
+    (["verify", "--family", "B", "--rank", "3", "--regular-nilpotent",
+      "--all-hess", "--seed", "1"], 48,
+     "768826fda153031daaa8942b67f872d1e79e2edbc6d685ec51bdf14304568fca"),
+    (["verify", "--family", "A", "--rank", "3", "--nilpotent", "2,1,1",
+      "--all-hess", "--seed", "1"], 24,
+     "431ba4d56a7ada5baf7cf51701b995bb325783b70e398c5ec97e681acedf2946"),
+]
+
+
+@pytest.mark.parametrize("argv,order,digest", SWEEP, ids=["B3", "A3 2,1,1"])
+def test_verify_builds_r_once_per_pi(monkeypatch, capsys, argv, order, digest):
+    # R is walked once per pi of the run, 48 + 24 in all, against one walk
+    # per vote (468) before the memo kept it; stdout is unchanged
+    built = []
+    real = orbit_oracle._reachable_roots
+
+    def counted(system, data, var_at):
+        built.append(tuple(var_at))
+        return real(system, data, var_at)
+
+    monkeypatch.setattr(orbit_oracle, "_reachable_roots", counted)
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(built) == len(set(built)) == order
