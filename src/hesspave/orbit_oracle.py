@@ -36,9 +36,14 @@ to M, and a stage's column for a variable v is its functionals at the delta
 of X = E_v, computed only at the positions they read.  A stage opened at
 M_0 with only its unit conditions has the same system in every cell that
 shares its variables and conditions, so it is built once (_opening), with
-its combos when infeasible, and shared by every cell, trial and tower.  R
-is walked by rootsys.root_closure over rootsys.root_index's sum table, the
-walk the formula path's orbit roots share; a memo keeps one R per pi.
+its derived functionals when infeasible and an exact affineness verdict in
+place of the random probe, and shared by every cell, trial and tower.  A
+cell's set-up is one walk of its positive pairs: each variable and
+condition position goes straight to the one plan stage that owns it
+(_SpecData.var_stage, cond_stage), and R starts from a per-spec table of
+the sums with supp N (_SpecData.support_sums).  R is walked by
+rootsys.root_closure over rootsys.root_index's sum table, the walk the
+formula path's orbit roots share; a memo keeps one R per pi.
 """
 
 from __future__ import annotations
@@ -412,6 +417,10 @@ class _SpecData(NamedTuple):
     weights: tuple  # per position v, the E_v coefficient of [E_v, S]
     support_at: tuple[int, ...]  # supp N's positions
     levi_mask: tuple[bool, ...]  # whether each positive root lies in Phi_l
+    var_stage: tuple[int, ...]  # per position, the plan stage it is a variable of
+    cond_stage: tuple[int, ...]  # per position, the stage it is a condition of
+    # per position j, the positions b + j over b in supp N that are roots
+    support_sums: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -425,7 +434,11 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
     gamma_i (and gamma_i - alpha_i when the nilpotent part contains alpha_i
     and gamma_i - alpha_i lies in the Levi, i.e. (gamma_i - alpha_i)(S) = 0)
     is deferred to a second stage whose only condition is gamma_i itself.
-    """
+
+    The plan must cover every positive position exactly once as a variable
+    and once as a condition, or the build raises: _cell_stages files each
+    of a cell's positions under the one stage var_stage or cond_stage
+    names."""
     rp = row_partition(system)
     n = system.rank
     weights, coeffs = _coordinates(system, operator_matrix(spec, system))
@@ -448,9 +461,25 @@ def _oracle_data(spec, system: RootSystemId) -> _SpecData:
             plan.append((tuple(k for k in row if k in defer), (g,), i))
         else:
             plan.append((tuple(row), tuple(row), i))
-    return _SpecData(tuple(plan), coeffs, weights,
-                     tuple(at[b] for b in support),
-                     tuple(a in levi for a in index.positive))
+    size = len(index.positive)
+    stage_of = []
+    for side in (0, 1):
+        if sorted(k for stage in plan for k in stage[side]) != list(range(size)):
+            raise RuntimeError(f"the oracle's plan for {system} does not cover "
+                               "each positive root once on each side")
+        of = [0] * size
+        for t, stage in enumerate(plan):
+            for k in stage[side]:
+                of[k] = t
+        stage_of.append(tuple(of))
+    support_at = tuple(at[b] for b in support)
+    sums: list[list[int]] = [[] for _ in range(size)]
+    for b in support_at:
+        for j, k in index.sums[b]:
+            sums[j].append(k)
+    return _SpecData(tuple(plan), coeffs, weights, support_at,
+                     tuple(a in levi for a in index.positive), *stage_of,
+                     tuple(map(tuple, sums)))
 
 
 def _solve_affine(cols, b, rng):
@@ -523,14 +552,20 @@ def _combine(funcs, combo):
     return {a: v for a, v in out.items() if v}
 
 
-def _cell_stages(data: _SpecData, var, cond) -> list:
-    """The plan restricted to one cell: per stage, its variable positions
-    that var marks, its condition positions that cond marks and its row, in
-    plan order.  The plan covers every positive root once on each side.
-    Lists: tuples built from generators here raised the peak RSS of the
-    pave-oracle benchmark cases by about 0.4 MB."""
-    return [([k for k in vs if var[k]], [k for k in cs if cond[k]], i)
-            for vs, cs, i in data.plan]
+def _cell_stages(data: _SpecData, var_at, cond_at) -> list:
+    """The plan restricted to one cell: per stage, the cell's variable
+    positions var_at and condition positions cond_at that it owns and its
+    row, in plan order.  Each position is filed under its one stage
+    (_SpecData.var_stage, cond_stage) in ascending order, as the plan lists
+    them.  Lists: tuples built from generators here raised the peak RSS of
+    the pave-oracle benchmark cases by about 0.4 MB."""
+    stages = [([], [], i) for *_, i in data.plan]
+    var_stage, cond_stage = data.var_stage, data.cond_stage
+    for k in var_at:
+        stages[var_stage[k]][0].append(k)
+    for k in cond_at:
+        stages[cond_stage[k]][1].append(k)
+    return stages
 
 
 def _reachable_roots(system: RootSystemId, data: _SpecData, var_at) -> set[int]:
@@ -538,7 +573,8 @@ def _reachable_roots(system: RootSystemId, data: _SpecData, var_at) -> set[int]:
     conjugation by the cell's variable roots (their positions var_at) can
     change.  Those are the roots reached from supp N by adding one or more
     variable roots, every partial sum a positive root, and every variable
-    root outside Phi_l and what it reaches the same way.
+    root outside Phi_l and what it reaches the same way.  The first steps
+    from supp N are read off the per-spec table _SpecData.support_sums.
 
     exp(ad X) for X in the span of the E_v, v a variable root, adds to
     M = S + N only brackets [E_v1, [..., [E_vk, E_beta]]], in the root
@@ -547,11 +583,10 @@ def _reachable_roots(system: RootSystemId, data: _SpecData, var_at) -> set[int]:
     [E_vk, S] = -vk(S) E_vk vanishes for vk in Phi_l.  Each conjugate is
     again a sum of M's terms and such brackets, so down any tower the
     coefficient of a root outside R keeps its value at M_0."""
-    index = root_index(system)
-    var = set(var_at)
-    start = {k for b in data.support_at for j, k in index.sums[b] if j in var}
-    start.update(k for k in var if not data.levi_mask[k])
-    return root_closure(system, start, var)
+    sums, levi_mask = data.support_sums, data.levi_mask
+    start = {k for j in var_at for k in sums[j]}
+    start.update(k for k in var_at if not levi_mask[k])
+    return root_closure(system, start, var_at)
 
 
 def _stage_funcs(conds, extra, t):
@@ -581,35 +616,62 @@ def _stage_system(system, weights, M, vrs, funcs):
             [_fdelta(system, weights, M, [(v, 1)], funcs, at) for v in vrs])
 
 
+def _affine_exactly(system, weights, M, vrs, funcs, cols) -> bool:
+    """Whether each functional of funcs moves affinely in the stage's
+    variables at M, exactly: f(conj(M, x)) - f(M) is f at _adjoint's delta,
+    of degree at most two in x and without a constant term, and the column
+    of v is its value at x = e_v.  It is linear, so equal to the columns
+    times x everywhere, exactly when D(2e_v) = 2 D(e_v) for every variable v
+    (no x_v^2 term) and D(e_v + e_u) = D(e_v) + D(e_u) for every pair (no
+    x_v x_u term), D being the funcs' values at the delta."""
+    for j, v in enumerate(vrs):
+        if _fdelta(system, weights, M, [(v, 2)], funcs) != \
+                [2 * c % PRIME for c in cols[j]]:
+            return False
+        for i in range(j):
+            if _fdelta(system, weights, M, [(vrs[i], 1), (v, 1)], funcs) != \
+                    [(c + d) % PRIME for c, d in zip(cols[i], cols[j])]:
+                return False
+    return True
+
+
 @lru_cache(maxsize=4096)
 def _opening(system, weights, M0, vrs, conds):
     """A stage system built once and shared: the baseline values and columns
-    at M_0 of a stage whose functionals are its unit conditions alone, and
-    the combos of _solve_affine when it is infeasible, else None.  An
-    infeasible solve draws nothing, so its combos hold on every stream; a
-    feasible system is solved again on each tower's own stream.  Every cell,
-    trial and tower of a spec that opens with such a stage reads it."""
-    b, cols = _stage_system(system, weights, M0, vrs, [{k: 1} for k in conds])
+    at M_0 of a stage whose functionals are its unit conditions alone, its
+    derived functionals when _solve_affine finds it infeasible (the combos
+    combined, _combine), else None, and its exact affineness verdict
+    (_affine_exactly), which stands in for the random probe.  An infeasible
+    solve draws nothing, so its functionals hold on every stream; a
+    feasible system is solved again on each tower's own stream.  Every
+    cell, trial and tower of a spec that opens with such a stage reads it."""
+    funcs = [{k: 1} for k in conds]
+    b, cols = _stage_system(system, weights, M0, vrs, funcs)
     sol = _solve_affine(cols, b, None)
-    return b, cols, sol[1] if sol[0] == "bad" else None
+    derived = [_combine(funcs, c) for c in sol[1]] if sol[0] == "bad" else None
+    return b, cols, derived, _affine_exactly(system, weights, M0, vrs, funcs, cols)
 
 
 def _open_stage(system, weights, M, M0, vrs, conds, funcs):
-    """(b, cols, combos) of a stage at M with functionals funcs: the shared
-    _opening while M is M_0 and funcs are the unit conditions alone, else a
-    fresh _stage_system, combos None, left for the caller to solve."""
+    """(b, cols, derived, affine) of a stage at M with functionals funcs:
+    the shared _opening while M is M_0 and funcs are the unit conditions
+    alone, else a fresh _stage_system, with derived and affine None, left
+    for the caller to solve and probe."""
     if M is M0 and len(funcs) == len(conds):
         return _opening(system, weights, M0, tuple(vrs), tuple(conds))
-    return (*_stage_system(system, weights, M, vrs, funcs), None)
+    return (*_stage_system(system, weights, M, vrs, funcs), None, None)
 
 
 def _run_tower(system, weights, M0, stages, extra, rng):
     """One trial: solve the cell's stages in order.  Returns ("dim", d);
-    ("infeasible", (t, funcs, combos)) at an infeasible stage t, with the
-    stage's functionals and the eliminated combinations with vanished linear
-    part; or ("inconsistent", "nonaffine").  A stage without variables is a
+    ("infeasible", (t, derived)) at an infeasible stage t, with the derived
+    functionals of its eliminated combinations with vanished linear part;
+    or ("inconsistent", "nonaffine").  A stage without variables is a
     system without columns: _solve_affine turns its nonzero constants into
-    unit combinations and draws nothing."""
+    unit combinations and draws nothing.  Every stage with variables draws
+    a probe point; a shared opening answers with its exact verdict, a
+    fresh stage compares the functionals at the point's delta with the
+    columns times the point."""
     M = M0
     total_rank = 0
     for t, (vrs, conds, _) in enumerate(stages):
@@ -619,18 +681,22 @@ def _run_tower(system, weights, M0, stages, extra, rng):
                 M = _conjugate(system, weights, M,
                                [(v, rng.randrange(PRIME)) for v in vrs], PRIME)
             continue
-        b, cols, combos = _open_stage(system, weights, M, M0, vrs, conds, funcs)
+        b, cols, derived, affine = _open_stage(system, weights, M, M0, vrs,
+                                               conds, funcs)
         if vrs:
-            # affineness probe at a random point: each f moves by its row
-            # of the columns times the point
             xp = [rng.randrange(PRIME) for _ in vrs]
-            moved = [sum(c * x for c, x in zip(row, xp)) % PRIME
-                     for row in zip(*cols)]
-            if _fdelta(system, weights, M, list(zip(vrs, xp)), funcs) != moved:
+            if affine is None:
+                moved = [sum(c * x for c, x in zip(row, xp)) % PRIME
+                         for row in zip(*cols)]
+                affine = _fdelta(system, weights, M, list(zip(vrs, xp)),
+                                 funcs) == moved
+            if not affine:
                 return "inconsistent", "nonaffine"
-        sol = ("bad", combos) if combos else _solve_affine(cols, b, rng)
+        if derived is not None:
+            return "infeasible", (t, derived)
+        sol = _solve_affine(cols, b, rng)
         if sol[0] == "bad":
-            return "infeasible", (t, funcs, sol[1])
+            return "infeasible", (t, [_combine(funcs, c) for c in sol[1]])
         _, rank, xstar = sol
         total_rank += rank
         if vrs:
@@ -658,10 +724,10 @@ def _tower_values(system, weights, M0, stages, extra, fdict, rng):
         if not broken:
             funcs = _stage_funcs(conds, extra, t)
             if funcs:
-                b, cols, combos = _open_stage(system, weights, M, M0, vrs, conds,
-                                              funcs)
-                sol = ("bad", combos) if combos else _solve_affine(cols, b, rng)
-                if sol[0] == "ok":
+                b, cols, derived, _ = _open_stage(system, weights, M, M0, vrs,
+                                                  conds, funcs)
+                sol = None if derived else _solve_affine(cols, b, rng)
+                if sol and sol[0] == "ok":
                     assign = sol[2]
                 else:
                     broken = True
@@ -719,10 +785,9 @@ def _solve_once(system, weights, M0, stages, reach, rng):
         status, payload = _run_tower(system, weights, M0, stages, extra, rng)
         if status != "infeasible":
             return status, payload
-        t, funcs, combos = payload
+        t, derived = payload
         progress = False
-        for combo in combos:
-            fd = _combine(funcs, combo)
+        for fd in derived:
             key = frozenset(fd.items())
             if key in seen:
                 continue
@@ -744,10 +809,11 @@ def _solve_once(system, weights, M0, stages, reach, rng):
     return "inconsistent", "max-derived"
 
 
-def _vote(system, data, var, cond, reach, window, trials, seed) -> OracleVerdict:
+def _vote(system, data, var_at, cond_at, reach, window, trials,
+          seed) -> OracleVerdict:
     """The trial vote of cell_dim_oracle on the cell's variable and
-    condition flags and its R."""
-    stages = _cell_stages(data, var, cond)
+    condition positions and its R."""
+    stages = _cell_stages(data, var_at, cond_at)
     outcomes = set()
     for t in range(trials):
         rng = random.Random(f"cell:{seed}:{t}:{window}")
@@ -802,21 +868,24 @@ def cell_dim_oracle(
     data = _oracle_data(spec, system)
     kind = H.kind
     s = signed_inverse(pi)
-    codes = [kind[s[p]][s[q]] for p, q in root_index(system).positive_pairs]
-    var = [c != 0 for c in codes]
-    cond = [c == 2 for c in codes]
-    var_at = [k for k, v in enumerate(var) if v]
+    var_at, cond_at = [], []
+    for k, (p, q) in enumerate(root_index(system).positive_pairs):
+        c = kind[s[p]][s[q]]
+        if c:
+            var_at.append(k)
+            if c == 2:
+                cond_at.append(k)
     if memo is None:
-        return _vote(system, data, var, cond, _reachable_roots(system, data, var_at),
-                     pi.window, trials, seed)
-    key = (spec, system, pi.window,
-           tuple(k for k, c in enumerate(cond) if c), trials, seed)
+        return _vote(system, data, var_at, cond_at,
+                     _reachable_roots(system, data, var_at), pi.window, trials,
+                     seed)
+    key = (spec, system, pi.window, tuple(cond_at), trials, seed)
     if key not in memo:
         reach_key = (spec, system, pi.window)
         if reach_key not in memo:
             memo[reach_key] = _reachable_roots(system, data, var_at)
-        memo[key] = _vote(system, data, var, cond, memo[reach_key], pi.window,
-                          trials, seed)
+        memo[key] = _vote(system, data, var_at, cond_at, memo[reach_key],
+                          pi.window, trials, seed)
     return memo[key]
 
 

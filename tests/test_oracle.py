@@ -25,7 +25,9 @@ from hesspave.operators import (
     semisimple_functional,
 )
 from hesspave.orbit_oracle import (
+    PRIME,
     OracleVerdict,
+    _feval,
     _oracle_data,
     cell_dim_oracle,
     coeff_at,
@@ -372,15 +374,51 @@ def test_oracle_draws_are_pinned(monkeypatch, spec, system, space, digest):
 # --- the shared openings -----------------------------------------------------------
 
 
+def _affine_by_conjugation(system, weights, M, vrs, funcs):
+    """Whether each functional moves affinely in the stage's variables at M,
+    exactly, read off the conjugate itself: f(conj(M, x)) - f(M) has degree
+    at most two and no constant term, so it is linear exactly when doubling
+    one variable doubles the move and two variables together move by the
+    sum of their moves."""
+    def moved(assignment):
+        M1 = orbit_oracle._conjugate(system, weights, M, assignment, PRIME)
+        return [(_feval(M1, fd) - _feval(M, fd)) % PRIME for fd in funcs]
+
+    single = [moved([(v, 1)]) for v in vrs]
+    for j, v in enumerate(vrs):
+        if moved([(v, 2)]) != [2 * c % PRIME for c in single[j]]:
+            return False
+        for i in range(j):
+            if moved([(vrs[i], 1), (v, 1)]) != [(c + d) % PRIME for c, d
+                                                in zip(single[i], single[j])]:
+                return False
+    return True
+
+
+def _fresh_opening(system, weights, M, vrs, funcs, shared=True):
+    """A stage at M built from scratch: _stage_system's values and columns,
+    then, for a shared opening, the derived functionals of a fresh
+    _solve_affine's combos when it is infeasible, else None, and the exact
+    affineness check."""
+    b, cols = orbit_oracle._stage_system(system, weights, M, list(vrs), funcs)
+    if not shared:
+        return b, cols, None, None
+    sol = orbit_oracle._solve_affine(cols, b, random.Random(0))
+    derived = ([orbit_oracle._combine(funcs, c) for c in sol[1]]
+               if sol[0] == "bad" else None)
+    return b, cols, derived, _affine_by_conjugation(system, weights, M, vrs,
+                                                    funcs)
+
+
 def _checked_openings(monkeypatch, skew=False):
     """Check every stage system the towers open against a fresh one: at the
     stage's own M and functionals, _open_stage must return _stage_system's
-    values and columns, and combos only for a system _solve_affine finds
-    infeasible, with its combos.  Returns the uses of the shared _opening,
-    for the caller to check against a fresh _stage_system and _solve_affine
-    at the spec's M_0, and the stages opened at M_0 with a derived
-    functional attached.  With skew, _opening builds at M_0 with one
-    coefficient changed, bypassing its cache."""
+    values and columns, and derived functionals and an affineness verdict
+    only for a shared opening, equal to the fresh ones.  Returns the uses of
+    the shared _opening, for the caller to check against a fresh build at
+    the spec's M_0, and the stages opened at M_0 with a derived functional
+    attached.  With skew, _opening builds at M_0 with one coefficient
+    changed, bypassing its cache."""
     real_open, real_opening = orbit_oracle._open_stage, orbit_oracle._opening
     uses, attached = [], []
 
@@ -395,12 +433,12 @@ def _checked_openings(monkeypatch, skew=False):
     def open_stage(system, weights, M, M0, vrs, conds, funcs):
         if M is M0 and len(funcs) > len(conds):
             attached.append(vrs)
-        b, cols, combos = real_open(system, weights, M, M0, vrs, conds, funcs)
-        assert (b, cols) == orbit_oracle._stage_system(system, weights, M, vrs,
-                                                        funcs)
-        sol = orbit_oracle._solve_affine(cols, b, random.Random(0))
-        assert combos in (None, sol[1] if sol[0] == "bad" else None)
-        return b, cols, combos
+        got = real_open(system, weights, M, M0, vrs, conds, funcs)
+        # only a shared opening carries its verdict
+        shared = got[3] is not None
+        assert shared == (M is M0 and len(funcs) == len(conds))
+        assert got == _fresh_opening(system, weights, M, vrs, funcs, shared)
+        return got
 
     monkeypatch.setattr(orbit_oracle, "_opening", opening)
     monkeypatch.setattr(orbit_oracle, "_open_stage", open_stage)
@@ -447,14 +485,25 @@ def test_shared_openings_equal_fresh_stage_systems(monkeypatch, system, spaces,
     keys = {use[:5] for use in uses}
     assert uses and len(keys) < len(uses)  # shared across cells
     assert bool(attached) == attaches
-    for system_, weights, M0, vrs, conds, (b, cols, combos) in uses:
+    for system_, weights, M0, vrs, conds, got in uses:
         assert system_ is system and weights == data.weights
         assert M0 is data.coeffs
         funcs = [{k: 1} for k in conds]
-        assert (b, cols) == orbit_oracle._stage_system(system, weights, M0,
-                                                        list(vrs), funcs)
-        sol = orbit_oracle._solve_affine(cols, b, random.Random(0))
-        assert combos == (sol[1] if sol[0] == "bad" else None)
+        assert got == _fresh_opening(system, weights, M0, vrs, funcs)
+    # the exact verdict agrees with the random probe at three seeded points
+    for n, key in enumerate(sorted(keys, key=repr)):
+        b, cols, derived, affine = orbit_oracle._opening(*key)
+        vrs, funcs = key[3], [{k: 1} for k in key[4]]
+        for t in range(3):
+            rng = random.Random(f"probe:{system}:{n}:{t}")
+            xp = [rng.randrange(PRIME) for _ in vrs]
+            moved = [sum(c * x for c, x in zip(row, xp)) % PRIME
+                     for row in zip(*cols)]
+            M1 = orbit_oracle._conjugate(system, data.weights, data.coeffs,
+                                         list(zip(vrs, xp)), PRIME)
+            probe = [(_feval(M1, fd) - _feval(data.coeffs, fd)) % PRIME
+                     for fd in funcs] == moved if vrs else True
+            assert probe == affine
 
 
 def test_an_opening_built_off_m0_fails_loudly(monkeypatch):
@@ -464,6 +513,60 @@ def test_an_opening_built_off_m0_fails_loudly(monkeypatch):
     with pytest.raises(AssertionError):
         for pi in enumerate_weyl(system):
             cell_dim_oracle(RegularNilpotent(), system, H, pi)
+
+
+def _opened_first(monkeypatch, spec, system, H):
+    """The first cell of H, in enumerate_weyl's order, whose first stage
+    system is a shared opening with two variables or more and a condition:
+    (pi, vrs, conds)."""
+    real = orbit_oracle._open_stage
+    calls = []
+
+    def spy(system, weights, M, M0, vrs, conds, funcs):
+        calls.append((M is M0 and len(funcs) == len(conds), tuple(vrs),
+                      tuple(conds)))
+        return real(system, weights, M, M0, vrs, conds, funcs)
+
+    with monkeypatch.context() as m:
+        m.setattr(orbit_oracle, "_open_stage", spy)
+        for pi in enumerate_weyl(system):
+            calls.clear()
+            cell_dim_oracle(spec, system, H, pi)
+            if calls and calls[0][0] and len(calls[0][1]) > 1 and calls[0][2]:
+                return pi, calls[0][1], calls[0][2]
+    raise AssertionError("no cell opens with a shared two-variable stage")
+
+
+@pytest.mark.parametrize("term", ["cross", "square"])
+def test_a_quadratic_term_makes_the_opening_nonaffine(monkeypatch, term):
+    # Add x_v x_u (cross) or x_v^2 (square) to _adjoint's delta at a
+    # condition's position: the shared opening's exact verdict turns False,
+    # and the cell it opens says nonaffine, with no random probe run on it.
+    spec, system = RegularNilpotent(), RootSystemId("A", 3)
+    H = peterson_space(system)
+    data = _oracle_data(spec, system)
+    pi, vrs, conds = _opened_first(monkeypatch, spec, system, H)
+    key = (system, data.weights, data.coeffs, vrs, conds)
+    assert orbit_oracle._opening(*key)[3] is True
+    assert cell_dim_oracle(spec, system, H, pi).kind != "inconsistent"
+    v, u, g = vrs[0], vrs[-1] if term == "cross" else vrs[0], conds[0]
+    real = orbit_oracle._adjoint
+
+    def skewed(system, weights, M, assignment, half, at=None):
+        out = real(system, weights, M, assignment, half, at)
+        x = dict(assignment)
+        if v in x and u in x and (at is None or g in at):
+            out[g] = out.get(g, 0) + x[v] * x[u]
+        return out
+
+    monkeypatch.setattr(orbit_oracle, "_adjoint", skewed)
+    orbit_oracle._opening.cache_clear()
+    try:
+        assert orbit_oracle._opening(*key)[3] is False
+        assert cell_dim_oracle(spec, system, H, pi) == \
+            OracleVerdict("inconsistent", reason="nonaffine")
+    finally:
+        orbit_oracle._opening.cache_clear()
 
 
 def test_feasibility_without_a_stream_draws_nothing():
