@@ -37,7 +37,12 @@ of X = E_v, computed only at the positions they read.  A stage opened at
 M_0 with only its unit conditions has the same system in every cell that
 shares its variables and conditions, so it is built once (_opening), with
 its derived functionals when infeasible and an exact affineness verdict in
-place of the random probe, and shared by every cell, trial and tower.  A
+place of the random probe, and shared by every cell, trial and tower.  Each
+trial draws from its own stream (_Stream), keyed by (seed, trial, pi) and
+seeded only at its first read; the probe point a tower takes at a shared
+opening is owed, not drawn, so a trial that reads no value (one that ends
+at a shared opening with an exact emptiness proof, or a cell without
+variables) seeds nothing, and every value read is unchanged.  A
 cell's set-up is one walk of its positive pairs: each variable and
 condition position goes straight to the one plan stage that owns it
 (_SpecData.var_stage, cond_stage), and R starts from a per-spec table of
@@ -396,7 +401,7 @@ class OracleVerdict:
 
 
 REASONS = {
-    "nonaffine": "a stage system failed the affineness probe, or a condition "
+    "nonaffine": "a stage system failed the affineness check, or a condition "
                  "was still unmet after the last stage",
     "late-pin": "a derived functional still moved after the stage that "
                 "produced it",
@@ -662,16 +667,51 @@ def _open_stage(system, weights, M, M0, vrs, conds, funcs):
     return (*_stage_system(system, weights, M, vrs, funcs), None, None)
 
 
+class _Stream:
+    """One trial's random draws: random.Random(key), built only when a
+    caller first reads a value.  A randrange(PRIME) draw whose value nobody
+    reads is owed (owe), not drawn; the first read seeds the generator and
+    draws what is owed first, in order, and once seeded an owed draw is
+    drawn at once.  So every value read is the value an eagerly seeded
+    random.Random(key) gives, and a trial that reads nothing seeds
+    nothing."""
+
+    def __init__(self, key: str):
+        self.key, self.owed, self.rng = key, 0, None
+
+    def owe(self, k: int) -> None:
+        if self.rng is None:
+            self.owed += k
+        else:
+            for _ in range(k):
+                self.rng.randrange(PRIME)
+
+    def seeded(self) -> random.Random:
+        """The generator, seeded and past the owed draws."""
+        if self.rng is None:
+            self.rng = random.Random(self.key)
+            for _ in range(self.owed):
+                self.rng.randrange(PRIME)
+            # later reads go straight to the generator's bound method
+            self.randrange = self.rng.randrange
+        return self.rng
+
+    def randrange(self, *args) -> int:
+        return self.seeded().randrange(*args)
+
+
 def _run_tower(system, weights, M0, stages, extra, rng):
     """One trial: solve the cell's stages in order.  Returns ("dim", d);
     ("infeasible", (t, derived)) at an infeasible stage t, with the derived
     functionals of its eliminated combinations with vanished linear part;
     or ("inconsistent", "nonaffine").  A stage without variables is a
     system without columns: _solve_affine turns its nonzero constants into
-    unit combinations and draws nothing.  Every stage with variables draws
-    a probe point; a shared opening answers with its exact verdict, a
-    fresh stage compares the functionals at the point's delta with the
-    columns times the point."""
+    unit combinations and draws nothing.  Every stage with variables takes
+    a probe point.  A fresh stage draws it from rng and compares the
+    functionals at the point's delta with the columns times the point; a
+    shared opening answers with its exact verdict and owes the point's
+    draws to rng (_Stream.owe), which reads nothing and leaves every later
+    value as a drawn point would."""
     M = M0
     total_rank = 0
     for t, (vrs, conds, _) in enumerate(stages):
@@ -684,12 +724,14 @@ def _run_tower(system, weights, M0, stages, extra, rng):
         b, cols, derived, affine = _open_stage(system, weights, M, M0, vrs,
                                                conds, funcs)
         if vrs:
-            xp = [rng.randrange(PRIME) for _ in vrs]
             if affine is None:
+                xp = [rng.randrange(PRIME) for _ in vrs]
                 moved = [sum(c * x for c, x in zip(row, xp)) % PRIME
                          for row in zip(*cols)]
                 affine = _fdelta(system, weights, M, list(zip(vrs, xp)),
                                  funcs) == moved
+            else:
+                rng.owe(len(vrs))  # the probe point, which the verdict replaces
             if not affine:
                 return "inconsistent", "nonaffine"
         if derived is not None:
@@ -778,7 +820,11 @@ def _solve_once(system, weights, M0, stages, reach, rng):
     is empty; one that is 0 there (the empty combination among them) adds
     nothing.  exact tells the two proofs apart: True when the functional has
     no root in R, so that the cell is empty whatever the draws, False when
-    its s = 0 was read off the two towers."""
+    its s = 0 was read off the two towers.
+
+    rng is the trial's stream (_Stream): the towers' conjugations and
+    free columns, and the stability towers, read from it, and a trial
+    that reads nothing never seeds it."""
     extra: list[tuple[int, dict]] = []
     seen: set[frozenset] = set()
     for _ in range(MAX_DERIVED):
@@ -812,13 +858,14 @@ def _solve_once(system, weights, M0, stages, reach, rng):
 def _vote(system, data, var_at, cond_at, reach, window, trials,
           seed) -> OracleVerdict:
     """The trial vote of cell_dim_oracle on the cell's variable and
-    condition positions and its R."""
+    condition positions and its R.  Trial t solves on a _Stream keyed
+    cell:{seed}:{t}:{window}, which builds its random.Random only when the
+    trial first reads a value."""
     stages = _cell_stages(data, var_at, cond_at)
     outcomes = set()
     for t in range(trials):
-        rng = random.Random(f"cell:{seed}:{t}:{window}")
         kind, d = _solve_once(system, data.weights, data.coeffs, stages, reach,
-                              rng)
+                              _Stream(f"cell:{seed}:{t}:{window}"))
         if kind == "inconsistent":
             return OracleVerdict(kind, reason=d)
         if kind == "empty":
@@ -855,7 +902,9 @@ def cell_dim_oracle(
     memo also keeps it under (spec, system, pi's window), one per pi.
 
     The vote runs _solve_once once per trial, each on its own stream,
-    seeded by (seed, trial, pi).  An exact emptiness proof on the first
+    keyed by (seed, trial, pi) and seeded only if the trial reads a draw;
+    seed must be an int, since the memo key would take True or 1.0 for 1
+    while the stream's key would not.  An exact emptiness proof on the first
     trial (a derived functional with no root in R, nonzero at M_0) is the
     verdict, and no other trial runs: such a cell can no longer show a
     trial split.  Otherwise the first inconsistent trial is the verdict,
@@ -865,6 +914,8 @@ def cell_dim_oracle(
     trials, once per vote, or once per pi with a memo."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     data = _oracle_data(spec, system)
     kind = H.kind
     s = signed_inverse(pi)

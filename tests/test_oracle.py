@@ -360,7 +360,14 @@ def test_oracle_draws_are_pinned(monkeypatch, spec, system, space, digest):
             draws.append(value)
             return value
 
+    class Eager(orbit_oracle._Stream):
+        # seeded at construction, so every owed draw is drawn and recorded
+        def __init__(self, key):
+            super().__init__(key)
+            self.seeded()
+
     monkeypatch.setattr(orbit_oracle, "random", types.SimpleNamespace(Random=Recording))
+    monkeypatch.setattr(orbit_oracle, "_Stream", Eager)
     h = hashlib.sha256()
     H = space(system)
     for pi in enumerate_weyl(system):

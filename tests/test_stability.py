@@ -215,8 +215,10 @@ def test_late_pin_is_checked_past_the_producing_stage(monkeypatch):
 
 
 def _rng_at(rng):
+    # a generator at the state the trial's stream (orbit_oracle._Stream)
+    # reads from next: seeding it early moves no value
     out = random.Random()
-    out.setstate(rng.getstate())
+    out.setstate(rng.seeded().getstate())
     return out
 
 
@@ -511,7 +513,7 @@ def test_exact_empty_runs_one_trial(monkeypatch):
             assert verdict == OracleVerdict("empty") and len(answers) == 1
             weights, M0, stages, reach = calls[0][1:5]
             for t in range(1, trials):
-                rng = random.Random(f"cell:0:{t}:{pi.window}")
+                rng = orbit_oracle._Stream(f"cell:0:{t}:{pi.window}")
                 assert real_solve(system, weights, M0, stages, reach, rng) == _EXACT
             runs["exact"] += 1
         elif answers[-1][0] == "inconsistent":

@@ -10,12 +10,18 @@ trial counts and specs apart.  The memo also keeps each cell's R
 depend only on pi; a verify run builds R once per pi, not once per vote.
 """
 
+import hashlib
+import re
+
 import pytest
 
-import hashlib
-
 from hesspave import cli, orbit_oracle, paving
-from hesspave.hessenberg import HessenbergSpace, borel_space, enumerate_spaces
+from hesspave.hessenberg import (
+    HessenbergSpace,
+    borel_space,
+    enumerate_spaces,
+    peterson_space,
+)
 from hesspave.operators import RegularNilpotent, SemisimpleClassical, TypeANilpotent
 from hesspave.orbit_oracle import OracleVerdict, cell_dim_oracle
 from hesspave.paving import OracleDisagreement, cell_oracle
@@ -125,6 +131,21 @@ def test_memoized_inconsistent_verdict_raises_every_time():
         assert err.value.reason == "late-pin"
     assert _verdicts(memo) == [OracleVerdict("inconsistent", reason="late-pin")]
     assert len(memo) == 2  # and the cell's R
+
+
+@pytest.mark.parametrize("seed", [True, 1.0])
+def test_a_seed_that_is_not_an_int_is_refused(seed):
+    # seed=True and seed=1.0 would key their streams "cell:True:..." and
+    # "cell:1.0:...", yet equal 1 in the memo key, so a memo filled at
+    # seed=1 would hand them its verdict
+    system = RootSystemId("B", 3)
+    H, pi = peterson_space(system), WeylElement(system, (3, 2, 1))
+    memo = {}
+    cell_dim_oracle(RegularNilpotent(), system, H, pi, seed=1, memo=memo)
+    for m in (memo, None):
+        with pytest.raises(ValueError, match=re.escape(repr(seed))):
+            cell_dim_oracle(RegularNilpotent(), system, H, pi, seed=seed,
+                            memo=m)
 
 
 # verify-sweep's two runs: (argv, Weyl group order, SHA-256 of stdout as in
