@@ -226,7 +226,7 @@ def cmd_pave(args) -> int:
         raise ConfigError(f"no tableau path for {spec_label(spec)} in {system}")
     try:
         result = pave(spec, system, H, method=args.method,
-                      seed=args.seed, trials=args.trials, jobs=args.jobs)
+                      seed=args.seed, trials=args.trials)
     except OracleDisagreement as e:
         code = f" ({e.reason})" if e.reason else ""
         print(f"oracle could not certify a dimension at pi={e.pi}"
@@ -360,11 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_paving(p)
     p.add_argument("--method", choices=("formula", "tableau", "oracle"),
                    default="formula")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="parallel workers, capped at the usable CPUs; worth "
-                        "it for --method oracle, while formula cells are too "
-                        "cheap to pay for the pool; output order is always "
-                        "the deterministic Weyl enumeration order")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_pave)
 

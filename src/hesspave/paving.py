@@ -30,7 +30,6 @@ A, probabilistic solver) so they can certify each other.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import islice
@@ -223,8 +222,7 @@ class OracleDisagreement(RuntimeError):
     (orbit_oracle.REASONS), None when the verdict named none."""
 
     def __init__(self, pi: WeylElement, reason: str | None):
-        # args holds the constructor's arguments so that the exception
-        # pickles back from a pave(jobs > 1) worker
+        # args holds the constructor's arguments, so the exception pickles
         super().__init__(pi, reason)
         self.pi = pi
         self.reason = reason
@@ -289,14 +287,6 @@ class PavingResult:
     polynomial: PoincarePolynomial
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def pave(
     spec,
     system: RootSystemId,
@@ -307,21 +297,13 @@ def pave(
     jobs: int = 1,
 ) -> PavingResult:
     """Compute every cell over W, in enumeration order, and aggregate.
-    jobs > 1 runs the cells in a process pool of at most the usable CPUs:
-    a fork-started pool launches every worker at its first task.  The pool
-    machinery (concurrent.futures, multiprocessing) is imported only when a
-    pool starts, so a serial paving never loads it."""
-    W = enumerate_weyl(system)
+    jobs remains only for the benchmark's workloads (perfbench/workloads.py),
+    which pass jobs=1; any other value raises ValueError."""
+    if type(jobs) is not int or jobs != 1:
+        raise ValueError(f"jobs must be the int 1, got {jobs!r}")
     cell = partial(cell_report, spec, system, H, method=method, seed=seed,
                    trials=trials)
-    workers = min(jobs, _usable_cpus())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            reports = tuple(ex.map(cell, W, chunksize=64))
-    else:
-        reports = tuple(map(cell, W))
+    reports = tuple(map(cell, enumerate_weyl(system)))
     return PavingResult(system, reports, poincare(reports, system))
 
 

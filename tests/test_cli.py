@@ -231,21 +231,6 @@ def test_library_caps_raise_resource_cap_error(call):
         call()
 
 
-def test_pave_oracle_jobs_disagreement(capsys, monkeypatch):
-    # forked workers inherit the patch; the disagreement must reach the
-    # parent as itself, not as a broken pool
-    import hesspave.paving as paving_mod
-    from hesspave.orbit_oracle import OracleVerdict
-
-    monkeypatch.setattr(paving_mod, "cell_dim_oracle",
-                        lambda *a, **k: OracleVerdict("inconsistent"))
-    code, _, err = run(capsys, "pave", "--family", "A", "--rank", "2",
-                       "--regular-nilpotent", "--hess", "full",
-                       "--method", "oracle", "--jobs", "2")
-    assert code == 3
-    assert "oracle could not certify a dimension at pi=[1 2 3]" in err
-
-
 def test_oracle_reason_in_pave_and_verify(capsys, monkeypatch):
     import hesspave.paving as paving_mod
     from hesspave.orbit_oracle import OracleVerdict
@@ -370,10 +355,11 @@ def test_config_errors_exit_2(capsys, argv, message):
 @pytest.mark.parametrize("argv,message", [
     (("verify", "--trials", "0"), "argument --trials: expected a positive integer"),
     (("pave", "--trials", "-1"), "argument --trials: expected a positive integer"),
-    (("pave", "--jobs", "0"), "argument --jobs: expected a positive integer"),
-    (("pave", "--jobs", "-3"), "argument --jobs: expected a positive integer"),
-    (("pave", "--jobs", "two"), "argument --jobs: expected a positive integer"),
+    (("pave", "--jobs", "0"), "unrecognized arguments: --jobs 0"),
+    (("pave", "--jobs", "-3"), "unrecognized arguments: --jobs -3"),
+    (("pave", "--jobs", "two"), "unrecognized arguments: --jobs two"),
     (("verify", "--jobs", "2"), "unrecognized arguments: --jobs 2"),
+    (("pave", "--jobs", "2"), "unrecognized arguments: --jobs 2"),
 ])
 def test_bad_counts_are_usage_errors(capsys, argv, message):
     command, *rest = argv

@@ -281,75 +281,32 @@ def test_monotonicity_in_the_hessenberg_space():
                 assert rk.nonempty and rh.dim <= rk.dim
 
 
-def test_parallel_pave_matches_serial():
+@pytest.mark.parametrize("jobs", [0, -3, 2, True, 1.0, "2"], ids=repr)
+def test_pave_accepts_only_jobs_one(jobs):
+    # the keyword remains for the benchmark's jobs=1; nothing else runs
     system = RootSystemId("B", 2)
     H = peterson_space(system)
-    serial = pave(RegularNilpotent(), system, H, jobs=1)
-    parallel = pave(RegularNilpotent(), system, H, jobs=2)
-    assert serial == parallel
-
-
-def test_pooled_pave_returns_the_callers_system(monkeypatch):
-    # the reports come back pickled from two real workers
-    monkeypatch.setattr(paving, "_usable_cpus", lambda: 2)
-    system = RootSystemId("C", 2)
-    result = pave(RegularNilpotent(), system, peterson_space(system), jobs=2)
-    assert result.system is system
-    assert all(r.pi.system is system for r in result.reports)
-
-
-class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no worker process starts."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable, chunksize=1):
-        return map(fn, iterable)
-
-
-@pytest.mark.parametrize("affinity", [True, False],
-                         ids=["sched_getaffinity", "cpu_count"])
-def test_pave_caps_the_pool_at_the_usable_cpus(monkeypatch, affinity):
-    system = RootSystemId("B", 2)
-    H = peterson_space(system)
-    serial = pave(RegularNilpotent(), system, H, jobs=1)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    if affinity:  # the affinity set wins over the machine's count
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-    else:
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert pave(RegularNilpotent(), system, H, jobs=10**6) == serial
-    assert pave(RegularNilpotent(), system, H, jobs=2) == serial
-    assert _SerialPool.sizes == [2, 2]
-    monkeypatch.setattr(paving, "_usable_cpus", lambda: 1)
-    assert pave(RegularNilpotent(), system, H, jobs=8) == serial
-    assert _SerialPool.sizes == [2, 2]  # one usable CPU: no pool at all
+    with pytest.raises(ValueError, match=f"got {jobs!r}$"):
+        pave(RegularNilpotent(), system, H, jobs=jobs)
+    assert pave(RegularNilpotent(), system, H, jobs=1) == pave(
+        RegularNilpotent(), system, H)
 
 
 def test_importing_the_package_loads_no_pool():
-    """The pool machinery loads only when pave starts a pool; a fresh
-    interpreter that imports the package and its CLI has none of it."""
+    """No process-pool machinery loads: a fresh interpreter that imports
+    the package and its CLI and paves A3's Peterson space through the
+    oracle has none of it."""
     env = dict(os.environ, PYTHONPATH=str(Path(paving.__file__).parents[1]))
     code = ("import sys, hesspave, hesspave.cli; "
+            "hesspave.cli.main(['pave', '--family', 'A', '--rank', '3',"
+            " '--regular-nilpotent', '--hess', 'peterson',"
+            " '--method', 'oracle']); "
             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
-            " if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+            " if m in sys.modules), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert "poincare: " in proc.stdout
+    assert proc.stderr.strip() == "[]"
 
 
 def test_formula_does_not_depend_on_the_seed():

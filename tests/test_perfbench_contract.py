@@ -6,6 +6,7 @@ here."""
 from pathlib import Path
 
 from hesspave import RegularNilpotent, RootSystemId, cli, orbit_oracle, paving
+from hesspave.hessenberg import peterson_space
 from hesspave.weyl import identity
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -28,11 +29,16 @@ def test_tracer_install_pave_uninstall(monkeypatch, capsys):
             ["--rank", "4", "--nilpotent", "2,2,1", "--hess", "h=2,3,4,5,5"],
         ):
             assert cli.main(["pave", "--family", "A", *argv]) == 0
+        # the call shape of perfbench/workloads.py, whose jobs=1 is the only
+        # reason pave keeps the keyword
+        a2 = RootSystemId("A", 2)
+        result = paving.pave(RegularNilpotent(), a2, peterson_space(a2),
+                             method="oracle", seed=1, jobs=1)
+        assert result.polynomial.as_list() == [1, 0, 2, 0, 1]
         # the formula path's orbit roots are a closure, not a conjugation
         assert tracer.calls["orbit_oracle.orbit_roots.symbolic"] == 0
         assert tracer.calls["orbit_oracle.orbit_roots.randomized"] == 0
         # the tracer reads a positional mode at index 3
-        a2 = RootSystemId("A", 2)
         orbit_oracle.orbit_roots(RegularNilpotent(), a2, identity(a2), "randomized")
         assert tracer.calls["orbit_oracle.orbit_roots.randomized"] == 1
     finally:
@@ -40,5 +46,5 @@ def test_tracer_install_pave_uninstall(monkeypatch, capsys):
     capsys.readouterr()
     assert paving.pave is original
     metrics = tracer.metrics(1.0)
-    assert metrics["paving.cell_report.calls"] == 6 + 6 + 6 + 120
-    assert metrics["orbit_oracle.cell_dim_oracle.calls"] == 6
+    assert metrics["paving.cell_report.calls"] == 6 + 6 + 6 + 120 + 6
+    assert metrics["orbit_oracle.cell_dim_oracle.calls"] == 6 + 6
