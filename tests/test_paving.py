@@ -71,13 +71,13 @@ def test_pave_counts_each_length_once(monkeypatch):
     W = tuple(WeylElement(system, w.window) for w in enumerate_weyl(system))
     monkeypatch.setattr(paving, "enumerate_weyl", lambda s: W)
     windows = []
-    signed_window = weyl._signed_window
+    count = weyl._count
 
-    def counting(window):
+    def counting(window, *masks):
         windows.append(window)
-        return signed_window(window)
+        return count(window, *masks)
 
-    monkeypatch.setattr(weyl, "_signed_window", counting)
+    monkeypatch.setattr(weyl, "_count", counting)
     spec = SemisimpleClassical(())
     for H in (full_space(system), peterson_space(system)):
         assert len(pave(spec, system, H).reports) == len(W)
