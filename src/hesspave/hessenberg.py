@@ -69,16 +69,30 @@ class HessenbergSpace:
     @cached_property
     def kind(self) -> tuple[tuple[int, ...], ...]:
         """kind[x][y], for signed positions indexed as root_index's
-        negative: 0 when (x, y) is the pair of a positive root, 1 of a
+        position: 0 when (x, y) is the pair of a positive root, 1 of a
         negative root in M_H, 2 of a negative root outside it.  So whether
         pi^{-1} sends a negative, and into M_H or not, is one lookup of the
         image pair (M_H holds every positive root)."""
         index = root_index(self.system)
-        kind = [[0] * len(row) for row in index.negative]
+        kind = [[0] * len(row) for row in index.position]
         for a, (p, q) in index.pair.items():
             if a.is_negative:
                 kind[p][q] = kind[q][p] = 1 if a in self.roots else 2
         return tuple(map(tuple, kind))
+
+    @cached_property
+    def negative_pairs(self) -> tuple[tuple[tuple[int, int], ...],
+                                      tuple[tuple[int, int], ...]]:
+        """(inside, outside): the signed position pairs of the negative
+        roots in M_H and of those outside it, each ordered as their
+        negatives in root_index's positive.  pi's own window maps them
+        entrywise onto Phi_pi and Phi-, which is how the formula reads a
+        cell (paving.cell_formula)."""
+        index = root_index(self.system)
+        inside, outside = [], []
+        for a in index.positive:
+            (inside if -a in self.roots else outside).append(index.pair[-a])
+        return tuple(inside), tuple(outside)
 
     def negative_part(self) -> frozenset[Root]:
         return frozenset(a for a in self.roots if a.is_negative)

@@ -6,22 +6,26 @@ closed formula through the Levi Phi_l (the positive roots on which S
 vanishes, all of Phi+ when S = 0) and the support of N, both built once per
 spec, and through the orbit roots Phi_{(U_pi cap L).N} of N under the part
 of U_pi inside the Levi.  The cell is empty iff pi^{-1} maps supp N outside
-M_H; otherwise its dimension is
+M_H; otherwise its dimension is read on the domain side.  As Phi_pi =
+pi(Phi-) cap Phi+, Phi_pi is the images pi b of the negative roots b that
+pi sends positive, split into C1 (b in M_H) and C2 (b outside M_H), and the
+dimension is
 
-    |Phi_pi| - #{a in (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} :
-                 pi^{-1} a not in M_H}.
+    |C1| + |(C2 cap Phi_l) minus Phi_{(U_pi cap L).N}|.
 
-For a regular semisimple operator (N = 0, Phi_l empty) this is the De
-Mari-Procesi-Shayman count #{a in Phi_pi : pi^{-1} a in M_H}; for a
-nilpotent one (S = 0) the first set is empty and only orbit roots remain.
+For a regular semisimple operator (N = 0, Phi_l empty) this is |C1|, the
+De Mari-Procesi-Shayman count #{a in Phi_pi : pi^{-1} a in M_H}; for a
+nilpotent one (S = 0) every root of C2 is in Phi_l and only orbit roots
+are taken away.
 
-The formula reads roots as signed position pairs (rootsys.root_index):
-pi^{-1}'s signed window maps a pair entrywise, and one per-space image
-table (HessenbergSpace.kind) says whether the image is negative (a in
-Phi_pi) and, if so, whether it lies in M_H.  The orbit roots are an exact
-additive closure (cell_formula).  Each cell is then integer lookups over
-Phi+, with no Root object, matrix or random draw: the seed reaches only the
-oracle.
+The formula reads roots as signed position pairs (rootsys.root_index).
+The support test maps supp N's few pairs through pi^{-1}'s signed window
+into the space's image table (HessenbergSpace.kind).  The count maps the
+space's negative roots, split by M_H (HessenbergSpace.negative_pairs),
+through pi's own window onto positions in Phi+ (RootIndex.position).  The
+orbit roots are an exact additive closure (cell_formula).  Each cell is
+then integer lookups, with no Root object, matrix or random draw: the seed
+reaches only the oracle.
 
 Three computation paths are exposed (closed formula, tableau count in type
 A, probabilistic solver) so they can certify each other.
@@ -47,7 +51,7 @@ from .operators import (
 from .orbit_oracle import REASONS, cell_dim_oracle
 from .rootsys import RootSystemId, root_closure, root_index, weyl_order
 from .tableaux import Filling, multidiagram_dimension, multidiagram_nonempty
-from .weyl import WeylElement, enumerate_weyl, signed_inverse
+from .weyl import WeylElement, enumerate_weyl, signed_inverse, signed_window
 
 __all__ = [
     "CellReport",
@@ -141,15 +145,16 @@ def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
 @lru_cache(maxsize=None)
 def _formula_data(spec, system: RootSystemId) -> tuple:
     """supp N as positions in root_index order and as signed position
-    pairs, Phi_l as positions, and every positive root's pair; built once
-    per spec."""
+    pairs, Phi_l as a set of positions, and the pair -> position table
+    (RootIndex.position) the cell's image pairs are read through; built
+    once per spec."""
     index = root_index(system)
     support = canonical_form(spec, system).support
     levi = levi_roots(spec, system)
     return (tuple(index.at[b] for b in support),
             tuple(index.pair[b] for b in support),
-            tuple(k for k, a in enumerate(index.positive) if a in levi),
-            index.positive_pairs)
+            frozenset(k for k, a in enumerate(index.positive) if a in levi),
+            index.position)
 
 
 def cell_formula(
@@ -158,13 +163,20 @@ def cell_formula(
     H: HessenbergSpace,
     pi: WeylElement,
 ) -> CellReport:
-    """The one Levi formula for M = S + N: empty iff pi^{-1} maps supp N
-    outside M_H, else |Phi_pi| minus the roots a of
-    (Phi_pi minus Phi_l) u Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H.
+    """The one Levi formula for M = S + N, read on the domain side (see
+    the module docstring).  Empty iff pi^{-1} maps supp N outside M_H: one
+    H.kind lookup per root of supp N through pi^{-1}'s signed window.  Else
+    |C1| + |(C2 cap Phi_l) minus Phi_{(U_pi cap L).N}|, where pi's own
+    window maps H.negative_pairs' inside and outside pairs to C1 and C2,
+    keeping the images in Phi+ (RootIndex.position reads -1 off it).
 
-    Each positive root's code in H.kind says both at once: nonzero when
-    pi^{-1} sends it negative (a in Phi_pi), 2 when the image lies outside
-    M_H.
+    This is |Phi_pi| minus the roots a of (Phi_pi minus Phi_l) u
+    Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H, as the orbit roots lie
+    in Phi_l.  With Phi_l empty (N = 0, S regular) the outside pairs are
+    never read, and the closure runs only when supp N is nonempty and C2
+    meets Phi_l; its steps Phi_pi cap Phi_l are (C1 u C2) cap Phi_l.  The
+    count never reads pi.length(), so CellReport's bound dim <= l(pi)
+    checks it independently.
 
     The orbit roots are taken as the closure of supp N under adding roots
     of Phi_pi cap Phi_l through positive roots (rootsys.root_closure), a
@@ -179,21 +191,24 @@ def cell_formula(
     That none does, so the two sets are equal, has no proof here;
     tests/test_orbit_closure.py guards it against the exact conjugation
     (orbit_oracle.orbit_roots)."""
-    support, support_pairs, levi, pairs = _formula_data(spec, system)
-    s = signed_inverse(pi)
-    kind = H.kind
-    if 2 in [kind[s[p]][s[q]] for p, q in support_pairs]:
-        return CellReport(pi, False, None, "formula")
-    codes = [kind[s[p]][s[q]] for p, q in pairs]
-    levi_codes = [codes[k] for k in levi]
-    # the 2s off the Levi; the orbit roots lie in Phi_l, so none is among them
-    outside = codes.count(2) - levi_codes.count(2)
-    if support:  # N = 0 has no orbit roots
-        inversions = [k for k, c in zip(levi, levi_codes) if c]
-        closure = root_closure(system, support, inversions)
-        outside += [codes[k] for k in closure].count(2)
-    return CellReport(pi, True, len(codes) - codes.count(0) - outside,
-                      "formula")
+    support, support_pairs, levi, position = _formula_data(spec, system)
+    if support_pairs:
+        s = signed_inverse(pi)
+        kind = H.kind
+        if 2 in [kind[s[p]][s[q]] for p, q in support_pairs]:
+            return CellReport(pi, False, None, "formula")
+    w = signed_window(pi)
+    inside, outside = H.negative_pairs
+    c1 = [position[w[p]][w[q]] for p, q in inside]  # -1 where pi b < 0
+    dim = len(c1) - c1.count(-1)
+    if levi:
+        c2 = [k for p, q in outside if (k := position[w[p]][w[q]]) in levi]
+        if support and c2:
+            steps = [k for k in c1 if k in levi] + c2
+            closure = root_closure(system, support, steps)
+            c2 = [k for k in c2 if k not in closure]
+        dim += len(c2)
+    return CellReport(pi, True, dim, "formula")
 
 
 def cell_tableau(
@@ -204,7 +219,7 @@ def cell_tableau(
 ) -> CellReport:
     """Type-A combinatorial path through the (multi)diagram filling."""
     md, h = _tableau_data(spec, H)
-    f = Filling(pi.inverse().window)
+    f = Filling(tuple(signed_inverse(pi)[1:len(pi.window) + 1]))
     if not multidiagram_nonempty(md, f, h):
         return CellReport(pi, False, None, "tableau")
     return CellReport(pi, True, multidiagram_dimension(md, f, h), "tableau")

@@ -338,8 +338,9 @@ class RootIndex(NamedTuple):
     (i, j), and e_i or 2e_i is (i, 0); the family fixes which of the last
     two exists.  A signed permutation w sends position k to sgn(k) w(|k|),
     so it acts on a pair entrywise.  A position is an index into
-    ``positive``: ``at`` gives each positive root's, and ``sums[i]`` lists
-    the (j, k) with positive[i] + positive[j] = positive[k]."""
+    ``positive``: ``at`` gives each positive root's, ``position`` each
+    pair's, and ``sums[i]`` lists the (j, k) with positive[i] + positive[j]
+    = positive[k]."""
 
     positive: tuple[Root, ...]  # positive_roots(system), in that order
     positive_set: frozenset[Root]
@@ -348,10 +349,11 @@ class RootIndex(NamedTuple):
     pair: dict[Root, tuple[int, int]]  # every root, positive and negative
     root: dict[tuple[int, int], Root]  # each pair, in either order
     positive_pairs: tuple[tuple[int, int], ...]  # the pairs of positive
-    # negative[x][y], for signed positions read with Python's negative
-    # indexing: whether (x, y) is the pair of a negative root, that is,
-    # whether its entry of smaller |position| is negative
-    negative: tuple[tuple[bool, ...], ...]
+    # position[x][y], for signed positions read with Python's negative
+    # indexing: the position of the positive root with pair (x, y), and -1
+    # off Phi+, so that a root's pair reads -1 exactly when the root is
+    # negative, that is, when its entry of smaller |position| is negative
+    position: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -365,17 +367,17 @@ def root_index(system: RootSystemId) -> RootIndex:
         signed = [i if c > 0 else -i for i, c in enumerate(v, start=1) if c]
         pair[a] = (signed[0], signed[1] if len(signed) > 1 else 0)
     root = {}
+    at = {a: i for i, a in enumerate(positive)}
     size = 2 * ambient_dim(system) + 1
-    negative = [[False] * size for _ in range(size)]
+    position = [[-1] * size for _ in range(size)]
     for a, (p, q) in pair.items():
         root[p, q] = root[q, p] = a
-        negative[p][q] = negative[q][p] = a.is_negative
-    at = {a: i for i, a in enumerate(positive)}
+        position[p][q] = position[q][p] = at.get(a, -1)
     sums = tuple(tuple((j, at[a + b]) for j, b in enumerate(positive)
                        if a + b in at) for a in positive)
     return RootIndex(positive, frozenset(positive), at, sums, pair, root,
                      tuple(pair[a] for a in positive),
-                     tuple(tuple(row) for row in negative))
+                     tuple(tuple(row) for row in position))
 
 
 def root_closure(system: RootSystemId, start, steps) -> set[int]:

@@ -53,6 +53,9 @@ class Filling:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        for v in self.values:  # 1.0 and True would pass the check below
+            if type(v) is not int:
+                raise ValueError(f"filling entry {v!r} is not an int")
         if sorted(self.values) != list(range(1, len(self.values) + 1)):
             raise ValueError(f"{self.values} is not a permutation of 1..n")
 

@@ -31,6 +31,7 @@ __all__ = [
     "enumerate_weyl",
     "inversion_set",
     "signed_inverse",
+    "signed_window",
 ]
 
 # Refuse to materialize groups past this size; full pavings iterate all of W
@@ -87,7 +88,7 @@ class WeylElement:
     def act(self, alpha: Root) -> Root:
         index = root_index(self.system)
         p, q = index.pair[alpha]
-        s = _signed_window(self.window)
+        s = signed_window(self)
         return index.root[s[p], s[q]]
 
     def length(self) -> int:
@@ -108,15 +109,16 @@ class WeylElement:
         return "[" + " ".join(str(w) for w in self.window) + "]"
 
 
-def _signed_window(window: tuple[int, ...]) -> list[int]:
-    """The window extended to signed positions: entry k, for -m <= k <= m
+def signed_window(pi: WeylElement) -> list[int]:
+    """pi's window extended to signed positions: entry k, for -m <= k <= m
     with Python's negative indexing, is sgn(k) w(|k|), and entry 0 is 0.
-    The element sends the root with pair (p, q) to the one with (s[p], s[q])."""
+    pi sends the root with pair (p, q) to the one with (s[p], s[q])."""
+    window = pi.window
     return [0, *window, *[-w for w in reversed(window)]]
 
 
 def signed_inverse(pi: WeylElement) -> list[int]:
-    """_signed_window of pi^{-1}, read off pi's window: pi sends position i
+    """signed_window of pi^{-1}, read off pi's window: pi sends position i
     to w(i), so pi^{-1} sends w(i) to i and -w(i) to -i."""
     s = [0] * (2 * len(pi.window) + 1)
     for i, w in enumerate(pi.window, start=1):
@@ -138,7 +140,7 @@ def _check_order(system: RootSystemId) -> None:
 
 @lru_cache(maxsize=None)
 def _length_masks(system: RootSystemId) -> tuple[list[int], list[int], int]:
-    """The bitmasks _count reads, indexed by window entry like _signed_window.
+    """The bitmasks _count reads, indexed by window entry like signed_window.
 
     Entry k gets the key of the root order 1 < 2 < ... < m < -m < ... < -1,
     and a window's entries are placed left to right.  An entry k after an
@@ -231,9 +233,9 @@ def inversion_set(pi: WeylElement) -> frozenset[Root]:
     """Positive roots sent negative by pi^{-1}."""
     s = signed_inverse(pi)
     index = root_index(pi.system)
-    negative = index.negative
+    position = index.position
     return frozenset(
         a
         for a, (p, q) in zip(index.positive, index.positive_pairs)
-        if negative[s[p]][s[q]]
+        if position[s[p]][s[q]] < 0
     )

@@ -26,6 +26,8 @@ ALLOWED = {
     "all_hess_functions": "tests/test_acceptance.py calls it",
     "peterson_cells": "an acceptance helper that ROADMAP item 6 keeps",
     "identity": "tests/test_perfbench_contract.py imports it",
+    "inverse": "WeylElement's group inverse, beside __mul__ and identity; "
+               "the Euclidean references in the tests act by it",
 }
 
 

@@ -291,6 +291,31 @@ def test_pave_json_digest(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[" ".join(argv)]
 
 
+# Past the golden ranks: A7 (40,320 cells) on the Peterson and full spaces,
+# recorded before the formula read cells through pi's own window.
+A7_DIGESTS = {
+    ("--semisimple", "regular", "peterson"):
+        "f685078351e943ef8ade2762ce88c8722340b6c05eb96460b74bfa224c585f5d",
+    ("--semisimple", "regular", "full"):
+        "ddec6a1c8abc7a54c3f175290878bb5bbab23a743c51415351365df0c3ffc716",
+    ("--regular-nilpotent", "peterson"):
+        "f362b553c83b34183cc2712364ebf86bacf931806fe594d685be27e6f123e5d5",
+    ("--regular-nilpotent", "full"):
+        "2360fff10482cf91581d403c84b24ba792b5e3031e6120789a225047cabe0232",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", A7_DIGESTS, ids=" ".join)
+def test_a7_pave_json_digest(case, capsys):
+    *op, hess = case
+    argv = ["pave", "--family", "A", "--rank", "7", *op, "--hess", hess,
+            "--method", "formula", "--format", "json"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == A7_DIGESTS[case]
+
+
 def _conjugation(*args, **kwargs):
     raise AssertionError("the formula path conjugated a matrix")
 

@@ -140,6 +140,20 @@ def test_kind_table_matches_the_roots(system):
             assert H.kind[p][q] == H.kind[q][p] == expected, (str(H), str(a))
 
 
+@pytest.mark.parametrize("system", [
+    RootSystemId("A", 3), RootSystemId("B", 3),
+    RootSystemId("C", 3), RootSystemId("D", 4),
+], ids=str)
+def test_negative_pairs_split_the_negative_roots_by_the_space(system):
+    index = root_index(system)
+    negative = [a for a in all_roots(system) if a.is_negative]
+    for H in enumerate_spaces(system):
+        inside, outside = H.negative_pairs
+        assert sorted(inside + outside) == sorted(index.pair[a] for a in negative)
+        assert {index.root[p] for p in inside} == H.negative_part()
+        assert {index.root[p] for p in outside} == set(negative) - H.roots
+
+
 @pytest.mark.parametrize("h", [(1, 2, 3), (2, 3, 3), (3, 4, 5, 5, 5)])
 def test_from_h_builds_in_the_callers_system(h):
     assert from_h(HessFunction(h)).system is RootSystemId("A", len(h) - 1)

@@ -7,6 +7,9 @@ complement roots and the Levi formula are checked against it for every
 element of the small classical groups.
 """
 
+import ast
+import inspect
+
 import pytest
 
 from hesspave.hessenberg import (
@@ -20,10 +23,12 @@ from hesspave.operators import (
     RegularNilpotent,
     SemisimpleClassical,
     TypeAGeneral,
+    TypeANilpotent,
     canonical_form,
     levi_roots,
 )
 from hesspave.orbit_oracle import orbit_roots
+from hesspave import paving
 from hesspave.paving import cell_formula
 from hesspave.rootsys import RootSystemId, all_roots, euclidean, positive_roots
 from hesspave.weyl import enumerate_weyl, inversion_set
@@ -88,6 +93,14 @@ def _levi_spec(system):
     return SemisimpleClassical(((1,),))
 
 
+# supp N nonempty and Phi_l = Phi+, with N not regular: the closure runs
+# from more than the simple roots
+_NILPOTENT_SPECS = {
+    RootSystemId("A", 3): (TypeANilpotent((2, 1, 1)),),
+    RootSystemId("A", 4): (TypeANilpotent((3, 2)),),
+}
+
+
 @pytest.mark.parametrize("system", SYSTEMS, ids=str)
 def test_cell_formula_matches_euclidean_reference(system):
     act = euclidean_action(system)
@@ -95,9 +108,21 @@ def test_cell_formula_matches_euclidean_reference(system):
         spaces = enumerate_spaces(system)
     else:  # every space of A4 and D4 would add seconds of orbit roots
         spaces = (borel_space(system), peterson_space(system), full_space(system))
-    for spec in (SemisimpleClassical(()), RegularNilpotent(), _levi_spec(system)):
+    specs = (SemisimpleClassical(()), RegularNilpotent(), _levi_spec(system),
+             *_NILPOTENT_SPECS.get(system, ()))
+    for spec in specs:
         for H in spaces:
             for pi in enumerate_weyl(system):
                 r = cell_formula(spec, system, H, pi)
                 expected = reference_cell(spec, system, H, pi, act)
                 assert (r.nonempty, r.dim) == expected, (spec, H, pi)
+
+
+def test_cell_formula_never_reads_the_length():
+    """CellReport checks dim <= l(pi) with the element's own popcount; a
+    formula that read pi.length() would make that check circular."""
+    tree = ast.parse(inspect.getsource(paving.cell_formula))
+    names = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "length" not in names
+    assert "_length" not in names

@@ -273,7 +273,9 @@ def test_euclidean_roundtrip(system):
     assert len(pair) == len(set(pair.values())) == n_roots
     assert set(root.values()) == set(pair)
     for (x, y), b in root.items():
-        assert index.negative[x][y] == b.is_negative
+        assert index.position[x][y] == (-1 if b.is_negative else index.at[b])
+    # off the roots' pairs the position table reads -1 too
+    assert sum(k >= 0 for row in index.position for k in row) == n_roots
     positive = positive_roots(system)
     assert index.positive == positive
     assert index.positive_pairs == tuple(pair[a] for a in positive)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -44,6 +45,19 @@ def test_filling_validation():
     Filling((2, 1, 3))
     with pytest.raises(ValueError):
         Filling((1, 1, 2))
+
+
+@pytest.mark.parametrize("values, bad", [
+    ((1.0, 2, 3), "1.0"),
+    ((True, 2, 3), "True"),
+    ((2, 1, 3.0), "3.0"),
+    ((1, 2, "3"), "'3'"),
+])
+def test_filling_entries_must_be_ints(values, bad):
+    """1.0 and True equal 1, so they would pass the permutation check and
+    give a filling that equals (1, 2, 3)'s but prints differently."""
+    with pytest.raises(ValueError, match=f"entry {re.escape(bad)} is not an int"):
+        Filling(values)
 
 
 def test_single_column_nonempty():

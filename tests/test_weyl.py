@@ -135,7 +135,7 @@ def _pair_walk_length(w):
     pair, that the element sends to negative ones."""
     s = [0, *w.window, *[-k for k in reversed(w.window)]]
     index = root_index(w.system)
-    return sum(index.negative[s[p]][s[q]] for p, q in index.positive_pairs)
+    return sum(index.position[s[p]][s[q]] < 0 for p, q in index.positive_pairs)
 
 
 def _q_product(degrees):
