@@ -23,7 +23,7 @@ from .rootsys import (
     simple_roots,
     type_a_root,
 )
-from .weyl import WeylElement, signed_inverse
+from .weyl import WeylElement, signed_window
 
 __all__ = [
     "HessenbergSpace",
@@ -67,27 +67,13 @@ class HessenbergSpace:
                     )
 
     @cached_property
-    def kind(self) -> tuple[tuple[int, ...], ...]:
-        """kind[x][y], for signed positions indexed as root_index's
-        position: 0 when (x, y) is the pair of a positive root, 1 of a
-        negative root in M_H, 2 of a negative root outside it.  So whether
-        pi^{-1} sends a negative, and into M_H or not, is one lookup of the
-        image pair (M_H holds every positive root)."""
-        index = root_index(self.system)
-        kind = [[0] * len(row) for row in index.position]
-        for a, (p, q) in index.pair.items():
-            if a.is_negative:
-                kind[p][q] = kind[q][p] = 1 if a in self.roots else 2
-        return tuple(map(tuple, kind))
-
-    @cached_property
     def negative_pairs(self) -> tuple[tuple[tuple[int, int], ...],
                                       tuple[tuple[int, int], ...]]:
         """(inside, outside): the signed position pairs of the negative
         roots in M_H and of those outside it, each ordered as their
         negatives in root_index's positive.  pi's own window maps them
-        entrywise onto Phi_pi and Phi-, which is how the formula reads a
-        cell (paving.cell_formula)."""
+        entrywise onto their images, and a root is pi b exactly when pi^{-1}
+        sends it to b: every cell is read so (paving.cell_formula)."""
         index = root_index(self.system)
         inside, outside = [], []
         for a in index.positive:
@@ -114,6 +100,8 @@ class HessFunction:
         n = len(self.values)
         prev = 1
         for i, v in enumerate(self.values, start=1):
+            if type(v) is not int:  # 1.0 and True would pass the check below
+                raise ValueError(f"h value {v!r} is not an int")
             if not max(i, prev) <= v <= n:
                 raise ValueError(f"h violates h(i) >= max(i, h(i-1)): {self.values}")
             prev = v
@@ -206,12 +194,9 @@ def full_space(system: RootSystemId) -> HessenbergSpace:
 
 
 def complement_roots(H: HessenbergSpace, pi: WeylElement) -> frozenset[Root]:
-    """C_{pi.H} = Phi+ minus pi(M_H)."""
-    s = signed_inverse(pi)
-    kind = H.kind
+    """C_{pi.H} = Phi+ minus pi(M_H): the images in Phi+ of the negative
+    roots outside M_H, read through pi's own window."""
+    w = signed_window(pi)
     index = root_index(H.system)
-    return frozenset(
-        a
-        for a, (p, q) in zip(index.positive, index.positive_pairs)
-        if kind[s[p]][s[q]] == 2
-    )
+    return frozenset(index.positive[k] for p, q in H.negative_pairs[1]
+                     if (k := index.position[w[p]][w[q]]) >= 0)

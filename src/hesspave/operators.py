@@ -22,7 +22,7 @@ from .rootsys import (
     simple_roots,
     type_a_root,
 )
-from .tableaux import Diagram, MultiDiagram
+from .tableaux import Diagram, MultiDiagram, _check_partition
 
 __all__ = [
     "RegularNilpotent",
@@ -50,6 +50,7 @@ class TypeANilpotent:
 
     def __post_init__(self):  # tuples, so that specs hash as cache keys
         object.__setattr__(self, "mu", tuple(self.mu))
+        _check_partition(self.mu)  # (2.0, 1) would share (2, 1)'s caches
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,8 @@ class TypeAGeneral:
     def __post_init__(self):
         object.__setattr__(self, "blocks",
                            tuple((lab, tuple(mu)) for lab, mu in self.blocks))
+        for _, mu in self.blocks:
+            _check_partition(mu)
         labels = [lab for lab, _ in self.blocks]
         if len(set(labels)) != len(labels):
             raise ValueError("eigenvalue labels must be distinct")
@@ -75,6 +78,10 @@ class SemisimpleClassical:
 
     def __post_init__(self):
         object.__setattr__(self, "levi_blocks", tuple(map(tuple, self.levi_blocks)))
+        for block in self.levi_blocks:  # True would share 1's caches
+            for i in block:
+                if type(i) is not int:
+                    raise ValueError(f"simple root index {i!r} is not an int")
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,13 @@ seeded only at its first read; the probe point a tower takes at a shared
 opening is owed, not drawn, so a trial that reads no value (one that ends
 at a shared opening with an exact emptiness proof, or a cell without
 variables) seeds nothing, and every value read is unchanged.  A
-cell's set-up is one walk of its positive pairs: each variable and
-condition position goes straight to the one plan stage that owns it
-(_SpecData.var_stage, cond_stage), and R starts from a per-spec table of
-the sums with supp N (_SpecData.support_sums).  R is walked by
-rootsys.root_closure over rootsys.root_index's sum table, the walk the
-formula path's orbit roots share; a memo keeps one R per pi.
+cell's set-up maps the space's negative pairs through pi's own window, as
+the formula does: the images in Phi+ are its variable positions, those of
+the pairs outside M_H its condition positions.  Each goes to the one plan
+stage that owns it (_SpecData.var_stage, cond_stage), and R starts from a
+per-spec table of the sums with supp N (_SpecData.support_sums).  R is
+walked by rootsys.root_closure over rootsys.root_index's sum table, the
+walk the formula path's orbit roots share; a memo keeps one R per pi.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .rootsys import (
     row_partition,
     simple_roots,
 )
-from .weyl import WeylElement, inversion_set, signed_inverse
+from .weyl import WeylElement, inversion_set, signed_window
 
 __all__ = [
     "PRIME",
@@ -890,11 +891,10 @@ def cell_dim_oracle(
 ) -> OracleVerdict:
     """Probabilistic dimension of the cell BpiB intersected with H(M,H).
 
-    The cell's set-up is one walk of pi^{-1}'s signed window over the
-    positive roots' pairs into the space's image table (HessenbergSpace.kind),
-    as in paving.cell_formula: a root is a variable when pi^{-1} sends it
-    negative, and carries a condition when its image lies outside M_H.  So
-    the verdict is decided by the spec, the system, pi, the condition
+    The cell's set-up maps H.negative_pairs through pi's own window, as
+    paving.cell_formula does: a positive root pi b (b negative) is a
+    variable, and carries a condition when b lies outside M_H.  So the
+    verdict is decided by the spec, the system, pi, the condition
     positions, trials and seed, and H enters only through the conditions.
     With a memo dict, a verdict found there under that key is returned as
     it is, and a new one is stored there: spaces that give pi the same
@@ -917,15 +917,12 @@ def cell_dim_oracle(
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
     data = _oracle_data(spec, system)
-    kind = H.kind
-    s = signed_inverse(pi)
-    var_at, cond_at = [], []
-    for k, (p, q) in enumerate(root_index(system).positive_pairs):
-        c = kind[s[p]][s[q]]
-        if c:
-            var_at.append(k)
-            if c == 2:
-                cond_at.append(k)
+    position = root_index(system).position
+    w = signed_window(pi)
+    inside, outside = H.negative_pairs
+    cond_at = sorted(k for p, q in outside if (k := position[w[p]][w[q]]) >= 0)
+    var_at = sorted(cond_at + [k for p, q in inside
+                               if (k := position[w[p]][w[q]]) >= 0])
     if memo is None:
         return _vote(system, data, var_at, cond_at,
                      _reachable_roots(system, data, var_at), pi.window, trials,

@@ -6,7 +6,7 @@ closed formula through the Levi Phi_l (the positive roots on which S
 vanishes, all of Phi+ when S = 0) and the support of N, both built once per
 spec, and through the orbit roots Phi_{(U_pi cap L).N} of N under the part
 of U_pi inside the Levi.  The cell is empty iff pi^{-1} maps supp N outside
-M_H; otherwise its dimension is read on the domain side.  As Phi_pi =
+M_H; both that and its dimension are read on the domain side.  As Phi_pi =
 pi(Phi-) cap Phi+, Phi_pi is the images pi b of the negative roots b that
 pi sends positive, split into C1 (b in M_H) and C2 (b outside M_H), and the
 dimension is
@@ -19,11 +19,11 @@ nilpotent one (S = 0) every root of C2 is in Phi_l and only orbit roots
 are taken away.
 
 The formula reads roots as signed position pairs (rootsys.root_index).
-The support test maps supp N's few pairs through pi^{-1}'s signed window
-into the space's image table (HessenbergSpace.kind).  The count maps the
-space's negative roots, split by M_H (HessenbergSpace.negative_pairs),
-through pi's own window onto positions in Phi+ (RootIndex.position).  The
-orbit roots are an exact additive closure (cell_formula).  Each cell is
+pi's own window maps the space's negative roots, split by M_H
+(HessenbergSpace.negative_pairs), onto positions in Phi+
+(RootIndex.position).  A root is pi b exactly when pi^{-1} sends it to b,
+so the support test asks whether supp N meets the outside roots' images.
+The orbit roots are an exact additive closure (cell_formula).  Each cell is
 then integer lookups, with no Root object, matrix or random draw: the seed
 reaches only the oracle.
 
@@ -144,15 +144,13 @@ def poincare(reports, system: RootSystemId) -> PoincarePolynomial:
 
 @lru_cache(maxsize=None)
 def _formula_data(spec, system: RootSystemId) -> tuple:
-    """supp N as positions in root_index order and as signed position
-    pairs, Phi_l as a set of positions, and the pair -> position table
-    (RootIndex.position) the cell's image pairs are read through; built
-    once per spec."""
+    """supp N and Phi_l as frozensets of positions in root_index order, and
+    the pair -> position table (RootIndex.position) the cell's image pairs
+    are read through; built once per spec."""
     index = root_index(system)
     support = canonical_form(spec, system).support
     levi = levi_roots(spec, system)
-    return (tuple(index.at[b] for b in support),
-            tuple(index.pair[b] for b in support),
+    return (frozenset(index.at[b] for b in support),
             frozenset(k for k, a in enumerate(index.positive) if a in levi),
             index.position)
 
@@ -164,19 +162,19 @@ def cell_formula(
     pi: WeylElement,
 ) -> CellReport:
     """The one Levi formula for M = S + N, read on the domain side (see
-    the module docstring).  Empty iff pi^{-1} maps supp N outside M_H: one
-    H.kind lookup per root of supp N through pi^{-1}'s signed window.  Else
-    |C1| + |(C2 cap Phi_l) minus Phi_{(U_pi cap L).N}|, where pi's own
-    window maps H.negative_pairs' inside and outside pairs to C1 and C2,
-    keeping the images in Phi+ (RootIndex.position reads -1 off it).
+    the module docstring): pi's own window maps H.negative_pairs' inside
+    and outside pairs to C1 and C2, keeping the images in Phi+
+    (RootIndex.position reads -1 off it).  C2 is the positive roots pi^{-1}
+    sends outside M_H, so the cell is empty iff supp N meets it, and else
+    |C1| + |(C2 cap Phi_l) minus Phi_{(U_pi cap L).N}|.
 
     This is |Phi_pi| minus the roots a of (Phi_pi minus Phi_l) u
     Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H, as the orbit roots lie
-    in Phi_l.  With Phi_l empty (N = 0, S regular) the outside pairs are
-    never read, and the closure runs only when supp N is nonempty and C2
-    meets Phi_l; its steps Phi_pi cap Phi_l are (C1 u C2) cap Phi_l.  The
-    count never reads pi.length(), so CellReport's bound dim <= l(pi)
-    checks it independently.
+    in Phi_l.  With supp N and Phi_l empty (N = 0, S regular) the outside
+    pairs are never read, and the closure runs only when supp N is
+    nonempty and C2 meets Phi_l; its steps Phi_pi cap Phi_l are
+    (C1 u C2) cap Phi_l.  The count never reads pi.length(), so
+    CellReport's bound dim <= l(pi) checks it independently.
 
     The orbit roots are taken as the closure of supp N under adding roots
     of Phi_pi cap Phi_l through positive roots (rootsys.root_closure), a
@@ -191,18 +189,17 @@ def cell_formula(
     That none does, so the two sets are equal, has no proof here;
     tests/test_orbit_closure.py guards it against the exact conjugation
     (orbit_oracle.orbit_roots)."""
-    support, support_pairs, levi, position = _formula_data(spec, system)
-    if support_pairs:
-        s = signed_inverse(pi)
-        kind = H.kind
-        if 2 in [kind[s[p]][s[q]] for p, q in support_pairs]:
-            return CellReport(pi, False, None, "formula")
+    support, levi, position = _formula_data(spec, system)
     w = signed_window(pi)
     inside, outside = H.negative_pairs
-    c1 = [position[w[p]][w[q]] for p, q in inside]  # -1 where pi b < 0
+    if support or levi:
+        c2 = [position[w[p]][w[q]] for p, q in outside]  # -1 where pi b < 0
+        if not support.isdisjoint(c2):
+            return CellReport(pi, False, None, "formula")
+    c1 = [position[w[p]][w[q]] for p, q in inside]
     dim = len(c1) - c1.count(-1)
     if levi:
-        c2 = [k for p, q in outside if (k := position[w[p]][w[q]]) in levi]
+        c2 = [k for k in c2 if k in levi]
         if support and c2:
             steps = [k for k in c1 if k in levi] + c2
             closure = root_closure(system, support, steps)

@@ -28,6 +28,9 @@ __all__ = [
 
 
 def _check_partition(mu: tuple[int, ...]):
+    for p in mu:  # 2.0 and True would pass the checks below
+        if type(p) is not int:
+            raise ValueError(f"partition part {p!r} is not an int")
     if not mu or any(p <= 0 for p in mu) or any(a < b for a, b in zip(mu, mu[1:])):
         raise ValueError(f"{mu} is not a partition (positive, weakly decreasing)")
 

@@ -230,12 +230,9 @@ def enumerate_weyl(system: RootSystemId) -> tuple[WeylElement, ...]:
 
 @lru_cache(maxsize=None)
 def inversion_set(pi: WeylElement) -> frozenset[Root]:
-    """Positive roots sent negative by pi^{-1}."""
-    s = signed_inverse(pi)
+    """Positive roots sent negative by pi^{-1}: the images pi(-a) in Phi+,
+    read as position[-w(p)][-w(q)] for each positive pair (p, q)."""
+    w = signed_window(pi)
     index = root_index(pi.system)
-    position = index.position
-    return frozenset(
-        a
-        for a, (p, q) in zip(index.positive, index.positive_pairs)
-        if position[s[p]][s[q]] < 0
-    )
+    return frozenset(index.positive[k] for p, q in index.positive_pairs
+                     if (k := index.position[-w[p]][-w[q]]) >= 0)

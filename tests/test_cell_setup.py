@@ -1,7 +1,8 @@
 """The oracle's per-cell set-up: from pi to the cell's stages and its R.
 
-cell_dim_oracle walks the positive roots' pairs once for the cell's
-variable and condition positions, and _cell_stages files each position
+cell_dim_oracle maps the space's negative pairs through pi's own window
+for the cell's variable and condition positions (the images in Phi+, and
+those of the pairs outside M_H), and _cell_stages files each position
 under the one plan stage _SpecData.var_stage or cond_stage names.  That
 relies on the plan covering every positive position exactly once on each
 side, which _oracle_data checks.  R's first steps from supp N come from the

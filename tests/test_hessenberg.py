@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hesspave.hessenberg import (
@@ -20,7 +22,7 @@ from hesspave.rootsys import (
     positive_roots,
     root_index,
 )
-from hesspave.weyl import WeylElement
+from hesspave.weyl import WeylElement, enumerate_weyl
 
 
 def r(*coeffs):
@@ -118,6 +120,19 @@ def test_hess_function_validation():
         HessFunction((1, 2, 4))  # exceeds n
 
 
+@pytest.mark.parametrize("values, bad", [
+    ((1.5, 2, 3), "1.5"),
+    ((True, 2, 3), "True"),
+    ((1, 2, 3.0), "3.0"),
+    ((1, 2, "3"), "'3'"),
+])
+def test_hess_function_values_must_be_ints(values, bad):
+    """1.5 and True pass the bounds check, and 3.0 equals 3: each would give
+    an h that from_h cannot read or that prints differently."""
+    with pytest.raises(ValueError, match=f"value {re.escape(bad)} is not an int"):
+        HessFunction(values)
+
+
 def test_containment_matches_h_order():
     system = RootSystemId("A", 3)
     for H in enumerate_spaces(system):
@@ -131,13 +146,18 @@ def test_containment_matches_h_order():
     RootSystemId("A", 3), RootSystemId("B", 3),
     RootSystemId("C", 3), RootSystemId("D", 4),
 ], ids=str)
-def test_kind_table_matches_the_roots(system):
-    pair = root_index(system).pair
-    for H in enumerate_spaces(system):
-        for a in all_roots(system):
-            expected = 0 if not a.is_negative else 1 if a in H.roots else 2
-            p, q = pair[a]
-            assert H.kind[p][q] == H.kind[q][p] == expected, (str(H), str(a))
+def test_complement_roots_are_what_pi_inverse_sends_outside(system):
+    """complement_roots reads pi's own window; the reference acts by the
+    group inverse, root by root."""
+    positive = positive_roots(system)
+    spaces = enumerate_spaces(system)
+    for pi in enumerate_weyl(system):
+        inv = pi.inverse()
+        images = {a: inv.act(a) for a in positive}
+        for H in spaces:
+            expected = {a for a, b in images.items()
+                        if b.is_negative and b not in H.roots}
+            assert complement_roots(H, pi) == expected, (str(H), str(pi))
 
 
 @pytest.mark.parametrize("system", [

@@ -9,10 +9,13 @@ element of the small classical groups.
 
 import ast
 import inspect
+import pathlib
 
 import pytest
 
+import hesspave
 from hesspave.hessenberg import (
+    HessenbergSpace,
     borel_space,
     complement_roots,
     enumerate_spaces,
@@ -126,3 +129,35 @@ def test_cell_formula_never_reads_the_length():
     names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert "length" not in names
     assert "_length" not in names
+
+
+def _called(node) -> str | None:
+    f = node.func
+    return getattr(f, "id", getattr(f, "attr", None))
+
+
+def test_cells_are_read_through_pis_own_window():
+    """Every root-side cell question is read off HessenbergSpace.negative_pairs
+    through pi's own window.  Only the tableau path, whose filling is pi^{-1}
+    itself, reads pi^{-1}'s window, and a space keeps no image table."""
+    calls, callers, kind_reads = 0, [], []
+    for path in sorted(pathlib.Path(hesspave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += sum(isinstance(n, ast.Call) and _called(n) == "signed_inverse"
+                     for n in ast.walk(tree))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = f"{path.stem}.{fn.name}"
+            spaces = {a.arg for a in fn.args.args + fn.args.kwonlyargs
+                      if a.annotation is not None
+                      and ast.unparse(a.annotation) == "HessenbergSpace"}
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and _called(n) == "signed_inverse":
+                    callers.append(name)
+                if (isinstance(n, ast.Attribute) and n.attr == "kind"
+                        and isinstance(n.value, ast.Name) and n.value.id in spaces):
+                    kind_reads.append(name)
+    assert calls == 1 and callers == ["paving.cell_tableau"]
+    assert not kind_reads
+    assert not hasattr(HessenbergSpace, "kind")

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -225,6 +226,37 @@ def test_type_d_end_nodes_are_not_adjacent(n):
 def test_empty_levi_block_is_rejected():
     with pytest.raises(ValueError, match="empty levi block"):
         levi_roots(SemisimpleClassical(((),)), RootSystemId("A", 3))
+
+
+@pytest.mark.parametrize("blocks, bad", [
+    (((True,),), "True"),
+    (((1.0,),), "1.0"),
+    (((1, 2.0),), "2.0"),
+    (((1,), ("3",)), "'3'"),
+])
+def test_levi_indices_must_be_ints(blocks, bad):
+    """True and 1.0 equal 1, so the spec would share ((1,),)'s cache entries
+    while its label printed semisimple:True or semisimple:1.0."""
+    with pytest.raises(ValueError, match=f"index {re.escape(bad)} is not an int"):
+        SemisimpleClassical(blocks)
+
+
+@pytest.mark.parametrize("mu, bad", [
+    ((2.0, 1), "2.0"),
+    ((True, 1, 1), "True"),
+    ((2, 1.0), "1.0"),
+    (("2", 1), "'2'"),
+])
+@pytest.mark.parametrize("make", [
+    TypeANilpotent,
+    lambda mu: TypeAGeneral((("x", (1,)), ("y", mu))),
+], ids=["nilpotent", "general"])
+def test_partition_parts_must_be_ints(make, mu, bad):
+    """2.0 and True pass the partition checks and equal 2 and 1, so the spec
+    would share (2, 1)'s cache entries while it printed differently; a
+    string part failed the size sum with a bare TypeError."""
+    with pytest.raises(ValueError, match=f"part {re.escape(bad)} is not an int"):
+        canonical_form(make(mu), RootSystemId("A", 3))
 
 
 def test_levi_roots_examples():
