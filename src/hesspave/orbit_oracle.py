@@ -38,11 +38,12 @@ M_0 with only its unit conditions has the same system in every cell that
 shares its variables and conditions, so it is built once (_opening), with
 its derived functionals when infeasible and an exact affineness verdict in
 place of the random probe, and shared by every cell, trial and tower.  Each
-trial draws from its own stream (_Stream), keyed by (seed, trial, pi) and
-seeded only at its first read; the probe point a tower takes at a shared
-opening is owed, not drawn, so a trial that reads no value (one that ends
-at a shared opening with an exact emptiness proof, or a cell without
-variables) seeds nothing, and every value read is unchanged.  A
+trial draws from its own stream (_Stream), keyed by (seed, trial, pi), its
+key formatted and its generator seeded only at its first read; the probe
+point a tower takes at a shared opening is owed, not drawn, so a trial
+that reads no value (one that ends at a shared opening with an exact
+emptiness proof, or a cell without variables) seeds nothing, and every
+value read is unchanged.  A
 cell's set-up maps the space's negative pairs through pi's own window, as
 the formula does: the images in Phi+ are its variable positions, those of
 the pairs outside M_H its condition positions.  Each goes to the one plan
@@ -669,16 +670,18 @@ def _open_stage(system, weights, M, M0, vrs, conds, funcs):
 
 
 class _Stream:
-    """One trial's random draws: random.Random(key), built only when a
-    caller first reads a value.  A randrange(PRIME) draw whose value nobody
-    reads is owed (owe), not drawn; the first read seeds the generator and
-    draws what is owed first, in order, and once seeded an owed draw is
-    drawn at once.  So every value read is the value an eagerly seeded
-    random.Random(key) gives, and a trial that reads nothing seeds
-    nothing."""
+    """Trial t's random draws at seed and pi's window:
+    random.Random(f"cell:{seed}:{t}:{window}"), built only when a caller
+    first reads a value, and its key formatted only then.  A
+    randrange(PRIME) draw whose value nobody reads is owed (owe), not
+    drawn; the first read seeds the generator and draws what is owed
+    first, in order, and once seeded an owed draw is drawn at once.  So
+    every value read is the value an eagerly seeded generator gives, and a
+    trial that reads nothing seeds nothing and formats no key."""
 
-    def __init__(self, key: str):
-        self.key, self.owed, self.rng = key, 0, None
+    def __init__(self, seed: int, trial: int, window: tuple[int, ...]):
+        self.seed, self.trial, self.window = seed, trial, window
+        self.owed, self.rng = 0, None
 
     def owe(self, k: int) -> None:
         if self.rng is None:
@@ -690,7 +693,8 @@ class _Stream:
     def seeded(self) -> random.Random:
         """The generator, seeded and past the owed draws."""
         if self.rng is None:
-            self.rng = random.Random(self.key)
+            self.rng = random.Random(
+                f"cell:{self.seed}:{self.trial}:{self.window}")
             for _ in range(self.owed):
                 self.rng.randrange(PRIME)
             # later reads go straight to the generator's bound method
@@ -859,14 +863,14 @@ def _solve_once(system, weights, M0, stages, reach, rng):
 def _vote(system, data, var_at, cond_at, reach, window, trials,
           seed) -> OracleVerdict:
     """The trial vote of cell_dim_oracle on the cell's variable and
-    condition positions and its R.  Trial t solves on a _Stream keyed
-    cell:{seed}:{t}:{window}, which builds its random.Random only when the
-    trial first reads a value."""
+    condition positions and its R.  Trial t solves on its own _Stream,
+    which formats its key and builds its random.Random only when the trial
+    first reads a value."""
     stages = _cell_stages(data, var_at, cond_at)
     outcomes = set()
     for t in range(trials):
         kind, d = _solve_once(system, data.weights, data.coeffs, stages, reach,
-                              _Stream(f"cell:{seed}:{t}:{window}"))
+                              _Stream(seed, t, window))
         if kind == "inconsistent":
             return OracleVerdict(kind, reason=d)
         if kind == "empty":
@@ -877,6 +881,15 @@ def _vote(system, data, var_at, cond_at, reach, window, trials,
     if len(outcomes) == 1:
         return OracleVerdict(*outcomes.pop())
     return OracleVerdict("inconsistent", reason="trial-split")
+
+
+def check_vote(trials: int, seed: int) -> None:
+    """cell_dim_oracle's argument check, which paving.pave also runs before
+    its first cell: trials an int >= 1 and seed an int, True refused."""
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
 
 
 def cell_dim_oracle(
@@ -904,18 +917,16 @@ def cell_dim_oracle(
     The vote runs _solve_once once per trial, each on its own stream,
     keyed by (seed, trial, pi) and seeded only if the trial reads a draw;
     seed must be an int, since the memo key would take True or 1.0 for 1
-    while the stream's key would not.  An exact emptiness proof on the first
-    trial (a derived functional with no root in R, nonzero at M_0) is the
-    verdict, and no other trial runs: such a cell can no longer show a
-    trial split.  Otherwise the first inconsistent trial is the verdict,
-    and the trials' (kind, dim) outcomes, an exact and a towered empty
-    alike, form one set, whose only member is the verdict when they all
-    agree, and a trial split when they do not.  R is built before the
-    trials, once per vote, or once per pi with a memo."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an int, got {seed!r}")
+    while the stream's key would not, and trials an int >= 1 (check_vote).
+    An exact emptiness proof on the first trial (a derived functional with
+    no root in R, nonzero at M_0) is the verdict, and no other trial runs:
+    such a cell can no longer show a trial split.  Otherwise the first
+    inconsistent trial is the verdict, and the trials' (kind, dim)
+    outcomes, an exact and a towered empty alike, form one set, whose only
+    member is the verdict when they all agree, and a trial split when they
+    do not.  R is built before the trials, once per vote, or once per pi
+    with a memo."""
+    check_vote(trials, seed)
     data = _oracle_data(spec, system)
     position = root_index(system).position
     w = signed_window(pi)

@@ -48,7 +48,7 @@ from .operators import (
     levi_roots,
     multidiagram_of,
 )
-from .orbit_oracle import REASONS, cell_dim_oracle
+from .orbit_oracle import REASONS, cell_dim_oracle, check_vote
 from .rootsys import RootSystemId, root_closure, root_index, weyl_order
 from .tableaux import Filling, multidiagram_dimension, multidiagram_nonempty
 from .weyl import WeylElement, enumerate_weyl, signed_inverse, signed_window
@@ -69,18 +69,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CellReport:
+    """One cell by one path: dim is present exactly when nonempty, and
+    0 <= dim <= |Phi_pi| = pi.length(), the element's own count, so the
+    bound checks every path independently.  __init__ checks both, then
+    fills the slots through their setters, as weyl.enumerate_weyl builds
+    WeylElement, in place of a generated one that sets each field through
+    object.__setattr__."""
+
     pi: WeylElement
     nonempty: bool
     dim: int | None
     formula: str
 
-    def __post_init__(self):
-        if self.nonempty != (self.dim is not None):
+    def __init__(self, pi: WeylElement, nonempty: bool, dim: int | None,
+                 formula: str):
+        if nonempty != (dim is not None):
             raise ValueError("dim must be present exactly when nonempty")
-        if self.dim is not None and not 0 <= self.dim <= self.pi.length():
-            raise ValueError(f"dim {self.dim} outside [0, |Phi_pi|]")
+        if dim is not None and not 0 <= dim <= pi.length():
+            raise ValueError(f"dim {dim} outside [0, |Phi_pi|]")
+        _set_pi(self, pi)
+        _set_nonempty(self, nonempty)
+        _set_dim(self, dim)
+        _set_formula(self, formula)
+
+
+_set_pi = CellReport.pi.__set__
+_set_nonempty = CellReport.nonempty.__set__
+_set_dim = CellReport.dim.__set__
+_set_formula = CellReport.formula.__set__
 
 
 @dataclass(frozen=True)
@@ -166,7 +184,8 @@ def cell_formula(
     and outside pairs to C1 and C2, keeping the images in Phi+
     (RootIndex.position reads -1 off it).  C2 is the positive roots pi^{-1}
     sends outside M_H, so the cell is empty iff supp N meets it, and else
-    |C1| + |(C2 cap Phi_l) minus Phi_{(U_pi cap L).N}|.
+    |C1| + |(C2 cap Phi_l) minus Phi_{(U_pi cap L).N}|.  The count is
+    _formula_cell, the kernel pave binds once per paving (_cell_kernel).
 
     This is |Phi_pi| minus the roots a of (Phi_pi minus Phi_l) u
     Phi_{(U_pi cap L).N} with pi^{-1} a outside M_H, as the orbit roots lie
@@ -189,9 +208,15 @@ def cell_formula(
     That none does, so the two sets are equal, has no proof here;
     tests/test_orbit_closure.py guards it against the exact conjugation
     (orbit_oracle.orbit_roots)."""
-    support, levi, position = _formula_data(spec, system)
+    return _cell_kernel(spec, system, H, "formula")(pi)
+
+
+def _formula_cell(support, levi, position, inside, outside, system, pi):
+    """cell_formula's count at pi, given supp N, Phi_l and the position
+    table (_formula_data) and H's inside and outside pairs."""
+    if pi.system is not system:
+        raise _foreign(pi, system)
     w = signed_window(pi)
-    inside, outside = H.negative_pairs
     if support or levi:
         c2 = [position[w[p]][w[q]] for p, q in outside]  # -1 where pi b < 0
         if not support.isdisjoint(c2):
@@ -215,7 +240,14 @@ def cell_tableau(
     pi: WeylElement,
 ) -> CellReport:
     """Type-A combinatorial path through the (multi)diagram filling."""
-    md, h = _tableau_data(spec, H)
+    return _cell_kernel(spec, system, H, "tableau")(pi)
+
+
+def _tableau_cell(md, h, system, pi):
+    """cell_tableau at pi, given the (multi)diagram and the Hessenberg
+    function (_tableau_data)."""
+    if pi.system is not system:
+        raise _foreign(pi, system)
     f = Filling(tuple(signed_inverse(pi)[1:len(pi.window) + 1]))
     if not multidiagram_nonempty(md, f, h):
         return CellReport(pi, False, None, "tableau")
@@ -257,11 +289,44 @@ def cell_oracle(
 ) -> CellReport:
     """The oracle's verdict as a CellReport; raises OracleDisagreement on an
     inconsistent one, whether memo held it or not."""
+    return _cell_kernel(spec, system, H, "oracle", seed, trials, memo)(pi)
+
+
+def _oracle_cell(spec, system, H, trials, seed, memo, pi):
+    """cell_oracle at pi.  It reads cell_dim_oracle through this module's
+    global, each time."""
+    if pi.system is not system:
+        raise _foreign(pi, system)
     v = cell_dim_oracle(spec, system, H, pi, trials=trials, seed=seed,
                         memo=memo)
     if v.kind == "inconsistent":
         raise OracleDisagreement(pi, v.reason)
     return CellReport(pi, v.kind == "dim", v.dim, "oracle")
+
+
+def _foreign(pi: WeylElement, system: RootSystemId) -> ValueError:
+    return ValueError(f"Weyl element of {pi.system} in a cell of {system}")
+
+
+def _cell_kernel(spec, system: RootSystemId, H: HessenbergSpace,
+                 method: str, seed: int = 0, trials: int = 5,
+                 memo: dict | None = None):
+    """The cell of one path as a function of pi alone.  H's system, the
+    method and, on the oracle path, trials and seed are checked here, and
+    the spec's and H's data are read here, once; the kernel checks only
+    that pi belongs to system.  pave maps it over W, and cell_formula,
+    cell_tableau and cell_oracle call it on one pi."""
+    if H.system is not system:
+        raise ValueError(f"space of {H.system} in a cell of {system}")
+    if method == "formula":
+        return partial(_formula_cell, *_formula_data(spec, system),
+                       *H.negative_pairs, system)
+    if method == "tableau":
+        return partial(_tableau_cell, *_tableau_data(spec, H), system)
+    if method == "oracle":
+        check_vote(trials, seed)
+        return partial(_oracle_cell, spec, system, H, trials, seed, memo)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def cell_report(
@@ -275,13 +340,11 @@ def cell_report(
     *,
     memo: dict | None = None,
 ) -> CellReport:
-    """The cell by one path; memo reaches only the oracle (cell_dim_oracle).
+    """The cell by one path: cell_formula, cell_tableau or cell_oracle,
+    each of which sets up the kernel pave maps over W (_cell_kernel) for
+    this one pi; memo reaches only the oracle (cell_dim_oracle).
     H and pi must belong to system: the formula and the oracle read them
     through system's root index and would answer silently wrong."""
-    if H.system is not system:
-        raise ValueError(f"space of {H.system} in a cell of {system}")
-    if pi.system is not system:
-        raise ValueError(f"Weyl element of {pi.system} in a cell of {system}")
     if method == "formula":
         return cell_formula(spec, system, H, pi)
     if method == "tableau":
@@ -308,13 +371,16 @@ def pave(
     trials: int = 5,
     jobs: int = 1,
 ) -> PavingResult:
-    """Compute every cell over W, in enumeration order, and aggregate.
+    """Compute every cell over W, in enumeration order, and aggregate: the
+    reports cell_report gives pi by pi.  The path is set up once
+    (_cell_kernel) before W is built, so a space of another system, an
+    unknown method and, on the oracle path, a bad trials or seed raise
+    ValueError before any cell; then one bound kernel is mapped over W.
     jobs remains only for the benchmark's workloads (perfbench/workloads.py),
     which pass jobs=1; any other value raises ValueError."""
     if type(jobs) is not int or jobs != 1:
         raise ValueError(f"jobs must be the int 1, got {jobs!r}")
-    cell = partial(cell_report, spec, system, H, method=method, seed=seed,
-                   trials=trials)
+    cell = _cell_kernel(spec, system, H, method, seed, trials)
     reports = tuple(map(cell, enumerate_weyl(system)))
     return PavingResult(system, reports, poincare(reports, system))
 

@@ -362,8 +362,8 @@ def test_oracle_draws_are_pinned(monkeypatch, spec, system, space, digest):
 
     class Eager(orbit_oracle._Stream):
         # seeded at construction, so every owed draw is drawn and recorded
-        def __init__(self, key):
-            super().__init__(key)
+        def __init__(self, *key):
+            super().__init__(*key)
             self.seeded()
 
     monkeypatch.setattr(orbit_oracle, "random", types.SimpleNamespace(Random=Recording))

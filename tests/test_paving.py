@@ -410,7 +410,7 @@ def test_paths_accept_list_windows_and_set_spaces(method):
 def test_a_space_or_element_of_another_system_is_refused(method):
     # Unchecked, the formula and oracle paths pave A3 over B3's Peterson
     # space to the polynomial 0, and the tableau path fails for an
-    # unrelated reason; cell_report, which pave goes through, names both.
+    # unrelated reason; pave's set-up and each cell's kernel name both.
     A3, B3 = RootSystemId("A", 3), RootSystemId("B", 3)
     spec = RegularNilpotent()
     with pytest.raises(ValueError, match="space of B3 in a cell of A3"):

@@ -513,7 +513,7 @@ def test_exact_empty_runs_one_trial(monkeypatch):
             assert verdict == OracleVerdict("empty") and len(answers) == 1
             weights, M0, stages, reach = calls[0][1:5]
             for t in range(1, trials):
-                rng = orbit_oracle._Stream(f"cell:0:{t}:{pi.window}")
+                rng = orbit_oracle._Stream(0, t, pi.window)
                 assert real_solve(system, weights, M0, stages, reach, rng) == _EXACT
             runs["exact"] += 1
         elif answers[-1][0] == "inconsistent":

@@ -1,5 +1,6 @@
 """Each oracle trial's stream (orbit_oracle._Stream): random.Random(key),
-seeded at its first read, with the draws whose values nobody reads owed.
+key cell:{seed}:{trial}:{window}, formatted and seeded at its first read,
+with the draws whose values nobody reads owed.
 
 The first read seeds the generator and draws what is owed first, so a
 trial reads exactly the values an eagerly seeded random.Random(key) gives
@@ -20,17 +21,17 @@ from hesspave.orbit_oracle import PRIME, _solve_affine, _Stream, cell_dim_oracle
 from hesspave.rootsys import RootSystemId
 from hesspave.weyl import enumerate_weyl
 
-KEYS = ["cell:0:0:(1, 2, 3)", "cell:1:4:(-3, 1, -2, 4)",
-        "cell:7:2:(6, 5, 4, 3, 2, 1)"]
+KEYS = [(0, 0, (1, 2, 3)), (1, 4, (-3, 1, -2, 4)),
+        (7, 2, (6, 5, 4, 3, 2, 1))]
 
 
 @pytest.mark.parametrize("key", KEYS)
 @pytest.mark.parametrize("owed", [0, 1, 2, 5, 13])
 def test_owed_draws_come_first(key, owed):
-    ref = random.Random(key)
+    ref = random.Random("cell:{}:{}:{}".format(*key))
     for _ in range(owed):
         ref.randrange(PRIME)
-    stream = _Stream(key)
+    stream = _Stream(*key)
     stream.owe(owed // 2)
     stream.owe(owed - owed // 2)
     assert stream.rng is None
@@ -49,11 +50,11 @@ def test_owed_draws_come_first(key, owed):
 def test_a_determined_solve_seeds_nothing():
     # _solve_affine draws only for free columns, so a feasible system of
     # full column rank leaves its stream unseeded
-    stream = _Stream("solve")
+    stream = _Stream(0, 0, (2, 1))
     assert _solve_affine([[1, 0], [0, 2]], [3, 4], stream)[:2] == ("ok", 2)
     assert stream.rng is None
     _, rank, x = _solve_affine([[1, 0], [2, 0]], [3, 0], stream)
-    ref = random.Random("solve")
+    ref = random.Random("cell:0:0:(2, 1)")
     assert rank == 1 and x[1] == ref.randrange(PRIME) and stream.rng
 
 
@@ -61,8 +62,8 @@ class _Eager(_Stream):
     """A stream seeded at construction, as every trial's was before the
     draws nobody reads were owed."""
 
-    def __init__(self, key):
-        super().__init__(key)
+    def __init__(self, *key):
+        super().__init__(*key)
         self.seeded()
 
 
@@ -112,8 +113,8 @@ def test_trials_that_read_nothing_seed_nothing(monkeypatch, system, never,
             return super().randrange(*args)
 
     class Watched(_Stream):
-        def __init__(self, key):
-            super().__init__(key)
+        def __init__(self, *key):
+            super().__init__(*key)
             self.owed_in_all = 0
             streams.append(self)
 
